@@ -57,14 +57,17 @@ def gen_random(n: int, arcs: int, facility_prob: float, seed: int, ploughs: int 
         raise ValueError(f"arc count must be in [0, {max_arcs}]")
     if not (0.0 <= facility_prob <= 1.0):
         raise ValueError("facility probability must be in [0, 1]")
-    if ploughs < 0 or (ploughs > 0 and n == 1):
-        raise ValueError("plough count infeasible for this order")
+    if ploughs < 0:
+        raise ValueError("plough count must be nonnegative")
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = rng.choice(len(pairs), size=arcs, replace=False) if arcs else []
     arc_set = frozenset(pairs[i] for i in chosen)
     facility = tuple(bool(rng.random() < facility_prob) for _ in range(n))
     population = [v for v in range(n) if facility[v]] or list(range(n))
+    capacity = (n - 1) * len(population)  # at most n-1 ploughs per vertex
+    if ploughs > capacity:
+        raise ValueError(f"{ploughs} ploughs exceed the capacity {capacity} of the plough vertices")
     counts = [0] * n
     for _ in range(ploughs):
         v = int(population[int(rng.integers(0, len(population)))])

@@ -8,6 +8,11 @@ plough capacities.  The general decision enumerates which plough bases to
 promote to facilities; the min/max/unspecified variants reuse the same
 machinery.
 
+Every pipeline searches through one loop, ``_search``: it filters each
+candidate tree, builds the tree's circuit and runs one detection on it,
+stopping at the first YES.  It is the only place that derives detection
+seeds and counts candidates and detections.
+
 All detections are one-sided, so YES answers are certain.  NO answers carry
 a computed failure bound: each missed embedding survives a single detection
 with probability at most (1-p)^trials under the assumed per-trial success
@@ -20,7 +25,7 @@ import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import trees
 from .digraph import (
@@ -44,7 +49,6 @@ _SEED_STRIDE = 104_729  # distinct detection seeds within one pipeline call
 class SolveParams:
     seed: int = 1
     trials: int = 32
-    dedupe: bool = True
     exact_threshold: int = 0  # route to the exact engine when n <= threshold
     jobs: int = 1
     exact_limits: ExactLimits = field(default_factory=ExactLimits)
@@ -162,6 +166,58 @@ def _exact_report(inst: Instance, params: SolveParams, t0: float) -> SolveReport
     return SolveReport(answer=ans, witness=witness, elapsed=time.perf_counter() - t0)
 
 
+def _search(
+    closure: Instance,
+    terminals: frozenset[int],
+    candidates: Iterable[TreeCandidate],
+    params: SolveParams,
+    report: SolveReport,
+    seed_base: int,
+) -> Optional[TreeCandidate]:
+    """First candidate whose detection answers YES, or None.
+
+    Counts every candidate drawn and every detection run into ``report``;
+    the detection counted j-th so far uses seed ``seed_base + _SEED_STRIDE * j``.
+    """
+    for cand in candidates:
+        report.candidates_tested += 1
+        if not _candidate_feasible(closure, cand, terminals):
+            continue
+        circuit = build_circuit(make_tpe_instance(closure, cand, terminals=terminals))
+        seed = seed_base + _SEED_STRIDE * report.detections_run
+        report.detections_run += 1
+        if detect_zt_multilinear(
+            circuit, t=len(terminals), k=cand.order, trials=params.trials, seed=seed
+        ):
+            return cand
+    return None
+
+
+def _decide(
+    host: Instance, budget: int, l_param: int, params: SolveParams, t0: float
+) -> SolveReport:
+    """Does a tree on at most 2*l_param-1 vertices with total demand at most
+    budget embed into host's closure, covering every facility of host?"""
+    fac = host.facilities()
+    if len(fac) <= 1:
+        return SolveReport(answer=True, elapsed=time.perf_counter() - t0)
+    report = SolveReport(answer=False)
+    if budget and _facilities_in_one_weak_component(host):
+        eta_max = min(2 * l_param - 1, host.n)
+        if eta_max > trees.MAX_ORDER:
+            raise ValueError(
+                f"parameter {l_param} needs candidate trees up to order {eta_max}; "
+                "beyond the enumeration cap, use the exact path"
+            )
+        stream = candidate_stream(len(fac), eta_max, budget=budget)
+        hit = _search(transitive_closure(host), fac, stream, params, report, params.seed)
+        report.answer = hit is not None
+        if not report.answer and report.detections_run:
+            report.failure_bound = _miss(params)
+    report.elapsed = time.perf_counter() - t0
+    return report
+
+
 def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
     """Decision for restricted instances (every plough base is a facility)."""
     t0 = time.perf_counter()
@@ -169,37 +225,7 @@ def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
         raise ValueError("restricted instance required: plough bases must be facilities")
     if inst.n <= params.exact_threshold:
         return _exact_report(inst, params, t0)
-    fac = inst.facilities()
-    if len(fac) <= 1:
-        return SolveReport(answer=True, elapsed=time.perf_counter() - t0)
-    report = SolveReport(answer=False)
-    if inst.total_ploughs() == 0 or not _facilities_in_one_weak_component(inst):
-        report.elapsed = time.perf_counter() - t0
-        return report
-    eta_max = min(2 * len(fac) - 1, inst.n)
-    if eta_max > trees.MAX_ORDER:
-        raise ValueError(
-            f"{len(fac)} facilities need candidate trees up to order {eta_max}; "
-            "beyond the enumeration cap, use the exact path"
-        )
-    closure = transitive_closure(inst)
-    kb = inst.total_ploughs()
-    for cand in candidate_stream(len(fac), eta_max, budget=kb, dedupe=params.dedupe):
-        report.candidates_tested += 1
-        if not _candidate_feasible(closure, cand, fac):
-            continue
-        circuit = build_circuit(make_tpe_instance(closure, cand, terminals=fac))
-        seed = params.seed + _SEED_STRIDE * report.detections_run
-        report.detections_run += 1
-        if detect_zt_multilinear(
-            circuit, t=len(fac), k=cand.order, trials=params.trials, seed=seed
-        ):
-            report.answer = True
-            break
-    if not report.answer and report.detections_run:
-        report.failure_bound = _miss(params)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return _decide(inst, inst.total_ploughs(), len(inst.facilities()), params, t0)
 
 
 def _promotions(inst: Instance):
@@ -227,7 +253,11 @@ def _check_pipeline_scale(inst: Instance) -> None:
 
 
 def solve_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
-    """General decision: enumerate base promotions, solve each restricted case."""
+    """General decision: enumerate base promotions, solve each restricted case.
+
+    Sub-reports are read in promotion order up to the first YES, whichever
+    ``jobs`` runs them, so every ``jobs`` value gives the same report.
+    """
     t0 = time.perf_counter()
     if inst.n <= params.exact_threshold:
         return _exact_report(inst, params, t0)
@@ -240,21 +270,18 @@ def solve_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport
         replace(params, seed=params.seed + _SEED_STRIDE * 1000 * (i + 1), jobs=1)
         for i in range(len(subs))
     ]
-    if params.jobs > 1:
-        with ProcessPoolExecutor(max_workers=params.jobs) as pool:
-            results = list(pool.map(solve_all_st, subs, sub_params))
-        for sub in results:
-            report.candidates_tested += sub.candidates_tested
-            report.detections_run += sub.detections_run
-            report.answer = report.answer or sub.answer
-    else:
-        for sub_inst, sp in zip(subs, sub_params):
-            sub = solve_all_st(sub_inst, sp)
+    pool = ProcessPoolExecutor(max_workers=params.jobs) if params.jobs > 1 else None
+    try:
+        for sub in (map if pool is None else pool.map)(solve_all_st, subs, sub_params):
             report.candidates_tested += sub.candidates_tested
             report.detections_run += sub.detections_run
             if sub.answer:
                 report.answer = True
                 break
+    finally:
+        if pool is not None:
+            # subs already running in a worker still finish; queued ones are dropped
+            pool.shutdown(cancel_futures=True)
     if not report.answer and report.detections_run:
         report.failure_bound = _miss(params)
     report.elapsed = time.perf_counter() - t0
@@ -274,7 +301,7 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     _check_pipeline_scale(inst)
     report = SolveReport(answer=False)
     best: Optional[int] = None
-    lighter_misses = 0
+    hits = 0
     for sub_i, sub_inst in enumerate(_promotions(inst)):
         fac = sub_inst.facilities()
         kb = sub_inst.total_ploughs()
@@ -283,31 +310,21 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
         eta_max = min(2 * len(fac) - 1, sub_inst.n)
         closure = transitive_closure(sub_inst)
         cands = sorted(
-            candidate_stream(len(fac), eta_max, budget=kb, dedupe=params.dedupe),
+            candidate_stream(len(fac), eta_max, budget=kb),
             key=lambda c: (c.total_demand(), c.order, c.code_str()),
         )
-        for cand in cands:
-            weight = cand.total_demand()
-            if best is not None and weight >= best:
-                break
-            report.candidates_tested += 1
-            if not _candidate_feasible(closure, cand, fac):
-                continue
-            circuit = build_circuit(make_tpe_instance(closure, cand, terminals=fac))
-            seed = params.seed + _SEED_STRIDE * (1000 * (sub_i + 1) + report.detections_run)
-            report.detections_run += 1
-            if detect_zt_multilinear(
-                circuit, t=len(fac), k=cand.order, trials=params.trials, seed=seed
-            ):
-                best = weight
-                break
-            lighter_misses += 1
+        lighter = [c for c in cands if best is None or c.total_demand() < best]
+        seed_base = params.seed + _SEED_STRIDE * 1000 * (sub_i + 1)
+        hit = _search(closure, fac, lighter, params, report, seed_base)
+        if hit is not None:
+            best = hit.total_demand()
+            hits += 1
     report.answer = best is not None
     report.optimum = best
     if report.detections_run:
         # a wrong optimum needs some lighter candidate's detection to have
         # missed; a wrong "infeasible" needs some embeddable candidate missed
-        relevant = lighter_misses if best is not None else 1
+        relevant = report.detections_run - hits if best is not None else 1
         report.failure_bound = min(1.0, relevant * _miss(params))
     report.elapsed = time.perf_counter() - t0
     return report
@@ -323,7 +340,7 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     report = SolveReport(answer=True)
     bound_acc = 0.0
     for size in range(len(fac), 1, -1):
-        found = False
+        size_misses = 0.0
         for kept, subset in enumerate(itertools.combinations(fac, size)):
             trimmed = replace(
                 inst, facility=tuple(v in set(subset) for v in range(inst.n))
@@ -333,13 +350,14 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
             )
             report.candidates_tested += sub.candidates_tested
             report.detections_run += sub.detections_run
-            bound_acc += sub.failure_bound
             if sub.answer:
-                found = True
+                report.optimum = size
                 break
-        if found:
-            report.optimum = size
+            size_misses += sub.failure_bound
+        if report.optimum is not None:
             break
+        # a missed NO at the optimum's own size cannot change the optimum
+        bound_acc += size_misses
     else:
         report.optimum = min(1, len(fac))
     report.failure_bound = min(1.0, bound_acc)
@@ -355,35 +373,9 @@ def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> So
     if inst.n <= params.exact_threshold:
         ans = solve_variant_exact(inst, "stu", k=k, limits=params.exact_limits)
         return SolveReport(answer=ans, elapsed=time.perf_counter() - t0)
-    fac = inst.facilities()
-    if len(fac) <= 1:
-        return SolveReport(answer=True, elapsed=time.perf_counter() - t0)
-    report = SolveReport(answer=False)
-    if k == 0 or not _facilities_in_one_weak_component(inst):
-        report.elapsed = time.perf_counter() - t0
-        return report
-    eta_max = min(2 * (len(fac) + k) - 1, inst.n)
-    if eta_max > trees.MAX_ORDER:
-        raise ValueError("facility/plough parameter exceeds the enumeration cap")
     # capacity n-1 everywhere is equivalent to unconstrained: demands never exceed it
     free_host = replace(inst, ploughs=tuple(inst.n - 1 for _ in range(inst.n)))
-    closure = transitive_closure(free_host)
-    for cand in candidate_stream(len(fac), eta_max, budget=k, dedupe=params.dedupe):
-        report.candidates_tested += 1
-        if not _candidate_feasible(closure, cand, fac):
-            continue
-        circuit = build_circuit(make_tpe_instance(closure, cand, terminals=fac))
-        seed = params.seed + _SEED_STRIDE * report.detections_run
-        report.detections_run += 1
-        if detect_zt_multilinear(
-            circuit, t=len(fac), k=cand.order, trials=params.trials, seed=seed
-        ):
-            report.answer = True
-            break
-    if not report.answer and report.detections_run:
-        report.failure_bound = _miss(params)
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return _decide(free_host, k, len(inst.facilities()) + k, params, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ def test_gen_random_validity():
         assert inst.total_ploughs() == 2
     full = gen_random(4, 12, 1.0, 0)
     assert len(full.arcs) == 12
+    with pytest.raises(ValueError, match="capacity"):
+        gen_random(2, 1, 0.5, 0, ploughs=3)
 
 
 def test_trees_command(capsys):
@@ -158,3 +160,5 @@ def test_usage_errors(tmp_path, capsys):
     bad.write_text("st 2 1\nv 0 1 0\nv 1 0 0\na 1 1\n")
     assert run_cli(["solve", "--problem", "st", "--input", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+    assert run_cli(["gen", "--family", "random", "--n", "2", "--arcs", "1", "--ploughs", "3"]) == 2
+    assert "capacity" in capsys.readouterr().err

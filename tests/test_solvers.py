@@ -85,10 +85,18 @@ def test_solve_st_exact_threshold_routes_to_oracle():
 
 
 def test_solve_st_parallel_jobs_agree():
-    inst = toy1()
-    a = solve_st(inst, PARAMS)
-    b = solve_st(inst, SolveParams(seed=7, trials=48, jobs=2))
-    assert a.answer == b.answer
+    # YES at the first of two promotions: the second one's detection must
+    # not be counted, however many workers run
+    two_promotions = make_instance(5, [(0, 1), (1, 2), (3, 4), (4, 2), (3, 0)], {0, 2}, {0: 1, 3: 1})
+    for inst in (toy1(), two_promotions):
+        a = solve_st(inst, PARAMS)
+        b = solve_st(inst, SolveParams(seed=7, trials=48, jobs=2))
+        assert (a.answer, a.candidates_tested, a.detections_run, a.failure_bound) == (
+            b.answer,
+            b.candidates_tested,
+            b.detections_run,
+            b.failure_bound,
+        )
 
 
 def test_min_st_examples():
@@ -106,6 +114,11 @@ def test_max_st_examples():
     assert solve_max_st(toy2(), PARAMS).optimum == 1
     none_fac = make_instance(2, [(0, 1)], set(), {0: 1})
     assert solve_max_st(none_fac, PARAMS).optimum == 0
+    # NO sub-decisions at the optimum's own size do not count toward the bound
+    inst = make_instance(5, [(0, 1), (2, 3), (2, 4), (4, 0), (4, 2)], {0, 2, 3, 4}, {1: 1, 3: 1, 4: 1})
+    rep = solve_max_st(inst, SolveParams())
+    assert rep.optimum == 3
+    assert 0 < rep.failure_bound < 1e-3
 
 
 def test_stu_examples():
@@ -235,6 +248,20 @@ def test_min_st_bounded_by_placed_ploughs():
         assert rep.optimum == want, inst
         if rep.optimum is not None:
             assert rep.optimum <= inst.total_ploughs()
+
+
+def test_min_max_st_match_exact_on_randoms():
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randint(3, 6)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, k=rng.randint(n - 1, min(12, len(pairs))))
+        fac = set(rng.sample(range(n), k=3))
+        pl = {v: rng.randint(1, 2) for v in rng.sample(range(n), k=2)}
+        inst = make_instance(n, arcs, fac, pl)
+        p = SolveParams(seed=13, trials=48)
+        assert solve_min_st(inst, p).optimum == solve_variant_exact(inst, "min-st"), inst
+        assert solve_max_st(inst, p).optimum == solve_variant_exact(inst, "max-st"), inst
 
 
 def test_max_st_monotone_under_arc_addition():
