@@ -15,7 +15,6 @@ from .algebra import (
     ga_mul_naive,
     gf_add,
     gf_mul,
-    sample_assignment,
     zval_mul,
 )
 from .digraph import (

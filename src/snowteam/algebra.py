@@ -241,9 +241,3 @@ def zval_mul(a: AlgebraValue, b: AlgebraValue) -> AlgebraValue:
             out[i + j] = out[i + j] + ga_mul_fast(pa, pb)
     return AlgebraValue(a.zcap, tuple(out))
 
-
-def sample_assignment(rng: np.random.Generator, n_vars: int, k: int):
-    """Draw the base mask v0 and one mask per variable, i.i.d. uniform on Z_2^k."""
-    v0 = int(rng.integers(0, 1 << k))
-    vs = rng.integers(0, 1 << k, size=n_vars, dtype=np.int64)
-    return v0, vs

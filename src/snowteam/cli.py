@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True)
     solve.add_argument("--k", type=int, default=None, help="plough count for stu")
     solve.add_argument("--seed", type=int, default=_default_seed())
-    solve.add_argument("--trials", type=int, default=32)
+    solve.add_argument("--trials", type=int, default=1)
     solve.add_argument("--exact", action="store_true", help="route to the exact engine")
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--jobs", type=int, default=1)

@@ -30,7 +30,7 @@ from .solvers import (
     solve_st,
     solve_stu,
 )
-from .tpe import CIRCUIT_SIZE_C, _eval_batch, build_circuit, expand_symbolic, make_tpe_instance
+from .tpe import CIRCUIT_SIZE_C, _trial_values, build_circuit, expand_symbolic, make_tpe_instance
 from .trees import FREE_TREE_COUNTS, candidate_stream, enumerate_free_trees, orient_tree
 
 SAMPLE_COVER = SetCoverInstance(
@@ -193,10 +193,8 @@ def check_detection_power() -> tuple[bool, str]:
         if solve_tpe_exact(inst) is None:
             continue
         circuit = build_circuit(inst)
-        res = _eval_batch(
-            circuit, len(inst.terminals), cand.order, seed=1000 + collected, trial_indices=range(200)
-        )
-        hits = int(np.count_nonzero(res.any(axis=1)))
+        values = _trial_values(circuit, len(inst.terminals), cand.order, 1000 + collected, 200)
+        hits = sum(v != 0 for v in values)
         freq = hits / 200
         worst = min(worst, freq)
         if freq < 0.2:

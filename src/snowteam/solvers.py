@@ -13,10 +13,13 @@ candidate tree, builds the tree's circuit and runs one detection on it,
 stopping at the first YES.  It is the only place that derives detection
 seeds and counts candidates and detections.
 
-All detections are one-sided, so YES answers are certain.  NO answers carry
-a computed failure bound: each missed embedding survives a single detection
-with probability at most (1-p)^trials under the assumed per-trial success
-rate p >= 1/5.
+All detections are one-sided, so YES answers are certain.  A NO answer is
+wrong only if the detection of the first embeddable candidate in search
+order missed; one trial misses a tree of order eta with probability at most
+2*eta/2^64 (Schwartz-Zippel, proved in ``tpe``), and further trials only
+lower that.  So a NO carries ``2*eta_max/2^64``, eta_max the largest
+candidate order the decision could test, and the optimization variants a
+union of such bounds over the detections that could change the optimum.
 """
 
 from __future__ import annotations
@@ -39,16 +42,13 @@ from .exact import ExactLimits, solve_st_exact, solve_variant_exact
 from .tpe import build_circuit, detect_zt_multilinear, make_tpe_instance
 from .trees import TreeCandidate, candidate_stream
 
-#: assumed lower bound on the per-trial detection success probability
-ASSUMED_TRIAL_P = 0.2
-
 _SEED_STRIDE = 104_729  # distinct detection seeds within one pipeline call
 
 
 @dataclass(frozen=True)
 class SolveParams:
     seed: int = 1
-    trials: int = 32
+    trials: int = 1
     exact_threshold: int = 0  # route to the exact engine when n <= threshold
     jobs: int = 1
     exact_limits: ExactLimits = field(default_factory=ExactLimits)
@@ -63,9 +63,10 @@ class SolveReport:
     """Outcome plus accounting.
 
     failure_bound bounds the probability that the reported answer is wrong:
-    zero for certain answers (YES decisions, exact-path results), a single
-    missed-detection bound for NO decisions, and a union bound over the
-    answer-relevant detections for the optimization variants.
+    zero for certain answers (YES decisions, exact-path results), the proven
+    one-detection miss bound 2*eta_max/2^64 for NO decisions, and a union of
+    such bounds over the answer-relevant detections for the optimization
+    variants.
     """
 
     answer: bool
@@ -77,8 +78,10 @@ class SolveReport:
     witness: Optional[SolutionWalks] = None
 
 
-def _miss(params: SolveParams) -> float:
-    return (1.0 - ASSUMED_TRIAL_P) ** params.trials
+def _miss(eta_max: int) -> float:
+    """Chance that one detection, of any number of trials, misses an
+    embeddable tree of order at most eta_max."""
+    return 2 * eta_max / 2**64
 
 
 def _facilities_in_one_weak_component(inst: Instance) -> bool:
@@ -213,7 +216,7 @@ def _decide(
         hit = _search(transitive_closure(host), fac, stream, params, report, params.seed)
         report.answer = hit is not None
         if not report.answer and report.detections_run:
-            report.failure_bound = _miss(params)
+            report.failure_bound = _miss(eta_max)
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -243,13 +246,16 @@ def _promotions(inst: Instance):
             )
 
 
-def _check_pipeline_scale(inst: Instance) -> None:
+def _check_pipeline_scale(inst: Instance) -> int:
+    """Largest candidate order any promotion of inst could test."""
     l_param = len(inst.facilities() | inst.bases())
-    if min(2 * l_param - 1, inst.n) > trees.MAX_ORDER:
+    eta_max = min(2 * l_param - 1, inst.n)
+    if eta_max > trees.MAX_ORDER:
         raise ValueError(
             f"combined facility/base parameter {l_param} exceeds the enumeration "
             "pipeline cap; use the exact path"
         )
+    return eta_max
 
 
 def solve_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
@@ -263,7 +269,7 @@ def solve_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport
         return _exact_report(inst, params, t0)
     if len(inst.facilities()) <= 1:
         return SolveReport(answer=True, elapsed=time.perf_counter() - t0)
-    _check_pipeline_scale(inst)
+    eta_max = _check_pipeline_scale(inst)
     subs = list(_promotions(inst))
     report = SolveReport(answer=False)
     sub_params = [
@@ -283,7 +289,7 @@ def solve_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport
             # subs already running in a worker still finish; queued ones are dropped
             pool.shutdown(cancel_futures=True)
     if not report.answer and report.detections_run:
-        report.failure_bound = _miss(params)
+        report.failure_bound = _miss(eta_max)
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -298,7 +304,7 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
         )
     if len(inst.facilities()) <= 1:
         return SolveReport(answer=True, optimum=0, elapsed=time.perf_counter() - t0)
-    _check_pipeline_scale(inst)
+    eta_max = _check_pipeline_scale(inst)
     report = SolveReport(answer=False)
     best: Optional[int] = None
     hits = 0
@@ -325,7 +331,7 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
         # a wrong optimum needs some lighter candidate's detection to have
         # missed; a wrong "infeasible" needs some embeddable candidate missed
         relevant = report.detections_run - hits if best is not None else 1
-        report.failure_bound = min(1.0, relevant * _miss(params))
+        report.failure_bound = relevant * _miss(eta_max)
     report.elapsed = time.perf_counter() - t0
     return report
 
@@ -360,7 +366,7 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
         bound_acc += size_misses
     else:
         report.optimum = min(1, len(fac))
-    report.failure_bound = min(1.0, bound_acc)
+    report.failure_bound = bound_acc
     report.elapsed = time.perf_counter() - t0
     return report
 

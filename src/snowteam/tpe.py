@@ -5,13 +5,46 @@ covering all terminals and respecting per-vertex plough capacities" is encoded
 as a polynomial Q(X, z): Q has a monomial z^|S| * (product of eta distinct
 host variables) exactly when an embedding exists.  The polynomial is built
 as a shared monotone circuit (one gate family per tree-vertex/host-vertex
-pair) and tested by evaluating over the group algebra GF(2^64)[Z_2^k]:
-squares vanish, so only multilinear monomials can survive, and a surviving
-monomial is detected with constant probability per randomized trial.
+pair) and tested with algebraic fingerprints (Koutis and Williams,
+"Algebraic fingerprints for faster algorithms"; Bjorklund, Husfeldt, Kaski
+and Koivisto, "Narrow sieves for parameterized paths and packings").
 
-The detector is one-sided: a nonzero evaluation proves the monomial exists;
-a zero answer on every trial is wrong only with probability at most
-(1 - p)^trials for per-trial success rate p.
+Fingerprints.  The circuit has one x-gate x_{w,u} per affordable pair of host
+vertex w and tree vertex u, and its z^t coefficient is
+
+    Q_t = sum over phi of prod_u x_{phi(u),u},
+
+phi running over the maps of the tree into the host that respect arcs and
+capacities and hit t terminals (with multiplicity), each exactly once.  A
+trial draws a in GF(2^64)^{n x k}, k = eta, and one r per x-gate, uniformly
+and independently, and substitutes
+
+    x_{w,u} -> r_{w,u} * (a_{w,1} y_1 + ... + a_{w,k} y_k).
+
+The coefficient of y_1 ... y_k in the image of phi's monomial is
+prod_u r_{phi(u),u} * det(A_phi), where A_phi has rows a_{phi(u)} (the
+permanent is the determinant in characteristic 2).  Every monomial has
+degree exactly k in y, so by inclusion-exclusion, whose signs vanish in
+characteristic 2, that coefficient of the whole image is the XOR over
+T of [k] of Q_t evaluated at y = 1_T.  The trial's value is therefore
+
+    F(r, a) = sum over phi of prod_u r_{phi(u),u} * det(A_phi).
+
+No false positives: when phi is not injective, two rows of A_phi coincide
+and det(A_phi) = 0 as a polynomial, so F = 0 unless an embedding exists.
+
+Proven miss bound: let phi be injective.  Its r-monomial determines phi,
+so no other term of F shares it, and its coefficient det(A_phi) is a
+nonzero polynomial, since the rows are distinct sets of indeterminates.
+So F is a nonzero polynomial of total degree 2k in (r, a), and by
+Schwartz-Zippel one trial gives F = 0 with probability at most 2k/2^64.
+Independent trials only lower this; 2k/2^64 bounds a detection of any
+number of trials.
+
+The evaluation runs over GF(2^64)[z]/(z^(t+1)), vectorised over lanes, one
+per (trial, subset T), in chunks of SUBSET_CHUNK lanes; each gate's value
+is dropped after its last consumer, so memory stays at the live gates times
+SUBSET_CHUNK times t+1 words, plus one word per x-gate and lane.
 """
 
 from __future__ import annotations
@@ -21,15 +54,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (
-    _bit_expand,
-    _clmul_reduce_arrays,
-    _fwht,
-    _parity_to_gf,
-    _poly_mul_acc,
-    GroupAlgebraElem,
-    sample_assignment,
-)
+from .algebra import _clmul_reduce_arrays
 from .digraph import Instance
 from .trees import TreeCandidate
 
@@ -255,198 +280,152 @@ def expand_symbolic(
 
 
 # ---------------------------------------------------------------------------
-# randomized evaluation over the group algebra
+# randomized evaluation by algebraic fingerprints
 
-class _Val:
-    """Batched value: arr[trial, z_degree, group_mask], nonzero degrees in [lo, hi]."""
-
-    __slots__ = ("arr", "lo", "hi")
-
-    def __init__(self, arr, lo, hi):
-        self.arr = arr
-        self.lo = lo
-        self.hi = hi
+#: lanes, one per (trial, subset T of [k]), evaluated together; a gate's value
+#: holds at most SUBSET_CHUNK * (t+1) field words
+SUBSET_CHUNK = 1 << 10
 
 
-def _live_gates(circuit: Circuit) -> list[bool]:
-    """Gates reachable from the output; pruned branches leave dead families."""
-    live = [False] * len(circuit.gates)
-    stack = [circuit.output]
-    while stack:
-        gid = stack.pop()
-        if live[gid]:
-            continue
-        live[gid] = True
-        gate = circuit.gates[gid]
-        if gate[0] == "add":
-            stack.extend(gate[1])
-        elif gate[0] == "mul":
-            stack.extend(gate[1:3])
-    return live
+def _operands(gate: tuple) -> tuple:
+    return gate[1] if gate[0] == "add" else gate[1:3] if gate[0] == "mul" else ()
 
 
-def _eval_batch(
-    circuit: Circuit, zcap: int, k: int, seed: int, trial_indices
-) -> np.ndarray:
-    """Evaluate all trials at once; returns the z^zcap slice, shape (T, 2^k)."""
-    trial_indices = list(trial_indices)
-    t_count = len(trial_indices)
-    g_size = 1 << k
-    n = circuit.host_n
-    x_ids = circuit.x_gate_ids()
-    x_col = {gid: i for i, gid in enumerate(x_ids)}
-    live = _live_gates(circuit)
+def _last_readers(circuit: Circuit) -> dict[int, int]:
+    """Each gate the output depends on -> the last such gate reading it.
 
-    v0s = np.empty(t_count, dtype=np.int64)
-    vws = np.empty((t_count, n), dtype=np.int64)
-    rs = np.empty((t_count, max(len(x_ids), 1)), dtype=np.uint64)
-    seed = seed % (1 << 63)  # seed sequences need nonnegative entropy
-    for row, trial in enumerate(trial_indices):
-        rng = np.random.default_rng((seed, trial))
-        v0, vw = sample_assignment(rng, n, k)
-        v0s[row] = v0
-        vws[row] = vw
-        if x_ids:
-            rs[row] = rng.integers(0, 1 << 64, size=len(x_ids), dtype=np.uint64)
+    Pruned branches leave dead gate families, which are absent.
+    """
+    last = {circuit.output: circuit.output}
+    for gid in range(circuit.output, -1, -1):
+        if gid in last:
+            for c in _operands(circuit.gates[gid]):
+                last.setdefault(c, gid)
+    return last
 
-    rows = np.arange(t_count)
-    g_idx = np.arange(g_size)
-    vals: list[Optional[_Val]] = []
 
-    def materialize_x(gid: int) -> _Val:
-        w = circuit.gates[gid][1]
-        arr = np.zeros((t_count, zcap + 1, g_size), dtype=np.uint64)
-        r = rs[:, x_col[gid]]
-        arr[rows, 0, v0s] ^= r
-        arr[rows, 0, vws[:, w]] ^= r
-        return _Val(arr, 0, 0)
+def _add(parts: list) -> Optional[tuple]:
+    """Sum of (lo, arr) values, arr[d] holding the z^(lo+d) coefficients."""
+    parts = [p for p in parts if p is not None]
+    if not parts:
+        return None
+    lo = min(p[0] for p in parts)
+    hi = max(p[0] + len(p[1]) for p in parts)
+    out = np.zeros((hi - lo,) + parts[0][1].shape[1:], dtype=np.uint64)
+    for plo, arr in parts:
+        out[plo - lo : plo - lo + len(arr)] ^= arr
+    return lo, out
 
-    def xmul(val: _Val, xgid: int) -> Optional[_Val]:
-        # value * r*(g_v0 + g_vw): permutation-xor on the group axis, one
-        # field multiplication by the per-trial scalar
-        w = circuit.gates[xgid][1]
-        span = val.arr[:, val.lo : val.hi + 1, :]
-        idx0 = (g_idx[None, :] ^ v0s[:, None])[:, None, :]
-        idxw = (g_idx[None, :] ^ vws[:, w][:, None])[:, None, :]
-        comb = np.take_along_axis(span, np.broadcast_to(idx0, span.shape), axis=2)
-        comb = comb ^ np.take_along_axis(span, np.broadcast_to(idxw, span.shape), axis=2)
-        prod = _clmul_reduce_arrays(comb, rs[:, x_col[xgid]][:, None, None])
-        arr = np.zeros_like(val.arr)
-        arr[:, val.lo : val.hi + 1, :] = prod
-        return _Val(arr, val.lo, val.hi)
 
-    def shift(val: _Val, e: int) -> Optional[_Val]:
-        lo, hi = val.lo + e, min(val.hi + e, zcap)
-        if lo > zcap:
-            return None
-        arr = np.zeros_like(val.arr)
-        arr[:, lo : hi + 1, :] = val.arr[:, val.lo : val.lo + (hi - lo) + 1, :]
-        return _Val(arr, lo, hi)
+def _mul(a: tuple, b: tuple, zcap: int) -> Optional[tuple]:
+    """Product of (lo, arr) values in GF(2^64)[z]/(z^(zcap+1))."""
+    lo = a[0] + b[0]
+    if lo > zcap:
+        return None
+    pa, pb = a[1][: zcap - lo + 1], b[1][: zcap - lo + 1]
+    prod = _clmul_reduce_arrays(pa[:, None], pb[None, :])
+    out = np.zeros((min(len(pa) + len(pb) - 1, zcap - lo + 1),) + pa.shape[1:], dtype=np.uint64)
+    for i in range(len(pa)):
+        m = min(len(pb), len(out) - i)
+        out[i : i + m] ^= prod[i, :m]
+    return lo, out
 
-    def general_mul(a: _Val, b: _Val) -> Optional[_Val]:
-        lo, hi = a.lo + b.lo, min(a.hi + b.hi, zcap)
-        if lo > zcap:
-            return None
-        ta = _fwht(_bit_expand(a.arr[:, a.lo : a.hi + 1, :]))
-        tb = _fwht(_bit_expand(b.arr[:, b.lo : b.hi + 1, :]))
-        pairs = [
-            (i, j)
-            for i in range(a.hi - a.lo + 1)
-            for j in range(b.hi - b.lo + 1)
-            if a.lo + i + b.lo + j <= zcap
-        ]
-        ai = ta[:, [p[0] for p in pairs]]
-        bj = tb[:, [p[1] for p in pairs]]
-        acc = np.zeros(ai.shape[:-1] + (127,), dtype=np.uint64)
-        _poly_mul_acc(acc, ai, bj)
-        degs = sorted({a.lo + i + b.lo + j for i, j in pairs})
-        per_deg = np.empty((t_count, len(degs), g_size, 127), dtype=np.uint64)
-        for di, d in enumerate(degs):
-            cols = [pi for pi, (i, j) in enumerate(pairs) if a.lo + i + b.lo + j == d]
-            per_deg[:, di] = acc[:, cols].sum(axis=1, dtype=np.uint64)
-        inv = _fwht(per_deg)
-        fields = _parity_to_gf((inv >> np.uint64(k)) & np.uint64(1))
-        arr = np.zeros((t_count, zcap + 1, g_size), dtype=np.uint64)
-        for di, d in enumerate(degs):
-            arr[:, d, :] = fields[:, di, :]
-        return _Val(arr, lo, hi)
 
-    for gid, gate in enumerate(circuit.gates):
+def _evaluate(circuit: Circuit, zcap: int, x_vals: np.ndarray, last: dict) -> Optional[np.ndarray]:
+    """The output's z^zcap coefficient in every lane, the i-th x-gate set to
+    x_vals[i]; each gate's value is dropped after its last reader."""
+    gates = circuit.gates
+    x_rows = {gid: i for i, gid in enumerate(circuit.x_gate_ids())}
+    vals: dict[int, Optional[tuple]] = {}
+    for gid, gate in enumerate(gates):
         kind = gate[0]
-        if not live[gid]:
-            vals.append(None)
-        elif kind == "zero":
-            vals.append(None)
-        elif kind == "const":
-            if gate[1] > zcap:
-                vals.append(None)
-            else:
-                arr = np.zeros((t_count, zcap + 1, g_size), dtype=np.uint64)
-                arr[:, gate[1], 0] = 1
-                vals.append(_Val(arr, gate[1], gate[1]))
+        if gid not in last:
+            continue
+        val = None
+        if kind == "const" and gate[1] <= zcap:
+            val = (gate[1], np.ones((1,) + x_vals.shape[1:], dtype=np.uint64))
         elif kind == "x":
-            vals.append(materialize_x(gid))
+            val = (0, x_vals[x_rows[gid]][None])
         elif kind == "add":
-            parts = [vals[c] for c in gate[1] if vals[c] is not None]
-            if not parts:
-                vals.append(None)
-            else:
-                arr = parts[0].arr.copy()
-                for p in parts[1:]:
-                    arr ^= p.arr
-                vals.append(_Val(arr, min(p.lo for p in parts), max(p.hi for p in parts)))
-        else:
-            a, b = vals[gate[1]], vals[gate[2]]
-            if a is None or b is None:
-                vals.append(None)
-                continue
-            ga, gb = circuit.gates[gate[1]], circuit.gates[gate[2]]
-            if ga[0] == "const":
-                vals.append(shift(b, ga[1]))
-            elif gb[0] == "const":
-                vals.append(shift(a, gb[1]))
-            elif ga[0] == "x":
-                vals.append(xmul(b, gate[1]))
-            elif gb[0] == "x":
-                vals.append(xmul(a, gate[2]))
-            else:
-                vals.append(general_mul(a, b))
-
+            val = _add([vals[c] for c in gate[1]])
+        elif kind == "mul":
+            a, b = gate[1:3]
+            if gates[b][0] == "const":
+                a, b = b, a
+            if vals[a] is not None and vals[b] is not None:
+                if gates[a][0] == "const":  # z^e: a shift, no field work
+                    lo = vals[b][0] + gates[a][1]
+                    val = (lo, vals[b][1][: zcap - lo + 1]) if lo <= zcap else None
+                else:
+                    val = _mul(vals[a], vals[b], zcap)
+        vals[gid] = val
+        for c in _operands(gate):
+            if last[c] == gid:
+                vals.pop(c, None)
     out = vals[circuit.output]
-    if out is None or not (out.lo <= zcap <= out.hi):
-        return np.zeros((t_count, g_size), dtype=np.uint64)
-    return out.arr[:, zcap, :]
+    if out is None or not out[0] <= zcap < out[0] + len(out[1]):
+        return None
+    return out[1][zcap - out[0]]
 
 
-def eval_trial(circuit: Circuit, t: int, k: int, seed: int) -> GroupAlgebraElem:
-    """One randomized evaluation; returns the z^t slice of the output."""
-    return GroupAlgebraElem(k, _eval_batch(circuit, t, k, seed, [0])[0])
+def _trial_values(circuit: Circuit, zcap: int, k: int, seed: int, trials: int):
+    """Yield, trial by trial, the XOR over T of [k] of the output's z^zcap
+    coefficient under x_{w,u} -> r_{w,u} * sum_{j in T} a_{w,j}.
+
+    Trial i draws a (host_n x k) and then r (one per x-gate, in gate order)
+    from ``np.random.default_rng((seed, i))``.  A pass of SUBSET_CHUNK lanes
+    covers several whole trials when 2^k is smaller, else part of one trial.
+    """
+    last = _last_readers(circuit)
+    x_w = np.array([circuit.gates[g][1] for g in circuit.x_gate_ids()], dtype=np.intp)
+    step = min(SUBSET_CHUNK, 1 << k)
+    per_pass = max(1, SUBSET_CHUNK >> k)
+    seed %= 1 << 63  # seed sequences need nonnegative entropy
+    for first in range(0, trials, per_pass):
+        batch = range(first, min(trials, first + per_pass))
+        a = np.empty((len(batch), circuit.host_n, k), dtype=np.uint64)
+        r = np.empty((len(batch), len(x_w)), dtype=np.uint64)
+        for b, trial in enumerate(batch):
+            rng = np.random.default_rng((seed, trial))
+            a[b] = rng.integers(0, 1 << 64, size=(circuit.host_n, k), dtype=np.uint64)
+            r[b] = rng.integers(0, 1 << 64, size=len(x_w), dtype=np.uint64)
+        # ra[i, b, j] = r_i * a_{w_i, j} in trial b: x-gate i's value at
+        # y = 1_T is the XOR of ra[i, b, j] over j in T
+        ra = _clmul_reduce_arrays(r.T[:, :, None], a[:, x_w].transpose(1, 0, 2))
+        acc = np.zeros(len(batch), dtype=np.uint64)
+        for m0 in range(0, 1 << k, step):
+            masks = np.arange(m0, m0 + step)
+            x_vals = np.zeros((len(x_w), len(batch), step), dtype=np.uint64)
+            for j in range(k):
+                x_vals ^= np.where((masks >> j) & 1 == 1, ra[:, :, j, None], np.uint64(0))
+            out = _evaluate(circuit, zcap, x_vals, last)
+            if out is not None:
+                acc ^= np.bitwise_xor.reduce(out, axis=-1)
+        yield from (int(v) for v in acc)
+
+
+def eval_trial(circuit: Circuit, t: int, k: int, seed: int) -> int:
+    """Trial 0 of ``seed``: a field element, nonzero only if a multilinear
+    z^t monomial of degree k exists."""
+    return next(_trial_values(circuit, t, k, seed, 1))
 
 
 def detect_zt_multilinear(
-    circuit: Circuit, t: int, k: int, trials: int = 32, seed: int = 1
+    circuit: Circuit, t: int, k: int, trials: int = 1, seed: int = 1
 ) -> bool:
-    """True iff some trial evaluates the z^t slice to a nonzero vector.
+    """True iff some trial's value is nonzero.
 
-    One-sided: never true when no multilinear z^t monomial of degree <= 2^k
-    survival class exists; a false negative has probability at most
-    (1-p)^trials for per-trial success rate p.
+    One-sided: never true unless a z^t monomial with k distinct host
+    vertices exists; when one exists, each trial misses it with probability
+    at most 2k/2^64 (see the module docstring).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    done = 0
-    for wave in (min(8, trials), trials - min(8, trials)):
-        if wave <= 0:
-            continue
-        res = _eval_batch(circuit, t, k, seed, range(done, done + wave))
-        done += wave
-        if res.any():
-            return True
-    return False
+    return any(_trial_values(circuit, t, k, seed, trials))
 
 
-def solve_tpe(inst: TpeInstance, trials: int = 32, seed: int = 1) -> bool:
-    """Randomized embedding decision: z-degree |terminals|, group dim = tree order."""
+def solve_tpe(inst: TpeInstance, trials: int = 1, seed: int = 1) -> bool:
+    """Randomized embedding decision: z-degree |terminals|, k = tree order."""
     eta = inst.tree.order
     if eta > inst.host.n or len(inst.terminals) > eta:
         return False

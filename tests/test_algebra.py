@@ -9,7 +9,6 @@ from snowteam.algebra import (
     ga_mul_fast,
     ga_mul_naive,
     gf_mul,
-    sample_assignment,
     zval_mul,
 )
 
@@ -203,20 +202,3 @@ def test_zval_truncation_soundness():
         narrow = zval_mul(narrow_a, narrow_b)
         assert wide.parts[: t + 1] == narrow.parts
 
-
-def test_sample_assignment_deterministic():
-    a = sample_assignment(np.random.default_rng(42), 5, 3)
-    b = sample_assignment(np.random.default_rng(42), 5, 3)
-    assert a[0] == b[0] and np.array_equal(a[1], b[1])
-    v0, vs = sample_assignment(np.random.default_rng(1), 0, 3)
-    assert vs.size == 0 and 0 <= v0 < 8
-
-
-def test_sample_assignment_uniform_chi_square():
-    from scipy.stats import chisquare
-
-    rng = np.random.default_rng(123)
-    k = 4
-    draws = [sample_assignment(rng, 1, k)[1][0] for _ in range(10_000)]
-    counts = np.bincount(draws, minlength=1 << k)
-    assert chisquare(counts).pvalue > 1e-3

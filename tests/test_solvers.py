@@ -1,6 +1,10 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
+
+from snowteam.cli import gen_random
 
 from snowteam.digraph import make_instance, transitive_closure, verify_st_solution, walks_from_lists
 from snowteam.exact import solve_st_exact, solve_variant_exact
@@ -17,6 +21,7 @@ from snowteam.solvers import (
 )
 
 PARAMS = SolveParams(seed=7, trials=48)
+CATALOGUE = Path(__file__).resolve().parents[1] / "bench" / "catalogue.json"
 
 
 def toy1():
@@ -119,6 +124,41 @@ def test_max_st_examples():
     rep = solve_max_st(inst, SolveParams())
     assert rep.optimum == 3
     assert 0 < rep.failure_bound < 1e-3
+
+
+def test_max_st_bound_after_many_no_sub_decisions():
+    """Each NO sub-decision adds only 2*eta_max/2^64, so dozens of them stay
+    far below 1e-3."""
+    spec = json.loads(CATALOGUE.read_text())["st-no"][5]
+    inst = make_instance(
+        spec["n"],
+        [tuple(a) for a in spec["arcs"]],
+        set(spec["facilities"]),
+        {v: c for v, c in enumerate(spec["ploughs"]) if c},
+    )
+    rep = solve_max_st(inst, SolveParams())
+    assert rep.optimum == 2
+    assert rep.detections_run > 1
+    assert 0 < rep.failure_bound < 1e-3
+
+
+def test_default_single_trial_matches_oracle():
+    """One trial per detection, the default, answers every instance right,
+    and NO answers that ran detections carry the proven bound."""
+    rng = random.Random(0)
+    checked = no_with_detections = 0
+    while checked < 100:
+        n = rng.randint(4, 6)
+        inst = gen_random(n, rng.randint(n - 1, n + 2), 0.5, rng.randrange(10**6), rng.randint(2, 3))
+        if len(inst.facilities() | inst.bases()) > 4:
+            continue
+        rep = solve_st(inst, SolveParams(seed=checked))
+        assert rep.answer == solve_st_exact(inst)[0], inst
+        if not rep.answer and rep.detections_run:
+            assert 0 < rep.failure_bound <= 2 * 7 / 2**64
+            no_with_detections += 1
+        checked += 1
+    assert no_with_detections >= 1
 
 
 def test_stu_examples():

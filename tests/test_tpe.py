@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from snowteam import tpe
 from snowteam.digraph import make_instance, transitive_closure
 from snowteam.tpe import (
     Circuit,
@@ -118,13 +119,13 @@ def _hand_circuit_two_x(var_a, var_b):
 def test_eval_square_is_zero():
     circ = _hand_circuit_two_x(0, 0)
     for seed in range(30):
-        assert eval_trial(circ, t=2, k=2, seed=seed).is_zero()
+        assert eval_trial(circ, t=2, k=2, seed=seed) == 0
     assert not detect_zt_multilinear(circ, t=2, k=2, trials=16, seed=7)
 
 
 def test_eval_distinct_variables_survive_often():
     circ = _hand_circuit_two_x(0, 1)
-    hits = sum(not eval_trial(circ, t=2, k=2, seed=s).is_zero() for s in range(200))
+    hits = sum(eval_trial(circ, t=2, k=2, seed=s) != 0 for s in range(200))
     assert hits / 200 >= 0.2
 
 
@@ -208,76 +209,105 @@ def test_detection_one_sided_on_certified_no_instances():
 
 
 def _every_trial_zero(circ, t, k, seed, trials):
-    return all(eval_trial(circ, t, k, seed=seed * 1000 + i).is_zero() for i in range(trials))
+    return all(eval_trial(circ, t, k, seed=seed * 1000 + i) == 0 for i in range(trials))
 
 
 def test_toy1_survival_frequency():
     circ = build_circuit(toy1_tpe())
-    hits = sum(not eval_trial(circ, t=2, k=2, seed=s).is_zero() for s in range(200))
+    hits = sum(eval_trial(circ, t=2, k=2, seed=s) != 0 for s in range(200))
     assert hits / 200 >= 0.2
 
 
 def _reference_eval(circuit, zcap, k, seed):
-    """Slow evaluator over the public algebra types, drawing the same stream."""
-    from snowteam.algebra import AlgebraValue, GroupAlgebraElem, ga_mul_naive, sample_assignment
+    """Slow scalar evaluator: draws the same stream with numpy, then runs the
+    circuit once per subset T of [k] in Python integers with gf_mul."""
+    from snowteam.algebra import gf_mul
 
     rng = np.random.default_rng((seed % (1 << 63), 0))
-    v0, vw = sample_assignment(rng, circuit.host_n, k)
+    a = rng.integers(0, 1 << 64, size=(circuit.host_n, k), dtype=np.uint64)
     x_ids = circuit.x_gate_ids()
-    rs = rng.integers(0, 1 << 64, size=len(x_ids), dtype=np.uint64) if x_ids else []
-    x_col = {gid: i for i, gid in enumerate(x_ids)}
+    rs = rng.integers(0, 1 << 64, size=len(x_ids), dtype=np.uint64)
+    r_of = {gid: int(r) for gid, r in zip(x_ids, rs)}
 
-    def zmul_naive(a, b):
-        parts = [GroupAlgebraElem.zero(k) for _ in range(zcap + 1)]
-        for i in range(zcap + 1):
+    def zmul(p, q):
+        out = [0] * (zcap + 1)
+        for i, pi in enumerate(p):
             for j in range(zcap + 1 - i):
-                parts[i + j] = parts[i + j] + ga_mul_naive(a.parts[i], b.parts[j])
-        return AlgebraValue(zcap, tuple(parts))
+                out[i + j] ^= gf_mul(pi, q[j])
+        return out
 
-    vals = []
-    zero = AlgebraValue.zero(zcap, k)
-    for gid, gate in enumerate(circuit.gates):
-        kind = gate[0]
-        if kind == "zero":
-            vals.append(zero)
-        elif kind == "const":
-            parts = [GroupAlgebraElem.zero(k) for _ in range(zcap + 1)]
-            if gate[1] <= zcap:
-                parts[gate[1]] = GroupAlgebraElem.identity(k)
-            vals.append(AlgebraValue(zcap, tuple(parts)))
-        elif kind == "x":
-            r = int(rs[x_col[gid]])
-            elem = GroupAlgebraElem.basis(k, int(v0), r) + GroupAlgebraElem.basis(
-                k, int(vw[gate[1]]), r
-            )
-            parts = [elem] + [GroupAlgebraElem.zero(k) for _ in range(zcap)]
-            vals.append(AlgebraValue(zcap, tuple(parts)))
-        elif kind == "add":
-            acc = zero
-            for c in gate[1]:
-                acc = acc + vals[c]
-            vals.append(acc)
-        else:
-            vals.append(zmul_naive(vals[gate[1]], vals[gate[2]]))
-    return vals[circuit.output].parts[zcap]
+    total = 0
+    for mask in range(1 << k):
+        vals = []
+        for gid, gate in enumerate(circuit.gates):
+            kind = gate[0]
+            val = [0] * (zcap + 1)
+            if kind == "const" and gate[1] <= zcap:
+                val[gate[1]] = 1
+            elif kind == "x":
+                s = 0
+                for j in range(k):
+                    if mask >> j & 1:
+                        s ^= int(a[gate[1], j])
+                val[0] = gf_mul(r_of[gid], s)
+            elif kind == "add":
+                for c in gate[1]:
+                    val = [u ^ v for u, v in zip(val, vals[c])]
+            elif kind == "mul":
+                val = zmul(vals[gate[1]], vals[gate[2]])
+            vals.append(val)
+        total ^= vals[circuit.output][zcap]
+    return total
 
 
-def test_engine_matches_reference_algebra_evaluation():
-    """The batched engine agrees bit-for-bit with an evaluator composed from
-    the public group-algebra operations on the same randomness."""
+def _reference_cases():
     rng = random.Random(77)
     for _ in range(15):
         n = rng.randint(2, 4)
         host = _random_host(rng, n, 8)
         cand = rng.choice([c for c in candidate_stream(1, min(3, n), dedupe=False)])
         terminals = set(rng.sample(range(n), k=rng.randint(0, min(cand.order, n))))
-        inst = make_tpe_instance(host, cand, terminals=terminals)
-        circ = build_circuit(inst)
-        t, k = len(terminals), cand.order
+        yield build_circuit(make_tpe_instance(host, cand, terminals=terminals)), len(terminals), cand.order
+    # (z*x_0 + x_1) * (z*x_2 + x_3): both factors span two z-degrees
+    gates = [
+        ("zero",),
+        ("const", 1),
+        ("x", 0, 0),
+        ("mul", 1, 2),
+        ("x", 1, 0),
+        ("add", (3, 4)),
+        ("x", 2, 1),
+        ("mul", 1, 6),
+        ("x", 3, 1),
+        ("add", (7, 8)),
+        ("mul", 5, 9),
+    ]
+    yield Circuit(gates=gates, output=10, host_n=4, tree_order=2, n_terminals=1), 1, 2
+
+
+def test_engine_matches_reference_algebra_evaluation():
+    """The vectorised engine agrees bit for bit with a scalar evaluator that
+    runs the circuit once per subset T on the same randomness."""
+    nonzero = 0
+    for circ, t, k in _reference_cases():
         for seed in (1, 9):
             got = eval_trial(circ, t, k, seed)
-            want = _reference_eval(circ, t, k, seed)
-            assert got == want, (host, cand, terminals, seed)
+            assert got == _reference_eval(circ, t, k, seed), (circ.gates, t, k, seed)
+            nonzero += got != 0
+    assert nonzero > 0
+
+
+def test_subset_chunks_agree_with_one_chunk(monkeypatch):
+    """Splitting the 2^k subsets over several chunks leaves every value unchanged."""
+    cases = list(_reference_cases())
+    whole = [eval_trial(circ, t, k, seed) for circ, t, k in cases for seed in (1, 9)]
+    monkeypatch.setattr(tpe, "SUBSET_CHUNK", 2)
+    assert any(k >= 2 for _, _, k in cases)
+    assert [eval_trial(circ, t, k, seed) for circ, t, k in cases for seed in (1, 9)] == whole
+    # several trials share one pass under the default chunk, one each under this one
+    split = [list(tpe._trial_values(circ, t, k, 5, 4)) for circ, t, k in cases]
+    monkeypatch.undo()
+    assert [list(tpe._trial_values(circ, t, k, 5, 4)) for circ, t, k in cases] == split
 
 
 def _direct_polynomial(inst, max_vars, max_zdeg):
