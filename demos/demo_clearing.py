@@ -20,7 +20,7 @@ from snowteam import (
     walks_from_lists,
 )
 
-params = SolveParams(seed=1, trials=32)
+params = SolveParams(seed=1)
 
 print("== a 3-vertex instance: one plough at 0, facilities {0, 2} ==")
 toy = make_instance(3, [(0, 1), (1, 2)], facilities={0, 2}, ploughs={0: 1})

@@ -47,13 +47,13 @@ def det(p, q):
 print(f"  distinct vertices 0, 2: {det(a[0], a[2]):#018x}")
 print(f"  repeated vertex 0, 0:   {det(a[0], a[0]):#018x}")
 
-trials = 400
+seeds = 400
 k = pattern.order
-hits = sum(eval_trial(circuit, t=2, k=k, seed=s) != 0 for s in range(trials))
-print(f"\nper-trial survival of the embedding monomial: {hits}/{trials}"
-      f" = {hits / trials:.3f} (proven miss rate at most 2k/2^64 = {2 * k / 2**64:.1e})")
-print("one-trial detection says:", detect_zt_multilinear(circuit, t=2, k=k, trials=1, seed=1))
+hits = sum(eval_trial(circuit, t=2, k=k, seed=s) != 0 for s in range(seeds))
+print(f"\nper-trial survival of the embedding monomial: {hits}/{seeds}"
+      f" = {hits / seeds:.3f} (proven miss rate at most 2k/2^64 = {2 * k / 2**64:.1e})")
+print("detection at seed 1 says:", detect_zt_multilinear(circuit, t=2, k=k, seed=1))
 
 print("\none-sidedness: no z^3 monomial exists, so every trial is zero:")
-hits = sum(eval_trial(circuit, t=3, k=k, seed=s) != 0 for s in range(trials))
-print(f"  nonzero evaluations at z^3: {hits}/{trials}")
+hits = sum(eval_trial(circuit, t=3, k=k, seed=s) != 0 for s in range(seeds))
+print(f"  nonzero evaluations at z^3: {hits}/{seeds}")

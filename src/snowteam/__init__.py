@@ -8,15 +8,7 @@ detection), exact search oracles, and the Set-Cover hardness gadget with
 constructive solution translations.
 """
 
-from .algebra import (
-    AlgebraValue,
-    GroupAlgebraElem,
-    ga_mul_fast,
-    ga_mul_naive,
-    gf_add,
-    gf_mul,
-    zval_mul,
-)
+from .algebra import gf_mul
 from .digraph import (
     Instance,
     ParseError,

@@ -42,10 +42,11 @@ EXIT_ERROR = 2
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("SNOWTEAM_SEED", "1")
     try:
-        return int(os.environ.get("SNOWTEAM_SEED", "1"))
+        return int(raw)
     except ValueError:
-        return 1
+        raise ValueError(f"SNOWTEAM_SEED must be an integer, got {raw!r}") from None
 
 
 def gen_random(n: int, arcs: int, facility_prob: float, seed: int, ploughs: int = 1) -> Instance:
@@ -60,9 +61,10 @@ def gen_random(n: int, arcs: int, facility_prob: float, seed: int, ploughs: int 
     if ploughs < 0:
         raise ValueError("plough count must be nonnegative")
     rng = np.random.default_rng(seed)
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    chosen = rng.choice(len(pairs), size=arcs, replace=False) if arcs else []
-    arc_set = frozenset(pairs[i] for i in chosen)
+    # index i names the i-th ordered pair (u, v), u != v, in row-major order
+    chosen = rng.choice(max_arcs, size=arcs, replace=False)
+    u, r = np.divmod(chosen, n - 1)
+    arc_set = frozenset(zip(u.tolist(), (r + (r >= u)).tolist()))
     facility = tuple(bool(rng.random() < facility_prob) for _ in range(n))
     population = [v for v in range(n) if facility[v]] or list(range(n))
     capacity = (n - 1) * len(population)  # at most n-1 ploughs per vertex
@@ -126,7 +128,6 @@ def _cmd_solve(args) -> int:
     text = Path(args.input).read_text()
     params = SolveParams(
         seed=args.seed,
-        trials=args.trials,
         exact_threshold=10**9 if args.exact else 0,
         jobs=args.jobs,
     )
@@ -140,7 +141,7 @@ def _cmd_solve(args) -> int:
         if args.exact:
             answer = solve_tpe_exact(tpe) is not None
         else:
-            answer = solve_tpe(tpe, trials=args.trials, seed=args.seed)
+            answer = solve_tpe(tpe, seed=args.seed)
         rep = SolveReport(answer=answer)
         return _report_output(args, "tpe", rep, "yes" if answer else "no")
     inst = parse_instance(text)
@@ -232,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True)
     solve.add_argument("--k", type=int, default=None, help="plough count for stu")
     solve.add_argument("--seed", type=int, default=_default_seed())
-    solve.add_argument("--trials", type=int, default=1)
     solve.add_argument("--exact", action="store_true", help="route to the exact engine")
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--jobs", type=int, default=1)
@@ -283,13 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else EXIT_ERROR
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as e:  # argparse's usage errors and --help
+        return e.code if isinstance(e.code, int) else EXIT_ERROR
     except (ParseError, ValueError, LimitsExceeded, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

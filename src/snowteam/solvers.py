@@ -15,11 +15,11 @@ seeds and counts candidates and detections.
 
 All detections are one-sided, so YES answers are certain.  A NO answer is
 wrong only if the detection of the first embeddable candidate in search
-order missed; one trial misses a tree of order eta with probability at most
-2*eta/2^64 (Schwartz-Zippel, proved in ``tpe``), and further trials only
-lower that.  So a NO carries ``2*eta_max/2^64``, eta_max the largest
-candidate order the decision could test, and the optimization variants a
-union of such bounds over the detections that could change the optimum.
+order missed; a detection misses a tree of order eta with probability at
+most 2*eta/2^64 (Schwartz-Zippel, proved in ``tpe``).  So a NO carries
+``2*eta_max/2^64``, eta_max the largest candidate order the decision could
+test, and the optimization variants a union of such bounds over the
+detections that could change the optimum.
 """
 
 from __future__ import annotations
@@ -48,14 +48,13 @@ _SEED_STRIDE = 104_729  # distinct detection seeds within one pipeline call
 @dataclass(frozen=True)
 class SolveParams:
     seed: int = 1
-    trials: int = 1
     exact_threshold: int = 0  # route to the exact engine when n <= threshold
     jobs: int = 1
     exact_limits: ExactLimits = field(default_factory=ExactLimits)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 @dataclass
@@ -79,8 +78,8 @@ class SolveReport:
 
 
 def _miss(eta_max: int) -> float:
-    """Chance that one detection, of any number of trials, misses an
-    embeddable tree of order at most eta_max."""
+    """Chance that one detection misses an embeddable tree of order at most
+    eta_max."""
     return 2 * eta_max / 2**64
 
 
@@ -189,9 +188,7 @@ def _search(
         circuit = build_circuit(make_tpe_instance(closure, cand, terminals=terminals))
         seed = seed_base + _SEED_STRIDE * report.detections_run
         report.detections_run += 1
-        if detect_zt_multilinear(
-            circuit, t=len(terminals), k=cand.order, trials=params.trials, seed=seed
-        ):
+        if detect_zt_multilinear(circuit, t=len(terminals), k=cand.order, seed=seed):
             return cand
     return None
 

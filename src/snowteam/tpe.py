@@ -38,11 +38,10 @@ so no other term of F shares it, and its coefficient det(A_phi) is a
 nonzero polynomial, since the rows are distinct sets of indeterminates.
 So F is a nonzero polynomial of total degree 2k in (r, a), and by
 Schwartz-Zippel one trial gives F = 0 with probability at most 2k/2^64.
-Independent trials only lower this; 2k/2^64 bounds a detection of any
-number of trials.
+A detection is one trial.
 
 The evaluation runs over GF(2^64)[z]/(z^(t+1)), vectorised over lanes, one
-per (trial, subset T), in chunks of SUBSET_CHUNK lanes; each gate's value
+per subset T, in chunks of SUBSET_CHUNK lanes; each gate's value
 is dropped after its last consumer, so memory stays at the live gates times
 SUBSET_CHUNK times t+1 words, plus one word per x-gate and lane.
 """
@@ -282,8 +281,8 @@ def expand_symbolic(
 # ---------------------------------------------------------------------------
 # randomized evaluation by algebraic fingerprints
 
-#: lanes, one per (trial, subset T of [k]), evaluated together; a gate's value
-#: holds at most SUBSET_CHUNK * (t+1) field words
+#: lanes, one per subset T of [k], evaluated together; a gate's value holds
+#: at most SUBSET_CHUNK * (t+1) field words
 SUBSET_CHUNK = 1 << 10
 
 
@@ -368,66 +367,50 @@ def _evaluate(circuit: Circuit, zcap: int, x_vals: np.ndarray, last: dict) -> Op
     return out[1][zcap - out[0]]
 
 
-def _trial_values(circuit: Circuit, zcap: int, k: int, seed: int, trials: int):
-    """Yield, trial by trial, the XOR over T of [k] of the output's z^zcap
-    coefficient under x_{w,u} -> r_{w,u} * sum_{j in T} a_{w,j}.
+def eval_trial(circuit: Circuit, t: int, k: int, seed: int) -> int:
+    """The XOR over T of [k] of the output's z^t coefficient under
+    x_{w,u} -> r_{w,u} * sum_{j in T} a_{w,j}: a field element, nonzero only
+    if a multilinear z^t monomial of degree k exists.
 
-    Trial i draws a (host_n x k) and then r (one per x-gate, in gate order)
-    from ``np.random.default_rng((seed, i))``.  A pass of SUBSET_CHUNK lanes
-    covers several whole trials when 2^k is smaller, else part of one trial.
+    a (host_n x k) and then r (one per x-gate, in gate order) are drawn from
+    ``np.random.default_rng((seed, 0))``.
     """
     last = _last_readers(circuit)
     x_w = np.array([circuit.gates[g][1] for g in circuit.x_gate_ids()], dtype=np.intp)
-    step = min(SUBSET_CHUNK, 1 << k)
-    per_pass = max(1, SUBSET_CHUNK >> k)
     seed %= 1 << 63  # seed sequences need nonnegative entropy
-    for first in range(0, trials, per_pass):
-        batch = range(first, min(trials, first + per_pass))
-        a = np.empty((len(batch), circuit.host_n, k), dtype=np.uint64)
-        r = np.empty((len(batch), len(x_w)), dtype=np.uint64)
-        for b, trial in enumerate(batch):
-            rng = np.random.default_rng((seed, trial))
-            a[b] = rng.integers(0, 1 << 64, size=(circuit.host_n, k), dtype=np.uint64)
-            r[b] = rng.integers(0, 1 << 64, size=len(x_w), dtype=np.uint64)
-        # ra[i, b, j] = r_i * a_{w_i, j} in trial b: x-gate i's value at
-        # y = 1_T is the XOR of ra[i, b, j] over j in T
-        ra = _clmul_reduce_arrays(r.T[:, :, None], a[:, x_w].transpose(1, 0, 2))
-        acc = np.zeros(len(batch), dtype=np.uint64)
-        for m0 in range(0, 1 << k, step):
-            masks = np.arange(m0, m0 + step)
-            x_vals = np.zeros((len(x_w), len(batch), step), dtype=np.uint64)
-            for j in range(k):
-                x_vals ^= np.where((masks >> j) & 1 == 1, ra[:, :, j, None], np.uint64(0))
-            out = _evaluate(circuit, zcap, x_vals, last)
-            if out is not None:
-                acc ^= np.bitwise_xor.reduce(out, axis=-1)
-        yield from (int(v) for v in acc)
+    rng = np.random.default_rng((seed, 0))
+    a = rng.integers(0, 1 << 64, size=(circuit.host_n, k), dtype=np.uint64)
+    r = rng.integers(0, 1 << 64, size=len(x_w), dtype=np.uint64)
+    # ra[i, j] = r_i * a_{w_i, j}: x-gate i's value at y = 1_T is the XOR of
+    # ra[i, j] over j in T
+    ra = _clmul_reduce_arrays(r[:, None], a[x_w])
+    step = min(SUBSET_CHUNK, 1 << k)
+    acc = 0
+    for m0 in range(0, 1 << k, step):
+        masks = np.arange(m0, m0 + step)
+        x_vals = np.zeros((len(x_w), step), dtype=np.uint64)
+        for j in range(k):
+            x_vals ^= np.where((masks >> j) & 1 == 1, ra[:, j, None], np.uint64(0))
+        out = _evaluate(circuit, t, x_vals, last)
+        if out is not None:
+            acc ^= int(np.bitwise_xor.reduce(out))
+    return acc
 
 
-def eval_trial(circuit: Circuit, t: int, k: int, seed: int) -> int:
-    """Trial 0 of ``seed``: a field element, nonzero only if a multilinear
-    z^t monomial of degree k exists."""
-    return next(_trial_values(circuit, t, k, seed, 1))
-
-
-def detect_zt_multilinear(
-    circuit: Circuit, t: int, k: int, trials: int = 1, seed: int = 1
-) -> bool:
-    """True iff some trial's value is nonzero.
+def detect_zt_multilinear(circuit: Circuit, t: int, k: int, seed: int = 1) -> bool:
+    """One evaluation of ``eval_trial``: True iff it is nonzero.
 
     One-sided: never true unless a z^t monomial with k distinct host
-    vertices exists; when one exists, each trial misses it with probability
-    at most 2k/2^64 (see the module docstring).
+    vertices exists; when one exists, it is missed with probability at most
+    2k/2^64 (see the module docstring).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    return any(_trial_values(circuit, t, k, seed, trials))
+    return eval_trial(circuit, t, k, seed) != 0
 
 
-def solve_tpe(inst: TpeInstance, trials: int = 1, seed: int = 1) -> bool:
+def solve_tpe(inst: TpeInstance, seed: int = 1) -> bool:
     """Randomized embedding decision: z-degree |terminals|, k = tree order."""
     eta = inst.tree.order
     if eta > inst.host.n or len(inst.terminals) > eta:
         return False
     circuit = build_circuit(inst)
-    return detect_zt_multilinear(circuit, t=len(inst.terminals), k=eta, trials=trials, seed=seed)
+    return detect_zt_multilinear(circuit, t=len(inst.terminals), k=eta, seed=seed)

@@ -1,5 +1,7 @@
 import json
+import time
 
+import numpy as np
 import pytest
 
 from snowteam.cli import gen_random, run_cli
@@ -128,6 +130,29 @@ def test_gen_random_validity():
         gen_random(2, 1, 0.5, 0, ploughs=3)
 
 
+def _gen_random_arcs_from_list(n, arcs, seed):
+    """The arcs gen_random draws, decoded through the explicit pair list."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = rng.choice(len(pairs), size=arcs, replace=False) if arcs else []
+    return frozenset(pairs[i] for i in chosen)
+
+
+def test_gen_random_arcs_match_explicit_pair_list():
+    for n in range(1, 8):
+        for arcs in sorted({0, n - 1, n * (n - 1) // 2, n * (n - 1)}):
+            for seed in range(6):
+                inst = gen_random(n, arcs, 0.5, seed, ploughs=0)
+                assert inst.arcs == _gen_random_arcs_from_list(n, arcs, seed), (n, arcs, seed)
+
+
+def test_gen_random_large_sparse_is_fast():
+    start = time.perf_counter()
+    inst = gen_random(20000, 5, 0.001, 3)
+    assert time.perf_counter() - start < 1.0
+    assert len(inst.arcs) == 5 and inst.n == 20000
+
+
 def test_trees_command(capsys):
     assert run_cli(["trees", "--order", "4"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
@@ -151,7 +176,7 @@ def test_selftest_single_check(capsys):
     assert run_cli(["selftest", "--only", "nope"]) == 2
 
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(tmp_path, toy1_file, capsys, monkeypatch):
     assert run_cli(["solve", "--problem", "st"]) == 2
     capsys.readouterr()
     missing = tmp_path / "missing.st"
@@ -162,3 +187,14 @@ def test_usage_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     assert run_cli(["gen", "--family", "random", "--n", "2", "--arcs", "1", "--ploughs", "3"]) == 2
     assert "capacity" in capsys.readouterr().err
+    solve = ["solve", "--problem", "st", "--input", toy1_file]
+    for jobs in ("0", "-3"):
+        assert run_cli(solve + ["--jobs", jobs]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+    assert run_cli(solve + ["--trials", "2"]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("SNOWTEAM_SEED", "abc")
+    assert run_cli(solve) == 2
+    assert "SNOWTEAM_SEED" in capsys.readouterr().err
+    monkeypatch.delenv("SNOWTEAM_SEED")
+    assert run_cli(solve) == 0

@@ -20,7 +20,7 @@ from snowteam.solvers import (
     solve_stu,
 )
 
-PARAMS = SolveParams(seed=7, trials=48)
+PARAMS = SolveParams(seed=7)
 CATALOGUE = Path(__file__).resolve().parents[1] / "bench" / "catalogue.json"
 
 
@@ -95,7 +95,7 @@ def test_solve_st_parallel_jobs_agree():
     two_promotions = make_instance(5, [(0, 1), (1, 2), (3, 4), (4, 2), (3, 0)], {0, 2}, {0: 1, 3: 1})
     for inst in (toy1(), two_promotions):
         a = solve_st(inst, PARAMS)
-        b = solve_st(inst, SolveParams(seed=7, trials=48, jobs=2))
+        b = solve_st(inst, SolveParams(seed=7, jobs=2))
         assert (a.answer, a.candidates_tested, a.detections_run, a.failure_bound) == (
             b.answer,
             b.candidates_tested,
@@ -178,7 +178,7 @@ def test_stu_matches_exact_on_randoms():
         inst = make_instance(n, arcs, fac, {})
         for k in (0, 1, 2):
             want = solve_variant_exact(inst, "stu", k=k)
-            got = solve_stu(inst, k, SolveParams(seed=5, trials=64))
+            got = solve_stu(inst, k, SolveParams(seed=5))
             assert got.answer == want, (inst, k)
 
 
@@ -192,7 +192,7 @@ def test_stu_all_facilities_matches_exact():
         inst = make_instance(n, arcs, set(range(n)), {})
         for k in (1, 2, 3):
             want = solve_variant_exact(inst, "stu", k=k)
-            got = solve_stu(inst, k, SolveParams(seed=11, trials=64))
+            got = solve_stu(inst, k, SolveParams(seed=11))
             assert got.answer == want, (inst, k)
 
 
@@ -211,7 +211,7 @@ def test_pipeline_agrees_with_oracle_on_randoms():
                 pl[v] = pl.get(v, 0) + 1
         inst = make_instance(n, arcs, fac, pl)
         want, _ = solve_st_exact(inst)
-        got = solve_st(inst, SolveParams(seed=23, trials=64))
+        got = solve_st(inst, SolveParams(seed=23))
         assert got.answer == want, inst
         yes += want
         no += not want
@@ -247,7 +247,7 @@ def test_pipeline_vs_oracle_exhaustive_tiny():
                         for pl in _all_b_patterns(n, 2):
                             inst = make_instance(n, arcs, set(fac), pl)
                             want, _ = solve_st_exact(inst)
-                            got = solve_st(inst, SolveParams(seed=101, trials=32))
+                            got = solve_st(inst, SolveParams(seed=101))
                             assert got.answer == want, (arcs, fac, pl)
                             checked += 1
     assert checked > 3000
@@ -267,7 +267,7 @@ def test_pipeline_vs_oracle_sampled_order_four():
                 pl[v] = pl.get(v, 0) + 1
         inst = make_instance(n, arcs, fac, pl)
         want, _ = solve_st_exact(inst)
-        assert solve_st(inst, SolveParams(seed=47, trials=32)).answer == want
+        assert solve_st(inst, SolveParams(seed=47)).answer == want
 
 
 def test_min_st_bounded_by_placed_ploughs():
@@ -283,7 +283,7 @@ def test_min_st_bounded_by_placed_ploughs():
             if pl.get(v, 0) < n - 1:
                 pl[v] = pl.get(v, 0) + 1
         inst = make_instance(n, arcs, fac, pl)
-        rep = solve_min_st(inst, SolveParams(seed=3, trials=48))
+        rep = solve_min_st(inst, SolveParams(seed=3))
         want = solve_variant_exact(inst, "min-st")
         assert rep.optimum == want, inst
         if rep.optimum is not None:
@@ -299,7 +299,7 @@ def test_min_max_st_match_exact_on_randoms():
         fac = set(rng.sample(range(n), k=3))
         pl = {v: rng.randint(1, 2) for v in rng.sample(range(n), k=2)}
         inst = make_instance(n, arcs, fac, pl)
-        p = SolveParams(seed=13, trials=48)
+        p = SolveParams(seed=13)
         assert solve_min_st(inst, p).optimum == solve_variant_exact(inst, "min-st"), inst
         assert solve_max_st(inst, p).optimum == solve_variant_exact(inst, "max-st"), inst
 
@@ -316,7 +316,7 @@ def test_max_st_monotone_under_arc_addition():
         pl = {rng.choice(sorted(fac)): 1}
         small = make_instance(n, base_arcs, fac, pl)
         large = make_instance(n, more_arcs, fac, pl)
-        p = SolveParams(seed=9, trials=48)
+        p = SolveParams(seed=9)
         assert solve_max_st(large, p).optimum >= solve_max_st(small, p).optimum
 
 

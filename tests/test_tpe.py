@@ -120,7 +120,7 @@ def test_eval_square_is_zero():
     circ = _hand_circuit_two_x(0, 0)
     for seed in range(30):
         assert eval_trial(circ, t=2, k=2, seed=seed) == 0
-    assert not detect_zt_multilinear(circ, t=2, k=2, trials=16, seed=7)
+    assert not detect_zt_multilinear(circ, t=2, k=2, seed=7)
 
 
 def test_eval_distinct_variables_survive_often():
@@ -132,22 +132,22 @@ def test_eval_distinct_variables_survive_often():
 def test_toy1_detection():
     circ = build_circuit(toy1_tpe())
     # z^2 x0 x2 exists
-    assert detect_zt_multilinear(circ, t=2, k=2, trials=32, seed=3)
+    assert detect_zt_multilinear(circ, t=2, k=2, seed=3)
     # z^1 x0 x1 exists as well
-    assert detect_zt_multilinear(circ, t=1, k=2, trials=32, seed=3)
+    assert detect_zt_multilinear(circ, t=1, k=2, seed=3)
     # no z^0 monomial: every tree vertex placement hits at least one terminal?
     # (expansion above shows only z^1 and z^2 terms)
-    assert not detect_zt_multilinear(circ, t=0, k=2, trials=8, seed=3)
+    assert not detect_zt_multilinear(circ, t=0, k=2, seed=3)
 
 
 def test_solve_tpe_examples():
-    assert solve_tpe(toy1_tpe(), trials=48, seed=1)
+    assert solve_tpe(toy1_tpe(), seed=1)
 
     host = make_instance(2, [(1, 0)], facilities={0, 1}, ploughs={1: 1})
-    assert solve_tpe(make_tpe_instance(host, _tree_edge_down()), trials=48, seed=1)
+    assert solve_tpe(make_tpe_instance(host, _tree_edge_down()), seed=1)
 
     host_bad = make_instance(2, [(1, 0)], facilities={0, 1}, ploughs={0: 1})
-    assert not solve_tpe(make_tpe_instance(host_bad, _tree_edge_down()), trials=16, seed=1)
+    assert not solve_tpe(make_tpe_instance(host_bad, _tree_edge_down()), seed=1)
 
 
 def test_solve_tpe_agrees_with_exact_oracle():
@@ -164,7 +164,7 @@ def test_solve_tpe_agrees_with_exact_oracle():
         terminals = set(rng.sample(range(n), k=rng.randint(0, min(cand.order, n))))
         inst = make_tpe_instance(host, cand, terminals=terminals)
         want = solve_tpe_exact(inst) is not None
-        got = solve_tpe(inst, trials=64, seed=17)
+        got = solve_tpe(inst, seed=17)
         if want:
             checked_yes += 1
             assert got, (host, cand, terminals)
@@ -203,13 +203,13 @@ def test_detection_one_sided_on_certified_no_instances():
         if solve_tpe_exact(inst) is not None:
             continue
         circ = build_circuit(inst)
-        res = _every_trial_zero(circ, len(terminals), cand.order, seed=checked, trials=8)
-        assert res, (host, cand, terminals)
+        seeds = range(checked * 1000, checked * 1000 + 8)
+        assert all(eval_trial(circ, len(terminals), cand.order, s) == 0 for s in seeds), (
+            host,
+            cand,
+            terminals,
+        )
         checked += 1
-
-
-def _every_trial_zero(circ, t, k, seed, trials):
-    return all(eval_trial(circ, t, k, seed=seed * 1000 + i) == 0 for i in range(trials))
 
 
 def test_toy1_survival_frequency():
@@ -304,10 +304,6 @@ def test_subset_chunks_agree_with_one_chunk(monkeypatch):
     monkeypatch.setattr(tpe, "SUBSET_CHUNK", 2)
     assert any(k >= 2 for _, _, k in cases)
     assert [eval_trial(circ, t, k, seed) for circ, t, k in cases for seed in (1, 9)] == whole
-    # several trials share one pass under the default chunk, one each under this one
-    split = [list(tpe._trial_values(circ, t, k, 5, 4)) for circ, t, k in cases]
-    monkeypatch.undo()
-    assert [list(tpe._trial_values(circ, t, k, 5, 4)) for circ, t, k in cases] == split
 
 
 def _direct_polynomial(inst, max_vars, max_zdeg):
