@@ -2,15 +2,18 @@
 
 Two engines for the clearing decision:
 
-* A breadth-first search over (plough positions, cleared arcs) states, for
-  instances within small explicit limits.  Witness walks are move-count
-  minimal.  Ploughs are interchangeable, so positions are kept sorted.
+* A breadth-first search over (plough positions, unplaced ploughs, cleared
+  arcs) states, for instances within small explicit limits.  It serves st,
+  where every plough starts at its base, and stu, where each of k ploughs is
+  first placed anywhere for free.  Witness walks are move-count minimal.
+  Ploughs are interchangeable, so positions are kept sorted.
 
 * A sequential engine for acyclic instances of any size within memo limits:
   walk unions are interleaving-independent, so ploughs can be processed one
   at a time, and extending a walk never breaks connectivity, so only
-  sink-maximal paths need to be considered.  States collapse to (touched
-  vertices, connectivity partition).  This makes the Set-Cover gadgets
+  sink-maximal paths need to be considered.  Vertex sets are int bitmasks,
+  and a state is the sorted tuple of the cleared subgraph's component
+  masks, which is already canonical.  This makes the Set-Cover gadgets
   tractable, which the plain BFS state space is not.
 
 Both engines implement the same semantics and are cross-checked in tests.
@@ -59,10 +62,6 @@ def _initial_positions(inst: Instance) -> tuple[int, ...]:
     return tuple(sorted(v for v in range(inst.n) for _ in range(inst.ploughs[v])))
 
 
-def _zero_length_solution(inst: Instance) -> SolutionWalks:
-    return SolutionWalks(tuple(Walk((v,)) for v in _initial_positions(inst)))
-
-
 def _replay_moves(inst: Instance, moves: list[tuple[int, int]]) -> SolutionWalks:
     """Attribute a move sequence to concrete ploughs (first plough at the tail moves)."""
     walks = [[v] for v in _initial_positions(inst)]
@@ -72,48 +71,65 @@ def _replay_moves(inst: Instance, moves: list[tuple[int, int]]) -> SolutionWalks
     return SolutionWalks(tuple(Walk(tuple(w)) for w in walks))
 
 
-def _bfs_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[SolutionWalks]]:
+def _bfs(
+    inst: Instance, positions: tuple[int, ...], unplaced: int, limits: ExactLimits
+) -> Optional[list[tuple[Optional[int], int]]]:
+    """Fewest moves from (positions, unplaced, nothing cleared) to a state whose
+    cleared arcs connect the facilities, or None.  A move (v, u) takes a plough
+    along arc vu; (None, v) places one of the unplaced ploughs at v for free."""
     arc_list = sorted(inst.arcs)
     arc_bit = {a: 1 << i for i, a in enumerate(arc_list)}
-    if facilities_connected(inst, set()):
-        return True, _zero_length_solution(inst)
+    accept_cache: dict[int, bool] = {}
 
-    def accepting(cleared_mask: int) -> bool:
-        cleared = {arc_list[i] for i in range(len(arc_list)) if (cleared_mask >> i) & 1}
-        return facilities_connected(inst, cleared)
+    def accepting(mask: int) -> bool:
+        if mask not in accept_cache:
+            cleared = [a for i, a in enumerate(arc_list) if (mask >> i) & 1]
+            accept_cache[mask] = facilities_connected(inst, cleared)
+        return accept_cache[mask]
 
-    start = (_initial_positions(inst), 0)
+    start = (positions, unplaced, 0)
+    if accepting(0):
+        return []
     pred: dict = {start: None}
-    accept_cache: dict[int, bool] = {0: False}
     queue = deque([start])
     while queue:
-        positions, cleared = queue.popleft()
+        state = queue.popleft()
+        positions, unplaced, cleared = state
+        succs = []
+        if unplaced:
+            succs += [
+                ((None, v), (tuple(sorted(positions + (v,))), unplaced - 1, cleared))
+                for v in range(inst.n)
+            ]
         for i, v in enumerate(positions):
             if i > 0 and positions[i - 1] == v:
                 continue  # ploughs at the same vertex are interchangeable
             rest = positions[:i] + positions[i + 1 :]
             for u in inst.out_adj[v]:
-                state = (tuple(sorted(rest + (u,))), cleared | arc_bit[(v, u)])
-                if state in pred:
-                    continue
-                pred[state] = ((positions, cleared), v, u)
-                if len(pred) > limits.max_bfs_states:
-                    raise LimitsExceeded("BFS state budget exhausted")
-                mask = state[1]
-                hit = accept_cache.get(mask)
-                if hit is None:
-                    hit = accept_cache.setdefault(mask, accepting(mask))
-                if hit:
-                    moves: list[tuple[int, int]] = []
-                    cur = state
-                    while pred[cur] is not None:
-                        prev, mv_from, mv_to = pred[cur]
-                        moves.append((mv_from, mv_to))
-                        cur = prev
-                    moves.reverse()
-                    return True, _replay_moves(inst, moves)
-                queue.append(state)
-    return False, None
+                succs.append(
+                    ((v, u), (tuple(sorted(rest + (u,))), unplaced, cleared | arc_bit[(v, u)]))
+                )
+        for move, nxt in succs:
+            if nxt in pred:
+                continue
+            pred[nxt] = (state, move)
+            if len(pred) > limits.max_bfs_states:
+                raise LimitsExceeded("BFS state budget exhausted")
+            if accepting(nxt[2]):
+                moves = []
+                while pred[nxt] is not None:
+                    nxt, move = pred[nxt]
+                    moves.append(move)
+                return moves[::-1]
+            queue.append(nxt)
+    return None
+
+
+def _bfs_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[SolutionWalks]]:
+    moves = _bfs(inst, _initial_positions(inst), 0, limits)
+    if moves is None:
+        return False, None
+    return True, _replay_moves(inst, moves)
 
 
 def _maximal_paths(inst: Instance, start: int, cap: int) -> list[tuple[int, ...]]:
@@ -133,120 +149,72 @@ def _maximal_paths(inst: Instance, start: int, cap: int) -> list[tuple[int, ...]
     return out
 
 
-def _reach_set(inst: Instance, start: int) -> frozenset[int]:
-    seen = {start}
+def _reach_mask(inst: Instance, start: int) -> int:
+    seen = 1 << start
     stack = [start]
     while stack:
         v = stack.pop()
         for u in inst.out_adj[v]:
-            if u not in seen:
-                seen.add(u)
+            if not (seen >> u) & 1:
+                seen |= 1 << u
                 stack.append(u)
-    return frozenset(seen)
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        self.add(a)
-        self.add(b)
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+    return seen
 
 
 def _dag_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[SolutionWalks]]:
     fac = inst.facilities()
     if len(fac) <= 1:
-        return True, _zero_length_solution(inst)
+        return True, _replay_moves(inst, [])  # zero-length walks
+    fac_mask = sum(1 << f for f in fac)
+    some_fac = 1 << min(fac)
     starts = list(_initial_positions(inst))
     total_choices = 0
-    choices: list[list[tuple[int, ...]]] = []
+    choices: list[list[tuple[tuple[int, ...], int]]] = []
     for s in starts:
         paths = _maximal_paths(inst, s, limits.max_dag_choices)
         total_choices += len(paths)
         if total_choices > limits.max_dag_choices:
             raise LimitsExceeded("too many maximal paths overall")
-        choices.append(paths)
-    reach = [_reach_set(inst, s) for s in starts]
-    suffix_blobs: list[list[frozenset[int]]] = [[] for _ in range(len(starts) + 1)]
-    for i in range(len(starts) - 1, -1, -1):
-        suffix_blobs[i] = suffix_blobs[i + 1] + [reach[i]]
-
+        choices.append([(p, sum(1 << v for v in p)) for p in paths])
+    reach = [_reach_mask(inst, s) for s in starts]
     failed: set = set()
 
-    def state_key(touched: frozenset, comp: dict[int, int]):
-        return (tuple(sorted(touched)), tuple(comp[v] for v in sorted(touched)))
-
-    def canonical_components(uf: _UnionFind, touched) -> dict[int, int]:
-        root_min: dict[int, int] = {}
-        for v in sorted(touched):
-            r = uf.find(v)
-            root_min.setdefault(r, v)
-        return {v: root_min[uf.find(v)] for v in touched}
-
-    def mergeable(touched, comp, i) -> bool:
+    def mergeable(comps: tuple[int, ...], i: int) -> bool:
         """Optimistic check: can remaining ploughs connect all facilities?"""
-        uf = _UnionFind()
-        for v in touched:
-            uf.union(v, comp[v])
-        for f in fac:
-            uf.add(f)
-        for blob in suffix_blobs[i]:
-            it = iter(blob)
-            first = next(it)
-            uf.add(first)
-            for v in it:
-                uf.union(first, v)
-        roots = {uf.find(f) for f in fac}
-        return len(roots) == 1
+        grown, pending = some_fac, [*comps, *reach[i:]]
+        while True:
+            joined = [m for m in pending if m & grown]
+            if not joined:
+                return fac_mask & ~grown == 0
+            pending = [m for m in pending if not m & grown]
+            for m in joined:
+                grown |= m
 
-    def accepts(touched, comp) -> bool:
-        if not fac <= touched:
-            return False
-        return len({comp[f] for f in fac}) == 1
-
-    def recurse(i: int, touched: frozenset, comp: dict[int, int]) -> Optional[list]:
-        if accepts(touched, comp):
+    def recurse(i: int, comps: tuple[int, ...]) -> Optional[list]:
+        """comps: the cleared subgraph's component masks, sorted (canonical)."""
+        if any(fac_mask & ~c == 0 for c in comps):
             return []
         if i == len(starts):
             return None
-        key = (i, state_key(touched, comp))
+        key = (i, comps)
         if key in failed:
             return None
-        if not mergeable(touched, comp, i):
+        if not mergeable(comps, i):
             failed.add(key)
             return None
+        touched = sum(comps)  # components are disjoint
         ranked = sorted(
-            choices[i], key=lambda p: -len((set(p) - touched) & fac) if len(p) > 1 else 0
+            choices[i],
+            key=lambda c: -(c[1] & ~touched & fac_mask).bit_count() if len(c[0]) > 1 else 0,
         )
-        for path in ranked:
+        for path, mask in ranked:
             if len(path) == 1:
-                n_touched, n_comp = touched, comp
+                n_comps = comps
             else:
-                uf = _UnionFind()
-                for v in touched:
-                    uf.union(v, comp[v])
-                for v in path:
-                    uf.add(v)
-                for a, b in zip(path, path[1:]):
-                    uf.union(a, b)
-                n_touched = touched | set(path)
-                n_comp = canonical_components(uf, n_touched)
-            rest = recurse(i + 1, n_touched, n_comp)
+                kept = [c for c in comps if not c & mask]
+                merged = mask | sum(c for c in comps if c & mask)
+                n_comps = tuple(sorted(kept + [merged]))
+            rest = recurse(i + 1, n_comps)
             if rest is not None:
                 return [path] + rest
         failed.add(key)
@@ -254,7 +222,7 @@ def _dag_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[Solutio
             raise LimitsExceeded("sequential-engine memo budget exhausted")
         return None
 
-    chosen = recurse(0, frozenset(), {})
+    chosen = recurse(0, ())
     if chosen is None:
         return False, None
     # ploughs that were not needed keep zero-length walks
@@ -305,54 +273,6 @@ def solve_tpe_exact(inst: TpeInstance) -> Optional[dict[int, int]]:
     return None
 
 
-def _stu_bfs(inst: Instance, k: int, limits: ExactLimits) -> bool:
-    """STU semantics: k free-start ploughs; a plough's first move is a placement."""
-    if len(inst.facilities()) <= 1:
-        return True
-    if k <= 0:
-        return False
-    arc_list = sorted(inst.arcs)
-    arc_bit = {a: 1 << i for i, a in enumerate(arc_list)}
-
-    def accepting(mask: int) -> bool:
-        cleared = {arc_list[i] for i in range(len(arc_list)) if (mask >> i) & 1}
-        return facilities_connected(inst, cleared)
-
-    start = ((), k, 0)  # placed positions, unplaced count, cleared mask
-    seen = {start}
-    queue = deque([start])
-    accept_cache: dict[int, bool] = {0: False}
-    while queue:
-        placed, unplaced, cleared = queue.popleft()
-        succs = []
-        if unplaced:
-            succs.extend(
-                (tuple(sorted(placed + (v,))), unplaced - 1, cleared) for v in range(inst.n)
-            )
-        for i, v in enumerate(placed):
-            if i > 0 and placed[i - 1] == v:
-                continue
-            rest = placed[:i] + placed[i + 1 :]
-            for u in inst.out_adj[v]:
-                succs.append(
-                    (tuple(sorted(rest + (u,))), unplaced, cleared | arc_bit[(v, u)])
-                )
-        for state in succs:
-            if state in seen:
-                continue
-            seen.add(state)
-            if len(seen) > limits.max_bfs_states:
-                raise LimitsExceeded("STU search state budget exhausted")
-            mask = state[2]
-            hit = accept_cache.get(mask)
-            if hit is None:
-                hit = accept_cache.setdefault(mask, accepting(mask))
-            if hit:
-                return True
-            queue.append(state)
-    return False
-
-
 def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None,
                         limits: Optional[ExactLimits] = None):
     """Exact optimum for 'min-st' / 'max-st', or the 'stu' decision for k ploughs."""
@@ -383,5 +303,5 @@ def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None,
             raise ValueError("stu needs a plough count k >= 0")
         if inst.n > limits.max_n or len(inst.arcs) > limits.max_arcs or k > limits.max_kb:
             raise LimitsExceeded("stu exact limits exceeded")
-        return _stu_bfs(inst, k, limits)
+        return _bfs(inst, (), k, limits) is not None
     raise ValueError(f"unknown variant {variant!r}")

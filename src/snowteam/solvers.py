@@ -35,6 +35,7 @@ from .digraph import (
     Instance,
     SolutionWalks,
     Walk,
+    facilities_connected,
     transitive_closure,
     verify_st_solution,
 )
@@ -84,20 +85,7 @@ def _miss(eta_max: int) -> float:
 
 
 def _facilities_in_one_weak_component(inst: Instance) -> bool:
-    fac = inst.facilities()
-    if len(fac) <= 1:
-        return True
-    parent = list(range(inst.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in inst.arcs:
-        parent[find(u)] = find(v)
-    return len({find(f) for f in fac}) == 1
+    return facilities_connected(inst, inst.arcs)
 
 
 def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:

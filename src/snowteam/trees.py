@@ -141,10 +141,7 @@ def _canonical_layout(adj: list[list[int]], root: int) -> tuple[tuple[int, ...],
             ((_subtree_code(adj, c, v), c) for c in adj[v] if c != parent), reverse=True
         )
         for _, c in kids:
-            edges.append((my_id, None))  # placeholder: child id assigned on visit
-            slot = len(edges) - 1
-            child_id = counter[0]
-            edges[slot] = (my_id, child_id)
+            edges.append((my_id, counter[0]))  # the child's preorder id
             visit(c, v, depth + 1)
 
     visit(root, -1, 0)
@@ -289,9 +286,9 @@ def candidate_stream(
     f_count: int,
     max_order: int,
     budget: Optional[int] = None,
-    dedupe: bool = True,
 ) -> Iterator[TreeCandidate]:
-    """Candidates with f_count <= order <= max_order, total demand within budget.
+    """Candidates with f_count <= order <= max_order, total demand within
+    budget, one per directed-isomorphism class.
 
     Empty for f_count = 0: callers resolve the at-most-one-facility case
     before enumerating.  Deterministic order: by order, then free-tree code,
@@ -301,7 +298,7 @@ def candidate_stream(
         return
     for order in range(f_count, max_order + 1):
         for tree in enumerate_free_trees(order):
-            for cand in orient_tree(tree, dedupe=dedupe):
+            for cand in orient_tree(tree, dedupe=True):
                 if budget is not None and cand.total_demand() > budget:
                     continue
                 yield cand

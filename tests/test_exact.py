@@ -113,6 +113,19 @@ def test_engines_agree_on_tiny_dags():
     assert agree == 150
 
 
+def test_dag_path_joins_two_components():
+    # Ploughs run in start order 0, 1, 2, 2.  The first two clear 0-3 and 1-4;
+    # the third walks 2->3 (or 2->4) and joins one of them; only the fourth
+    # plough's path meets both components, through 2 and through 4 (or 3).
+    inst = make_instance(5, [(0, 3), (1, 4), (2, 3), (2, 4)], {0, 1}, {0: 1, 1: 1, 2: 2})
+    limits = ExactLimits()
+    assert _bfs_st(inst, limits)[0]
+    ans, witness = _dag_st(inst, limits)
+    assert ans
+    ok, reason = verify_st_solution(inst, witness)
+    assert ok, reason
+
+
 def test_limits_refuse_large_cyclic():
     big_cycle = make_instance(
         12,

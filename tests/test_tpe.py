@@ -86,6 +86,16 @@ def _random_host(rng, n, max_arcs):
     return make_instance(n, arcs, fac, ploughs)
 
 
+def _all_orientations(max_order):
+    """Every orientation of every free tree of order 1..max_order, in stream order."""
+    return [
+        cand
+        for order in range(1, max_order + 1)
+        for tree in enumerate_free_trees(order)
+        for cand in orient_tree(tree, dedupe=False)
+    ]
+
+
 def test_gate_count_bound():
     rng = random.Random(5)
     for n in (5, 10, 20, 30):
@@ -265,7 +275,7 @@ def _reference_cases():
     for _ in range(15):
         n = rng.randint(2, 4)
         host = _random_host(rng, n, 8)
-        cand = rng.choice([c for c in candidate_stream(1, min(3, n), dedupe=False)])
+        cand = rng.choice(_all_orientations(min(3, n)))
         terminals = set(rng.sample(range(n), k=rng.randint(0, min(cand.order, n))))
         yield build_circuit(make_tpe_instance(host, cand, terminals=terminals)), len(terminals), cand.order
     # (z*x_0 + x_1) * (z*x_2 + x_3): both factors span two z-degrees
@@ -355,7 +365,7 @@ def test_shared_dag_matches_unshared_expansion():
     for _ in range(40):
         n = rng.randint(2, 5)
         host = _random_host(rng, n, 12)
-        cand = rng.choice([c for c in candidate_stream(1, min(4, n), dedupe=False)])
+        cand = rng.choice(_all_orientations(min(4, n)))
         terminals = set(rng.sample(range(n), k=rng.randint(0, 2)))
         inst = make_tpe_instance(host, cand, terminals=terminals)
         circ = build_circuit(inst)
