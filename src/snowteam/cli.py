@@ -208,6 +208,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_trees(args) -> int:
+    if args.dedupe and not args.oriented:
+        raise ValueError("--dedupe applies to orientations; add --oriented")
     if args.oriented:
         for tree in enumerate_free_trees(args.order):
             for cand in orient_tree(tree, dedupe=args.dedupe):

@@ -105,49 +105,69 @@ def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
     return all(try_assign(v, set()) for v in range(left_count))
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozenset[int]) -> bool:
     """Cheap necessary conditions for an embedding; never prunes a true YES.
 
     Per-vertex capacity/degree compatibility is tightened by arc-consistency
     (a placement needs compatible placements across every tree arc), then a
     matching must saturate the tree side and another one the terminal set.
+    Host vertex sets are int bitmasks: bit w stands for host vertex w.
     """
     eta = cand.order
-    if eta > host.n or len(terminals) > eta:
+    n = host.n
+    if eta > n or len(terminals) > eta:
         return False
     tout = [0] * eta
     tin = [0] * eta
     for u, v in cand.arcs:
         tout[u] += 1
         tin[v] += 1
-    hout = [len(host.out_adj[w]) for w in range(host.n)]
-    hin = [len(host.in_adj[w]) for w in range(host.n)]
+    hout = [len(host.out_adj[w]) for w in range(n)]
+    hin = [len(host.in_adj[w]) for w in range(n)]
+    out_mask = [sum(1 << x for x in host.out_adj[w]) for w in range(n)]
+    in_mask = [sum(1 << x for x in host.in_adj[w]) for w in range(n)]
     compat = [
-        {
-            w
-            for w in range(host.n)
+        sum(
+            1 << w
+            for w in range(n)
             if cand.demand[v] <= host.ploughs[w] and tout[v] <= hout[w] and tin[v] <= hin[w]
-        }
+        )
         for v in range(eta)
     ]
     changed = True
     while changed:
         changed = False
         for a, b in cand.arcs:
-            keep_a = {w for w in compat[a] if any(x in compat[b] for x in host.out_adj[w])}
-            if len(keep_a) != len(compat[a]):
-                compat[a] = keep_a
+            # keep a's placements with an out-neighbour among b's, then b's
+            # placements with an in-neighbour among a's
+            pred_b = 0
+            for x in _bits(compat[b]):
+                pred_b |= in_mask[x]
+            if compat[a] & ~pred_b:
+                compat[a] &= pred_b
                 changed = True
-            keep_b = {w for w in compat[b] if any(x in compat[a] for x in host.in_adj[w])}
-            if len(keep_b) != len(compat[b]):
-                compat[b] = keep_b
+            succ_a = 0
+            for w in _bits(compat[a]):
+                succ_a |= out_mask[w]
+            if compat[b] & ~succ_a:
+                compat[b] &= succ_a
                 changed = True
         if any(not c for c in compat):
             return False
-    if not _kuhn_saturates(eta, [sorted(c) for c in compat]):
+    if not _kuhn_saturates(eta, [_bits(c) for c in compat]):
         return False
     term_list = sorted(terminals)
-    term_adj = [[v for v in range(eta) if w in compat[v]] for w in term_list]
+    term_adj = [[v for v in range(eta) if compat[v] >> w & 1] for w in term_list]
     return _kuhn_saturates(len(term_list), term_adj)
 
 

@@ -4,11 +4,21 @@ Free trees are produced from canonical rooted level sequences (successor
 rule on level sequences, constant amortized time) filtered down to one
 representative per isomorphism class by a center-rooted canonical form.
 Each representative is relabeled into a canonical layout: vertex 0 is the
-root, children are ordered by subtree code, ids are assigned in preorder.
+root, children are ordered by subtree code, ids are assigned in preorder,
+so edge i joins vertex i+1 to its parent.
 
 A TreeCandidate is an orientation of a free tree together with the plough
 demand L(v) = max(0, outdeg(v) - indeg(v)): the number of walks that must
 start at v to cover the arcs by arc-disjoint paths.
+
+``orient_tree`` is the one orientation loop.  An orientation is a mask,
+bit i set when edge i points parent -> child, and masks come out in
+increasing integer order.  The loop fixes edges depth first from the last
+preorder edge down to edge 0 and carries each vertex's out - in balance.
+Vertex v's demand is final once edge v-1 is set, so a budget cuts a branch
+as soon as the final demands exceed it.  Duplicate orientations are
+recognised by a directed code rooted at the free tree's centers, whose
+rootings are built once per tree; only masks within the budget are keyed.
 """
 
 from __future__ import annotations
@@ -201,46 +211,106 @@ def plough_demand(arcs, order: Optional[int] = None) -> tuple[int, ...]:
     return tuple(max(0, o - i) for o, i in zip(out, inc))
 
 
-def _directed_code(adj_dir, v, parent):
-    # adj_dir[v] = list of (neighbor, is_outgoing_from_v)
-    return tuple(
-        sorted(
-            ((down, _directed_code(adj_dir, c, v)) for c, down in adj_dir[v] if c != parent),
-            reverse=True,
-        )
-    )
+def _center_rootings(tree: FreeTree) -> list[tuple[int, list[tuple[int, tuple]]]]:
+    """For each center r of tree: (r, the vertices with children, children
+    before parents, each with its child edges as (child, edge index, vertex
+    is the edge's parent end))."""
+    nbrs: list[list[tuple[int, int, bool]]] = [[] for _ in range(tree.order)]
+    for i, (p, c) in enumerate(tree.edges):
+        nbrs[p].append((c, i, True))
+        nbrs[c].append((p, i, False))
+    rootings = []
+    for r in _tree_centers([[c for c, _, _ in nb] for nb in nbrs]):
+        visit = [(r, -1)]
+        for v, parent in visit:
+            visit.extend((c, v) for c, _, _ in nbrs[v] if c != parent)
+        kids = [(v, tuple(e for e in nbrs[v] if e[0] != parent)) for v, parent in reversed(visit)]
+        rootings.append((r, [(v, ks) for v, ks in kids if ks]))
+    return rootings
 
 
-def _directed_canonical(order: int, arcs) -> tuple:
-    und = _adjacency(order, arcs)
-    adj_dir: list[list[tuple[int, bool]]] = [[] for _ in range(order)]
-    for u, v in arcs:
-        adj_dir[u].append((v, True))
-        adj_dir[v].append((u, False))
-    return max(_directed_code(adj_dir, c, -1) for c in _tree_centers(und))
+def _orientation_key(rootings, down) -> tuple:
+    """Directed-isomorphism class key of an orientation (down[i]: edge i
+    points parent -> child): the largest directed code rooted at a center,
+    since every automorphism of a tree fixes its center set.  A vertex's code
+    is the sorted tuple of (arc leaves the vertex, child's code) over its
+    children."""
+    best = ()
+    for root, internal in rootings:
+        code = [()] * (len(down) + 1)  # leaves keep the empty code
+        for v, kids in internal:
+            code[v] = tuple(
+                sorted(((down[i] == at_parent, code[c]) for c, i, at_parent in kids), reverse=True)
+            )
+        best = max(best, code[root])
+    return best
 
 
-def orient_tree(tree: FreeTree, dedupe: bool = False) -> Iterator[TreeCandidate]:
-    """All 2^(order-1) orientations; dedupe collapses directed-isomorphic ones."""
-    m = tree.order - 1
-    seen = set()
-    for mask in range(1 << m):
-        arcs = tuple(
-            (u, v) if (mask >> i) & 1 else (v, u) for i, (u, v) in enumerate(tree.edges)
-        )
-        if dedupe:
-            key = _directed_canonical(tree.order, arcs)
-            if key in seen:
-                continue
-            seen.add(key)
-        demand = plough_demand(arcs, order=tree.order) if m else (0,)
-        yield TreeCandidate(
-            order=tree.order,
-            arcs=arcs,
-            demand=demand,
-            free_code=tree.code,
-            orientation=tuple(bool((mask >> i) & 1) for i in range(m)),
-        )
+def orient_tree(
+    tree: FreeTree, dedupe: bool = False, budget: Optional[int] = None
+) -> Iterator[TreeCandidate]:
+    """Orientations of tree in increasing mask order, bit i set when edge i
+    points parent -> child.  With budget, only those of total demand at most
+    budget; dedupe keeps the first orientation of each directed-isomorphism
+    class.
+
+    Masks are built depth first from the last preorder edge down to edge 0,
+    trying up before down, which is increasing integer order.  Edge i joins
+    vertex i+1 to its parent, and every other edge at vertex i+1 comes later
+    in preorder, so once edge i is set the demand of vertex i+1 is final.  A
+    branch is cut as soon as the final demands exceed the budget; the root's
+    demand is final at the leaf.  Demands come from the carried balances.
+
+    Directed-isomorphic orientations have the same demand multiset, so the
+    cut removes whole classes, and every surviving class keeps its first
+    mask: the output is the unbudgeted output filtered by budget, in the
+    same order.  The class key is the largest directed code over the free
+    tree's centers (``_orientation_key``); the center rootings are built
+    once per tree and a key is computed only for a mask within the budget.
+    """
+    n = tree.order
+    m = n - 1
+    edges = tree.edges
+    cap = m if budget is None else budget  # total demand never exceeds the arc count
+    if dedupe:
+        rootings = _center_rootings(tree)
+        seen: set[tuple] = set()
+    bal = [0] * n  # outdeg - indeg over the edges set so far
+    down = [False] * m
+    arcs: list[tuple[int, int]] = [(0, 0)] * m
+
+    def extend(i: int, done: int) -> Iterator[TreeCandidate]:
+        # edges i+1..m-1 are set; done is the final demand of vertices i+2..n-1
+        if i < 0:
+            if done + max(bal[0], 0) > cap:
+                return
+            if dedupe:
+                key = _orientation_key(rootings, down)
+                if key in seen:
+                    return
+                seen.add(key)
+            yield TreeCandidate(
+                order=n,
+                arcs=tuple(arcs),
+                demand=tuple(b if b > 0 else 0 for b in bal),
+                free_code=tree.code,
+                orientation=tuple(down),
+            )
+            return
+        p, c = edges[i]
+        for is_down in (False, True):
+            step = 1 if is_down else -1
+            bal[p] += step
+            bal[c] -= step
+            total = done + max(bal[c], 0)
+            if total <= cap:
+                down[i] = is_down
+                arcs[i] = (p, c) if is_down else (c, p)
+                yield from extend(i - 1, total)
+            bal[p] -= step
+            bal[c] += step
+
+    return extend(m - 1, 0)
 
 
 def candidate_from_code(code: str) -> TreeCandidate:
@@ -292,13 +362,13 @@ def candidate_stream(
 
     Empty for f_count = 0: callers resolve the at-most-one-facility case
     before enumerating.  Deterministic order: by order, then free-tree code,
-    then orientation.
+    then orientation.  A max_order above MAX_ORDER raises ValueError before
+    the first candidate.
     """
+    if max_order > MAX_ORDER:
+        raise ValueError(f"max_order {max_order} exceeds the enumeration cap {MAX_ORDER}")
     if f_count <= 0:
         return
     for order in range(f_count, max_order + 1):
         for tree in enumerate_free_trees(order):
-            for cand in orient_tree(tree, dedupe=True):
-                if budget is not None and cand.total_demand() > budget:
-                    continue
-                yield cand
+            yield from orient_tree(tree, dedupe=True, budget=budget)

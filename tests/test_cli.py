@@ -187,6 +187,8 @@ def test_usage_errors(tmp_path, toy1_file, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
     assert run_cli(["gen", "--family", "random", "--n", "2", "--arcs", "1", "--ploughs", "3"]) == 2
     assert "capacity" in capsys.readouterr().err
+    assert run_cli(["trees", "--order", "4", "--dedupe"]) == 2
+    assert "--oriented" in capsys.readouterr().err
     solve = ["solve", "--problem", "st", "--input", toy1_file]
     for jobs in ("0", "-3"):
         assert run_cli(solve + ["--jobs", jobs]) == 2

@@ -11,6 +11,8 @@ from snowteam.exact import solve_st_exact, solve_variant_exact
 from snowteam.gadgets import gen_fig3
 from snowteam.solvers import (
     SolveParams,
+    _candidate_feasible,
+    _kuhn_saturates,
     is_tree_like,
     normalize_to_tree_like,
     solve_all_st,
@@ -19,6 +21,7 @@ from snowteam.solvers import (
     solve_st,
     solve_stu,
 )
+from snowteam.trees import candidate_stream
 
 PARAMS = SolveParams(seed=7)
 CATALOGUE = Path(__file__).resolve().parents[1] / "bench" / "catalogue.json"
@@ -396,3 +399,61 @@ def test_normalize_on_oracle_witnesses():
             assert len(touched) <= 2 * len(fac) - 1
         normalized += 1
     assert normalized >= 30
+
+
+def _candidate_feasible_sets(host, cand, terminals):
+    """Set-based arc-consistency filter: the oracle for the bitmask one."""
+    eta = cand.order
+    if eta > host.n or len(terminals) > eta:
+        return False
+    tout = [0] * eta
+    tin = [0] * eta
+    for u, v in cand.arcs:
+        tout[u] += 1
+        tin[v] += 1
+    hout = [len(host.out_adj[w]) for w in range(host.n)]
+    hin = [len(host.in_adj[w]) for w in range(host.n)]
+    compat = [
+        {
+            w
+            for w in range(host.n)
+            if cand.demand[v] <= host.ploughs[w] and tout[v] <= hout[w] and tin[v] <= hin[w]
+        }
+        for v in range(eta)
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for a, b in cand.arcs:
+            keep_a = {w for w in compat[a] if any(x in compat[b] for x in host.out_adj[w])}
+            if len(keep_a) != len(compat[a]):
+                compat[a] = keep_a
+                changed = True
+            keep_b = {w for w in compat[b] if any(x in compat[a] for x in host.in_adj[w])}
+            if len(keep_b) != len(compat[b]):
+                compat[b] = keep_b
+                changed = True
+        if any(not c for c in compat):
+            return False
+    if not _kuhn_saturates(eta, [sorted(c) for c in compat]):
+        return False
+    term_list = sorted(terminals)
+    term_adj = [[v for v in range(eta) if w in compat[v]] for w in term_list]
+    return _kuhn_saturates(len(term_list), term_adj)
+
+
+def test_bitmask_filter_matches_set_filter():
+    rng = random.Random(71)
+    cands = list(candidate_stream(1, 6))
+    outcomes = {True: 0, False: 0}
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.25}
+        ploughs = [rng.choice((0, 0, 1, 2, n - 1)) for _ in range(n)]
+        host = transitive_closure(make_instance(n, arcs, set(), ploughs))
+        for cand in cands:
+            terminals = frozenset(rng.sample(range(n), rng.randint(1, min(n, 6))))
+            got = _candidate_feasible(host, cand, terminals)
+            assert got == _candidate_feasible_sets(host, cand, terminals), (host, cand, terminals)
+            outcomes[got] += 1
+    assert min(outcomes.values()) >= 100, outcomes

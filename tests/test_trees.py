@@ -1,13 +1,15 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
 
 from snowteam.trees import (
     FREE_TREE_COUNTS,
-    FreeTree,
+    MAX_ORDER,
     TreeCandidate,
+    _tree_centers,
     candidate_stream,
     enumerate_free_trees,
     orient_tree,
@@ -80,6 +82,10 @@ def test_order_out_of_range():
         list(enumerate_free_trees(0))
     with pytest.raises(ValueError):
         list(enumerate_free_trees(17))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        next(candidate_stream(2, MAX_ORDER + 1))  # refused before the first candidate
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("order", range(2, 9))
@@ -186,10 +192,81 @@ def test_candidate_stream_empty_for_no_facilities():
     assert list(candidate_stream(0, 5)) == []
 
 
-def test_candidate_stream_deterministic():
-    a = [c.code_str() for c in candidate_stream(2, 4)]
-    b = [c.code_str() for c in candidate_stream(2, 4)]
-    assert a == b
+def _directed_code(adj_dir, v, parent):
+    # adj_dir[v] = list of (neighbor, is_outgoing_from_v)
+    return tuple(
+        sorted(
+            ((down, _directed_code(adj_dir, c, v)) for c, down in adj_dir[v] if c != parent),
+            reverse=True,
+        )
+    )
+
+
+def _directed_canonical(order, arcs):
+    """Directed-isomorphism key rebuilt from scratch for one orientation."""
+    adj_dir = [[] for _ in range(order)]
+    for u, v in arcs:
+        adj_dir[u].append((v, True))
+        adj_dir[v].append((u, False))
+    und = [[c for c, _ in nb] for nb in adj_dir]
+    return max(_directed_code(adj_dir, c, -1) for c in _tree_centers(und))
+
+
+def _reference_classes(order):
+    """First orientation of every directed-isomorphism class: all 2^m masks
+    in increasing order, deduped by a key, demand from plough_demand."""
+    rows = []
+    for tree in enumerate_free_trees(order):
+        m = order - 1
+        seen = set()
+        for mask in range(1 << m):
+            arcs = tuple(
+                (u, v) if mask >> i & 1 else (v, u) for i, (u, v) in enumerate(tree.edges)
+            )
+            key = _directed_canonical(order, arcs)
+            if key in seen:
+                continue
+            seen.add(key)
+            demand = plough_demand(arcs, order=order) if m else (0,)
+            orientation = tuple(bool(mask >> i & 1) for i in range(m))
+            rows.append((order, arcs, demand, tree.code, orientation))
+    return rows
+
+
+def test_candidate_stream_matches_reference():
+    classes = {order: _reference_classes(order) for order in range(1, 9)}
+    for f in range(1, 6):
+        for max_order in range(f, 9):
+            for budget in (None, 0, 1, 2, 3, 4, 5):
+                want = [
+                    row
+                    for order in range(f, max_order + 1)
+                    for row in classes[order]
+                    if budget is None or sum(row[2]) <= budget
+                ]
+                got = [
+                    (c.order, c.arcs, c.demand, c.free_code, c.orientation)
+                    for c in candidate_stream(f, max_order, budget=budget)
+                ]
+                assert got == want, (f, max_order, budget)
+
+
+def test_budget_prunes_before_keying(monkeypatch):
+    from snowteam import trees
+
+    keyed = []
+    real = trees._orientation_key
+
+    def counting(rootings, down):
+        keyed.append(tuple(down))
+        return real(rootings, down)
+
+    monkeypatch.setattr(trees, "_orientation_key", counting)
+    kept = [c for t in enumerate_free_trees(8) for c in orient_tree(t, dedupe=True, budget=3)]
+    assert kept and all(c.total_demand() <= 3 for c in kept)
+    # 490 of the 23 * 2^7 orientations of order 8 have demand at most 3
+    assert sum(1 for t in enumerate_free_trees(8) for _ in orient_tree(t, budget=3)) == 490
+    assert len(keyed) <= 490
 
 
 def test_golden_canonical_codes():
