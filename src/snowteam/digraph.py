@@ -34,6 +34,9 @@ class Instance:
     ploughs: tuple[int, ...]
     out_adj: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     in_adj: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    # bit x of out_mask[w] / in_mask[w]: arc w -> x / x -> w
+    out_mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    in_mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -57,6 +60,8 @@ class Instance:
             ins[v].append(u)
         object.__setattr__(self, "out_adj", tuple(tuple(x) for x in outs))
         object.__setattr__(self, "in_adj", tuple(tuple(sorted(x)) for x in ins))
+        object.__setattr__(self, "out_mask", tuple(sum(1 << x for x in xs) for xs in outs))
+        object.__setattr__(self, "in_mask", tuple(sum(1 << x for x in xs) for xs in ins))
 
     def facilities(self) -> frozenset[int]:
         return frozenset(v for v in range(self.n) if self.facility[v])

@@ -171,11 +171,15 @@ def _x_product(hosts: list[int]) -> Circuit:
 
 def check_algebra_kernels() -> tuple[bool, str]:
     """The vector field kernel matches gf_mul on 8000 random pairs and every
-    pair of edge words; for every k <= 8, a product of k x-gates
-    fingerprints to zero whenever two gates share a host vertex and to
-    nonzero when all are distinct."""
+    pair of edge words, carry-stress words included; for every k <= 8, a
+    product of k x-gates fingerprints to zero whenever two gates share a host
+    vertex and to nonzero when all are distinct."""
     rng = random.Random(64)
     edges = [0, 1, 2, 0x1B, 1 << 63, (1 << 64) - 1]
+    # words that fill the kernel's bit classes, so its integer products reach
+    # their largest column counts
+    edges += [0x1111111111111111, 0x2222222222222222, 0x8888888888888888]
+    edges += [0xAAAAAAAAAAAAAAAA, 0x5555555555555555, 0xFFFFFFFF00000000, 0xFFFFFFFF]
     pairs = [(a, b) for a in edges for b in edges]
     pairs += [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(8000)]
     a, b = (np.array(col, dtype=np.uint64) for col in zip(*pairs))

@@ -132,17 +132,14 @@ def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozense
     for u, v in cand.arcs:
         tout[u] += 1
         tin[v] += 1
-    hout = [len(host.out_adj[w]) for w in range(n)]
-    hin = [len(host.in_adj[w]) for w in range(n)]
-    out_mask = [sum(1 << x for x in host.out_adj[w]) for w in range(n)]
-    in_mask = [sum(1 << x for x in host.in_adj[w]) for w in range(n)]
+    out_adj, in_adj, out_mask, in_mask = host.out_adj, host.in_adj, host.out_mask, host.in_mask
     compat = [
         sum(
             1 << w
             for w in range(n)
-            if cand.demand[v] <= host.ploughs[w] and tout[v] <= hout[w] and tin[v] <= hin[w]
+            if d <= host.ploughs[w] and to <= len(out_adj[w]) and ti <= len(in_adj[w])
         )
-        for v in range(eta)
+        for d, to, ti in zip(cand.demand, tout, tin)
     ]
     changed = True
     while changed:

@@ -55,7 +55,7 @@ import numpy as np
 
 from .algebra import _clmul_reduce_arrays
 from .digraph import Instance
-from .trees import TreeCandidate
+from .trees import MAX_ORDER, TreeCandidate
 
 # Gate-count ceiling: the unpruned construction uses at most 3 + 6*eta*n
 # gates, which stays below CIRCUIT_SIZE_C * n^3 for every n >= 1, eta <= n.
@@ -408,8 +408,14 @@ def detect_zt_multilinear(circuit: Circuit, t: int, k: int, seed: int = 1) -> bo
 
 
 def solve_tpe(inst: TpeInstance, seed: int = 1) -> bool:
-    """Randomized embedding decision: z-degree |terminals|, k = tree order."""
+    """Randomized embedding decision: z-degree |terminals|, k = tree order.
+
+    A tree above ``trees.MAX_ORDER`` raises ValueError before any work: the
+    detection walks 2^k subsets.
+    """
     eta = inst.tree.order
+    if eta > MAX_ORDER:
+        raise ValueError(f"tree order {eta} exceeds the detection cap {MAX_ORDER}")
     if eta > inst.host.n or len(inst.terminals) > eta:
         return False
     circuit = build_circuit(inst)

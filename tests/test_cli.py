@@ -6,6 +6,7 @@ import pytest
 
 from snowteam.cli import gen_random, run_cli
 from snowteam.digraph import parse_instance
+from snowteam.trees import MAX_ORDER
 
 TOY1 = "st 3 2\nv 0 1 1\nv 1 0 0\nv 2 1 0\na 0 1\na 1 2\n"
 TOY2 = "st 3 2\nv 0 1 1\nv 1 0 0\nv 2 1 0\na 1 0\na 1 2\n"
@@ -195,6 +196,20 @@ def test_usage_errors(tmp_path, toy1_file, capsys, monkeypatch):
         assert "jobs must be at least 1" in capsys.readouterr().err
     assert run_cli(solve + ["--trials", "2"]) == 2
     capsys.readouterr()
+    # a directed path tree one vertex over the cap, on a path host it embeds
+    # in (the host's first vertex has the root's one plough)
+    n = MAX_ORDER + 1
+    path = tmp_path / "path.st"
+    path.write_text(
+        f"st {n} {n - 1}\n"
+        + "".join(f"v {i} 0 {int(i == 0)}\n" for i in range(n))
+        + "".join(f"a {i} {i + 1}\n" for i in range(n - 1))
+        + f"tree {' '.join(map(str, range(n)))} / {'d' * (n - 1)}\n"
+    )
+    start = time.perf_counter()
+    assert run_cli(["solve", "--problem", "tpe", "--input", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "cap" in capsys.readouterr().err
     monkeypatch.setenv("SNOWTEAM_SEED", "abc")
     assert run_cli(solve) == 2
     assert "SNOWTEAM_SEED" in capsys.readouterr().err
