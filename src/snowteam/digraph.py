@@ -72,9 +72,6 @@ class Instance:
     def total_ploughs(self) -> int:
         return sum(self.ploughs)
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
 
 def make_instance(n, arcs, facilities, ploughs) -> Instance:
     """Convenience constructor from any iterables / facility set / plough map."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from . import trees
@@ -39,7 +39,7 @@ from .digraph import (
     transitive_closure,
     verify_st_solution,
 )
-from .exact import ExactLimits, solve_st_exact, solve_variant_exact
+from .exact import solve_st_exact, solve_variant_exact
 from .tpe import build_circuit, detect_zt_multilinear, make_tpe_instance
 from .trees import TreeCandidate, candidate_stream
 
@@ -51,7 +51,6 @@ class SolveParams:
     seed: int = 1
     exact_threshold: int = 0  # route to the exact engine when n <= threshold
     jobs: int = 1
-    exact_limits: ExactLimits = field(default_factory=ExactLimits)
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -168,8 +167,8 @@ def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozense
     return _kuhn_saturates(len(term_list), term_adj)
 
 
-def _exact_report(inst: Instance, params: SolveParams, t0: float) -> SolveReport:
-    ans, witness = solve_st_exact(inst, params.exact_limits)
+def _exact_report(inst: Instance, t0: float) -> SolveReport:
+    ans, witness = solve_st_exact(inst)
     return SolveReport(answer=ans, witness=witness, elapsed=time.perf_counter() - t0)
 
 
@@ -198,6 +197,19 @@ def _search(
     return None
 
 
+def _check_scale(l_param: int, n: int) -> int:
+    """Largest candidate order a decision with parameter l_param on n vertices
+    could test; ValueError, before any work, when it exceeds the enumeration
+    cap."""
+    eta_max = min(2 * l_param - 1, n)
+    if eta_max > trees.MAX_ORDER:
+        raise ValueError(
+            f"parameter {l_param} needs candidate trees up to order {eta_max}, beyond "
+            f"the enumeration cap {trees.MAX_ORDER}; use the exact path"
+        )
+    return eta_max
+
+
 def _decide(
     host: Instance, budget: int, l_param: int, params: SolveParams, t0: float
 ) -> SolveReport:
@@ -206,14 +218,9 @@ def _decide(
     fac = host.facilities()
     if len(fac) <= 1:
         return SolveReport(answer=True, elapsed=time.perf_counter() - t0)
+    eta_max = _check_scale(l_param, host.n)
     report = SolveReport(answer=False)
     if budget and _facilities_in_one_weak_component(host):
-        eta_max = min(2 * l_param - 1, host.n)
-        if eta_max > trees.MAX_ORDER:
-            raise ValueError(
-                f"parameter {l_param} needs candidate trees up to order {eta_max}; "
-                "beyond the enumeration cap, use the exact path"
-            )
         stream = candidate_stream(len(fac), eta_max, budget=budget)
         hit = _search(transitive_closure(host), fac, stream, params, report, params.seed)
         report.answer = hit is not None
@@ -229,7 +236,7 @@ def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     if not inst.bases() <= inst.facilities():
         raise ValueError("restricted instance required: plough bases must be facilities")
     if inst.n <= params.exact_threshold:
-        return _exact_report(inst, params, t0)
+        return _exact_report(inst, t0)
     return _decide(inst, inst.total_ploughs(), len(inst.facilities()), params, t0)
 
 
@@ -248,18 +255,6 @@ def _promotions(inst: Instance):
             )
 
 
-def _check_pipeline_scale(inst: Instance) -> int:
-    """Largest candidate order any promotion of inst could test."""
-    l_param = len(inst.facilities() | inst.bases())
-    eta_max = min(2 * l_param - 1, inst.n)
-    if eta_max > trees.MAX_ORDER:
-        raise ValueError(
-            f"combined facility/base parameter {l_param} exceeds the enumeration "
-            "pipeline cap; use the exact path"
-        )
-    return eta_max
-
-
 def solve_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
     """General decision: enumerate base promotions, solve each restricted case.
 
@@ -268,17 +263,18 @@ def solve_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport
     """
     t0 = time.perf_counter()
     if inst.n <= params.exact_threshold:
-        return _exact_report(inst, params, t0)
+        return _exact_report(inst, t0)
     if len(inst.facilities()) <= 1:
         return SolveReport(answer=True, elapsed=time.perf_counter() - t0)
-    eta_max = _check_pipeline_scale(inst)
+    eta_max = _check_scale(len(inst.facilities() | inst.bases()), inst.n)
     subs = list(_promotions(inst))
     report = SolveReport(answer=False)
     sub_params = [
         replace(params, seed=params.seed + _SEED_STRIDE * 1000 * (i + 1), jobs=1)
         for i in range(len(subs))
     ]
-    pool = ProcessPoolExecutor(max_workers=params.jobs) if params.jobs > 1 else None
+    workers = min(params.jobs, len(subs))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for sub in (map if pool is None else pool.map)(solve_all_st, subs, sub_params):
             report.candidates_tested += sub.candidates_tested
@@ -300,13 +296,13 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     """Minimum ploughs, among those placed, that suffice; infeasible -> answer False."""
     t0 = time.perf_counter()
     if inst.n <= params.exact_threshold:
-        best = solve_variant_exact(inst, "min-st", limits=params.exact_limits)
+        best = solve_variant_exact(inst, "min-st")
         return SolveReport(
             answer=best is not None, optimum=best, elapsed=time.perf_counter() - t0
         )
     if len(inst.facilities()) <= 1:
         return SolveReport(answer=True, optimum=0, elapsed=time.perf_counter() - t0)
-    eta_max = _check_pipeline_scale(inst)
+    eta_max = _check_scale(len(inst.facilities() | inst.bases()), inst.n)
     report = SolveReport(answer=False)
     best: Optional[int] = None
     hits = 0
@@ -317,13 +313,13 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
             continue
         eta_max = min(2 * len(fac) - 1, sub_inst.n)
         closure = transitive_closure(sub_inst)
+        budget = kb if best is None else min(kb, best - 1)  # only lighter candidates
         cands = sorted(
-            candidate_stream(len(fac), eta_max, budget=kb),
+            candidate_stream(len(fac), eta_max, budget=budget),
             key=lambda c: (c.total_demand(), c.order, c.code_str()),
         )
-        lighter = [c for c in cands if best is None or c.total_demand() < best]
         seed_base = params.seed + _SEED_STRIDE * 1000 * (sub_i + 1)
-        hit = _search(closure, fac, lighter, params, report, seed_base)
+        hit = _search(closure, fac, cands, params, report, seed_base)
         if hit is not None:
             best = hit.total_demand()
             hits += 1
@@ -342,9 +338,11 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     """Largest facility subset that can be reconnected with the placed ploughs."""
     t0 = time.perf_counter()
     if inst.n <= params.exact_threshold:
-        best = solve_variant_exact(inst, "max-st", limits=params.exact_limits)
+        best = solve_variant_exact(inst, "max-st")
         return SolveReport(answer=True, optimum=best, elapsed=time.perf_counter() - t0)
     fac = sorted(inst.facilities())
+    if len(fac) > 1:
+        _check_scale(len(inst.facilities() | inst.bases()), inst.n)
     report = SolveReport(answer=True)
     bound_acc = 0.0
     for size in range(len(fac), 1, -1):
@@ -379,7 +377,7 @@ def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> So
     if k < 0:
         raise ValueError("k must be nonnegative")
     if inst.n <= params.exact_threshold:
-        ans = solve_variant_exact(inst, "stu", k=k, limits=params.exact_limits)
+        ans = solve_variant_exact(inst, "stu", k=k)
         return SolveReport(answer=ans, elapsed=time.perf_counter() - t0)
     # capacity n-1 everywhere is equivalent to unconstrained: demands never exceed it
     free_host = replace(inst, ploughs=tuple(inst.n - 1 for _ in range(inst.n)))

@@ -67,30 +67,27 @@ Z_GATE = 1  # gates[1] is always the constant z
 
 @dataclass(frozen=True)
 class TpeInstance:
-    """Host digraph, pattern tree, terminal set and tree root."""
+    """Host digraph, pattern tree and terminal set; the circuit roots the
+    tree at its vertex 0."""
 
     host: Instance
     tree: TreeCandidate
     terminals: frozenset[int]
-    root: int = 0
 
     def __post_init__(self):
         if not all(0 <= t < self.host.n for t in self.terminals):
             raise ValueError("terminals outside host vertex range")
-        if not (0 <= self.root < self.tree.order):
-            raise ValueError("root outside tree vertex range")
 
 
 def make_tpe_instance(
     host: Instance,
     tree: TreeCandidate,
     terminals=None,
-    root: int = 0,
 ) -> TpeInstance:
     """Terminals default to facilities plus plough bases of the host."""
     if terminals is None:
         terminals = host.facilities() | host.bases()
-    return TpeInstance(host=host, tree=tree, terminals=frozenset(terminals), root=root)
+    return TpeInstance(host=host, tree=tree, terminals=frozenset(terminals))
 
 
 def indicator(u: int, w: int, inst: TpeInstance) -> str:
@@ -134,8 +131,9 @@ class Circuit:
         assert 0 <= self.output < len(self.gates)
 
 
-def _rooted_structure(tree: TreeCandidate, root: int):
-    """Return (order of vertices deepest-first, in_children, out_children)."""
+def _rooted_structure(tree: TreeCandidate):
+    """Return (order of vertices deepest-first, in_children, out_children),
+    the tree rooted at vertex 0."""
     eta = tree.order
     und: list[list[int]] = [[] for _ in range(eta)]
     arcset = set(tree.arcs)
@@ -143,8 +141,8 @@ def _rooted_structure(tree: TreeCandidate, root: int):
         und[u].append(v)
         und[v].append(u)
     parent = [-2] * eta
-    parent[root] = -1
-    bfs = [root]
+    parent[0] = -1
+    bfs = [0]
     for v in bfs:
         for c in und[v]:
             if parent[c] == -2:
@@ -167,7 +165,7 @@ def build_circuit(inst: TpeInstance) -> Circuit:
     """Shared-DAG circuit for Q(X, z); zero-indicator branches are pruned."""
     host, tree = inst.host, inst.tree
     n, eta = host.n, tree.order
-    order, in_children, out_children = _rooted_structure(tree, inst.root)
+    order, in_children, out_children = _rooted_structure(tree)
 
     gates: list[tuple] = [("zero",), ("const", 1)]
 
@@ -219,7 +217,7 @@ def build_circuit(inst: TpeInstance) -> Circuit:
                 acc = mul_gate(acc, f)
             qid[(u, w)] = acc
 
-    output = add_gate([qid[(inst.root, w)] for w in range(n)])
+    output = add_gate([qid[(0, w)] for w in range(n)])
     bound = 3 + 6 * eta * n
     assert len(gates) <= bound <= CIRCUIT_SIZE_C * n**3
     circ = Circuit(

@@ -1,11 +1,17 @@
 """Candidate directed trees: free-tree enumeration, orientations, plough demand.
 
-Free trees are produced from canonical rooted level sequences (successor
-rule on level sequences, constant amortized time) filtered down to one
-representative per isomorphism class by a center-rooted canonical form.
-Each representative is relabeled into a canonical layout: vertex 0 is the
-root, children are ordered by subtree code, ids are assigned in preorder,
-so edge i joins vertex i+1 to its parent.
+Free trees are the center-rooted canonical level sequences of Wright,
+Richmond, Odlyzko and McKay.  The canonical level sequences of rooted trees
+are walked by the successor rule (constant amortized time), and a sequence
+is kept exactly when its root is the tree's canonical center.  The kept
+sequence is the tree's layout; nothing is relabeled:
+
+- vertex 0 is the root and ids are in preorder, so edge i joins vertex i+1
+  to its parent, and ``FreeTree.code`` is the depth of each vertex;
+- each vertex's children are ordered by subtree code, largest first, where a
+  subtree's code is its rooted level sequence;
+- a taller subtree always has the larger code, so the tallest child comes
+  first, and when the tree has a second center, it is vertex 1.
 
 A TreeCandidate is an orientation of a free tree together with the plough
 demand L(v) = max(0, outdeg(v) - indeg(v)): the number of walks that must
@@ -85,6 +91,8 @@ def _rooted_level_sequences(n: int) -> Iterator[list[int]]:
 
 
 def _levels_to_parents(levels: list[int]) -> list[int]:
+    """Parent of each vertex of a preorder level sequence (-1 at the root),
+    whatever the root's level."""
     parents = [-1] * len(levels)
     stack = [0]
     for i in range(1, len(levels)):
@@ -123,55 +131,35 @@ def _tree_centers(adj: list[list[int]]) -> list[int]:
     return sorted(layer)
 
 
-def _subtree_code(adj, v, parent):
-    return tuple(sorted((_subtree_code(adj, c, v) for c in adj[v] if c != parent), reverse=True))
-
-
-def _canonical_free(adj: list[list[int]]) -> tuple[tuple, int]:
-    """(canonical code, canonical root) for the free tree given by adjacency."""
-    best = None
-    for c in _tree_centers(adj):
-        code = _subtree_code(adj, c, -1)
-        if best is None or code > best[0]:
-            best = (code, c)
-    return best
-
-
-def _canonical_layout(adj: list[list[int]], root: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Relabel in preorder with children sorted by subtree code descending."""
-    depths: list[int] = []
-    edges: list[tuple[int, int]] = []
-    counter = [0]
-
-    def visit(v, parent, depth):
-        my_id = counter[0]
-        counter[0] += 1
-        depths.append(depth)
-        kids = sorted(
-            ((_subtree_code(adj, c, v), c) for c in adj[v] if c != parent), reverse=True
-        )
-        for _, c in kids:
-            edges.append((my_id, counter[0]))  # the child's preorder id
-            visit(c, v, depth + 1)
-
-    visit(root, -1, 0)
-    return tuple(depths), tuple(edges)
-
-
 @lru_cache(maxsize=None)
 def _free_trees_of_order(order: int) -> tuple[FreeTree, ...]:
-    seen = set()
+    """The rooted level sequences whose root is the tree's canonical center.
+
+    Vertex 0 is a center when its first (tallest) branch is at most one
+    level taller than the rest of the tree.  When it is exactly one taller,
+    vertex 1 is the second center, and the sequence is kept only if its code
+    is at least the code rooted at vertex 1.  Rerooted there, the rest of
+    the tree becomes vertex 1's tallest branch, so the two codes are "first
+    branch, then the rest's branches" against "the rest, then the first
+    branch's branches", and they compare as the first branch against the
+    rest, each as a rooted level sequence (a proper prefix is smaller).
+    """
     found: list[FreeTree] = []
     for levels in _rooted_level_sequences(order):
-        parents = _levels_to_parents(levels)
-        edges = [(parents[i], i) for i in range(1, order)]
-        adj = _adjacency(order, edges)
-        code, root = _canonical_free(adj)
-        if code in seen:
+        split = next((i for i in range(2, order) if levels[i] == 2), order)
+        first = levels[1:split]  # the branch at vertex 1
+        rest = [1] + levels[split:]  # vertex 0 with its other branches
+        rise = max(first, default=1) - max(rest)
+        if rise > 1 or (rise == 1 and [lv - 1 for lv in first] < rest):
             continue
-        seen.add(code)
-        depths, canon_edges = _canonical_layout(adj, root)
-        found.append(FreeTree(order=order, edges=canon_edges, code=depths))
+        parents = _levels_to_parents(levels)
+        found.append(
+            FreeTree(
+                order=order,
+                edges=tuple((parents[i], i) for i in range(1, order)),
+                code=tuple(lv - 1 for lv in levels),
+            )
+        )
     found.sort(key=lambda t: t.code)
     return tuple(found)
 
@@ -330,15 +318,10 @@ def candidate_from_code(code: str) -> TreeCandidate:
         raise ValueError("depth sequence must start with 0")
     if len(dirs) != order - 1 or any(c not in "du" for c in dirs):
         raise ValueError("need one 'd'/'u' per non-root vertex after '/'")
-    parents = [-1] * order
-    stack = [0]
     for i in range(1, order):
         if not (1 <= levels[i] <= levels[i - 1] + 1):
             raise ValueError(f"depth jump at position {i} in {code!r}")
-        while levels[stack[-1]] != levels[i] - 1:
-            stack.pop()
-        parents[i] = stack[-1]
-        stack.append(i)
+    parents = _levels_to_parents(levels)
     arcs = tuple(
         (parents[i], i) if dirs[i - 1] == "d" else (i, parents[i]) for i in range(1, order)
     )

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from snowteam.solvers import (
     solve_st,
     solve_stu,
 )
-from snowteam.trees import candidate_stream
+from snowteam.trees import MAX_ORDER, candidate_stream
 
 PARAMS = SolveParams(seed=7)
 CATALOGUE = Path(__file__).resolve().parents[1] / "bench" / "catalogue.json"
@@ -92,19 +93,54 @@ def test_solve_st_exact_threshold_routes_to_oracle():
     assert rep.failure_bound == 0.0
 
 
+def _two_promotions():
+    return make_instance(5, [(0, 1), (1, 2), (3, 4), (4, 2), (3, 0)], {0, 2}, {0: 1, 3: 1})
+
+
+def _report_fields(rep):
+    return (rep.answer, rep.candidates_tested, rep.detections_run, rep.failure_bound)
+
+
 def test_solve_st_parallel_jobs_agree():
     # YES at the first of two promotions: the second one's detection must
     # not be counted, however many workers run
-    two_promotions = make_instance(5, [(0, 1), (1, 2), (3, 4), (4, 2), (3, 0)], {0, 2}, {0: 1, 3: 1})
-    for inst in (toy1(), two_promotions):
+    for inst in (toy1(), _two_promotions()):
         a = solve_st(inst, PARAMS)
         b = solve_st(inst, SolveParams(seed=7, jobs=2))
-        assert (a.answer, a.candidates_tested, a.detections_run, a.failure_bound) == (
-            b.answer,
-            b.candidates_tested,
-            b.detections_run,
-            b.failure_bound,
-        )
+        assert _report_fields(a) == _report_fields(b)
+
+
+def test_jobs_pool_only_for_several_promotions(monkeypatch):
+    from snowteam import solvers
+
+    started = []
+    real = solvers.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        started.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "ProcessPoolExecutor", counting)
+    two = SolveParams(seed=7, jobs=2)
+    assert solve_st(toy1(), two).answer  # one promotion: no pool
+    assert started == []
+    assert _report_fields(solve_st(_two_promotions(), two)) == _report_fields(
+        solve_st(_two_promotions(), PARAMS)
+    )
+    assert started == [{"max_workers": 2}]
+
+
+def test_every_entry_point_refuses_over_the_cap():
+    # a 17-vertex directed path with 9 facilities needs trees of order 17
+    n = MAX_ORDER + 1
+    inst = make_instance(n, [(i, i + 1) for i in range(n - 1)], set(range(0, n, 2)), {0: 1})
+    start = time.perf_counter()
+    for solve in (solve_all_st, solve_st, solve_min_st, solve_max_st):
+        with pytest.raises(ValueError, match="use the exact path"):
+            solve(inst, PARAMS)
+    with pytest.raises(ValueError, match="use the exact path"):
+        solve_stu(inst, 1, PARAMS)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_min_st_examples():

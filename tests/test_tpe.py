@@ -357,7 +357,7 @@ def _direct_polynomial(inst, max_vars, max_zdeg):
             acc = poly_mul(acc, branch)
         return acc
 
-    return poly_add([q(inst.root, w, -1) for w in range(host.n)])
+    return poly_add([q(0, w, -1) for w in range(host.n)])
 
 
 def test_shared_dag_matches_unshared_expansion():

@@ -56,17 +56,45 @@ def test_prufer_oracle_counts():
         assert len(reps) == FREE_TREE_COUNTS[order - 1]
 
 
+def _nested_code(adj, v, parent):
+    return tuple(sorted((_nested_code(adj, c, v) for c in adj[v] if c != parent), reverse=True))
+
+
+def _assert_center_rooted_layout(t):
+    """Vertex 0 is a center (the larger-coded one when there are two, and
+    the other is vertex 1), ids are in preorder with edge i joining vertex
+    i+1 to its parent, and children come in non-increasing subtree code."""
+    order, code = t.order, t.code
+    adj = [[] for _ in range(order)]
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    centers = _tree_centers(adj)
+    assert centers in ([0], [0, 1])
+    if centers == [0, 1]:
+        assert _nested_code(adj, 0, -1) >= _nested_code(adj, 1, -1)
+    for i, (p, c) in enumerate(t.edges):
+        assert c == i + 1
+        assert code[c] == code[p] + 1
+        assert p == max(j for j in range(c) if code[j] == code[c] - 1)  # preorder
+    ends = [next((j for j in range(v + 1, order) if code[j] <= code[v]), order) for v in range(order)]
+    for v in range(order):
+        kids = [c for p, c in t.edges if p == v]
+        subtree_codes = [[d - code[c] for d in code[c : ends[c]]] for c in kids]
+        assert subtree_codes == sorted(subtree_codes, reverse=True), t
+
+
 def test_trees_are_valid_and_canonical():
-    for order in range(1, 10):
-        seen_codes = set()
+    for order in range(1, 12):
+        codes = []
         for t in enumerate_free_trees(order):
             assert t.order == order
             assert len(t.edges) == order - 1
             assert nx.is_tree(_to_nx(order, t.edges))
             assert len(t.code) == order and t.code[0] == 0
-            assert t.code not in seen_codes
-            seen_codes.add(t.code)
-        assert sorted(seen_codes) == sorted(seen_codes)
+            _assert_center_rooted_layout(t)
+            codes.append(t.code)
+        assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 def test_single_vertex():
