@@ -230,19 +230,22 @@ def check_detection_power() -> tuple[bool, str]:
     return True, f"20 embedded instances, worst frequency {worst:.3f}"
 
 
+#: directed trees on 1..9 vertices up to isomorphism (OEIS A000238)
+ORIENTED_TREE_COUNTS = (1, 1, 3, 8, 27, 91, 350, 1376, 5743)
+
+
 def check_tree_counts() -> tuple[bool, str]:
-    """Known counts of unrooted trees for orders 1..9; all orientations
-    enumerated for orders up to 8."""
-    for order, want in enumerate(FREE_TREE_COUNTS, start=1):
-        got = sum(1 for _ in enumerate_free_trees(order))
-        if got != want:
-            return False, f"order {order}: {got} trees, expected {want}"
-    for order in range(1, 9):
-        for tree in enumerate_free_trees(order):
-            got = sum(1 for _ in orient_tree(tree, dedupe=False))
-            if got != 2 ** (order - 1):
-                return False, f"order {order}: {got} orientations"
-    return True, "counts 1,1,1,2,3,6,11,23,47; orientations 2^(order-1)"
+    """Known counts of unrooted trees and of their orientation classes for
+    orders 1..9; all orientations enumerated for orders up to 8."""
+    for order in range(1, 10):
+        trees = list(enumerate_free_trees(order))
+        classes = sum(1 for t in trees for _ in orient_tree(t, dedupe=True))
+        want = (FREE_TREE_COUNTS[order - 1], ORIENTED_TREE_COUNTS[order - 1])
+        if (len(trees), classes) != want:
+            return False, f"order {order}: {len(trees)} trees, {classes} classes, expected {want}"
+        if order < 9 and any(sum(1 for _ in orient_tree(t)) != 2 ** (order - 1) for t in trees):
+            return False, f"order {order}: not 2^(order-1) orientations per tree"
+    return True, "trees 1,1,1,2,3,6,11,23,47; classes 1,1,3,8,27,91,350,1376,5743"
 
 
 def check_circuit_size() -> tuple[bool, str]:

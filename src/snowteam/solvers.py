@@ -167,11 +167,6 @@ def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozense
     return _kuhn_saturates(len(term_list), term_adj)
 
 
-def _exact_report(inst: Instance, t0: float) -> SolveReport:
-    ans, witness = solve_st_exact(inst)
-    return SolveReport(answer=ans, witness=witness, elapsed=time.perf_counter() - t0)
-
-
 def _search(
     closure: Instance,
     terminals: frozenset[int],
@@ -236,7 +231,8 @@ def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     if not inst.bases() <= inst.facilities():
         raise ValueError("restricted instance required: plough bases must be facilities")
     if inst.n <= params.exact_threshold:
-        return _exact_report(inst, t0)
+        ans, witness = solve_st_exact(inst)
+        return SolveReport(answer=ans, witness=witness, elapsed=time.perf_counter() - t0)
     return _decide(inst, inst.total_ploughs(), len(inst.facilities()), params, t0)
 
 
@@ -255,6 +251,29 @@ def _promotions(inst: Instance):
             )
 
 
+class _Workers:
+    """One top-level call's process pool: started by the first map of more
+    than one task when jobs > 1, with min(jobs, tasks) workers, then shared."""
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self.pool: Optional[ProcessPoolExecutor] = None
+
+    def map(self, fn, subs: list, sub_params: list):
+        workers = min(self.jobs, len(subs))
+        if self.pool is None and workers > 1:
+            self.pool = ProcessPoolExecutor(max_workers=workers)
+        return (map if self.pool is None else self.pool.map)(fn, subs, sub_params)
+
+    def __enter__(self) -> "_Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pool is not None:
+            # subs already running in a worker still finish; queued ones are dropped
+            self.pool.shutdown(cancel_futures=True)
+
+
 def solve_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
     """General decision: enumerate base promotions, solve each restricted case.
 
@@ -262,10 +281,18 @@ def solve_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport
     ``jobs`` runs them, so every ``jobs`` value gives the same report.
     """
     t0 = time.perf_counter()
+    with _Workers(params.jobs) as workers:
+        report = _solve_st(inst, params, workers)
+    report.elapsed = time.perf_counter() - t0
+    return report
+
+
+def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveReport:
     if inst.n <= params.exact_threshold:
-        return _exact_report(inst, t0)
+        ans, witness = solve_st_exact(inst)
+        return SolveReport(answer=ans, witness=witness)
     if len(inst.facilities()) <= 1:
-        return SolveReport(answer=True, elapsed=time.perf_counter() - t0)
+        return SolveReport(answer=True)
     eta_max = _check_scale(len(inst.facilities() | inst.bases()), inst.n)
     subs = list(_promotions(inst))
     report = SolveReport(answer=False)
@@ -273,22 +300,14 @@ def solve_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport
         replace(params, seed=params.seed + _SEED_STRIDE * 1000 * (i + 1), jobs=1)
         for i in range(len(subs))
     ]
-    workers = min(params.jobs, len(subs))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for sub in (map if pool is None else pool.map)(solve_all_st, subs, sub_params):
-            report.candidates_tested += sub.candidates_tested
-            report.detections_run += sub.detections_run
-            if sub.answer:
-                report.answer = True
-                break
-    finally:
-        if pool is not None:
-            # subs already running in a worker still finish; queued ones are dropped
-            pool.shutdown(cancel_futures=True)
+    for sub in workers.map(solve_all_st, subs, sub_params):
+        report.candidates_tested += sub.candidates_tested
+        report.detections_run += sub.detections_run
+        if sub.answer:
+            report.answer = True
+            break
     if not report.answer and report.detections_run:
         report.failure_bound = _miss(eta_max)
-    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -345,27 +364,27 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
         _check_scale(len(inst.facilities() | inst.bases()), inst.n)
     report = SolveReport(answer=True)
     bound_acc = 0.0
-    for size in range(len(fac), 1, -1):
-        size_misses = 0.0
-        for kept, subset in enumerate(itertools.combinations(fac, size)):
-            trimmed = replace(
-                inst, facility=tuple(v in set(subset) for v in range(inst.n))
-            )
-            sub = solve_st(
-                trimmed, replace(params, seed=params.seed + _SEED_STRIDE * 31 * (kept + size))
-            )
-            report.candidates_tested += sub.candidates_tested
-            report.detections_run += sub.detections_run
-            if sub.answer:
-                report.optimum = size
+    with _Workers(params.jobs) as workers:  # one pool for every subset
+        for size in range(len(fac), 1, -1):
+            size_misses = 0.0
+            for kept, subset in enumerate(itertools.combinations(fac, size)):
+                trimmed = replace(
+                    inst, facility=tuple(v in set(subset) for v in range(inst.n))
+                )
+                sub_params = replace(params, seed=params.seed + _SEED_STRIDE * 31 * (kept + size))
+                sub = _solve_st(trimmed, sub_params, workers)
+                report.candidates_tested += sub.candidates_tested
+                report.detections_run += sub.detections_run
+                if sub.answer:
+                    report.optimum = size
+                    break
+                size_misses += sub.failure_bound
+            if report.optimum is not None:
                 break
-            size_misses += sub.failure_bound
-        if report.optimum is not None:
-            break
-        # a missed NO at the optimum's own size cannot change the optimum
-        bound_acc += size_misses
-    else:
-        report.optimum = min(1, len(fac))
+            # a missed NO at the optimum's own size cannot change the optimum
+            bound_acc += size_misses
+        else:
+            report.optimum = min(1, len(fac))
     report.failure_bound = bound_acc
     report.elapsed = time.perf_counter() - t0
     return report

@@ -133,32 +133,20 @@ class Circuit:
 
 def _rooted_structure(tree: TreeCandidate):
     """Return (order of vertices deepest-first, in_children, out_children),
-    the tree rooted at vertex 0."""
-    eta = tree.order
-    und: list[list[int]] = [[] for _ in range(eta)]
-    arcset = set(tree.arcs)
-    for u, v in tree.arcs:
-        und[u].append(v)
-        und[v].append(u)
-    parent = [-2] * eta
-    parent[0] = -1
-    bfs = [0]
-    for v in bfs:
-        for c in und[v]:
-            if parent[c] == -2:
-                parent[c] = v
-                bfs.append(c)
-    in_children: list[list[int]] = [[] for _ in range(eta)]
-    out_children: list[list[int]] = [[] for _ in range(eta)]
-    for v in range(eta):
-        p = parent[v]
-        if p < 0:
-            continue
-        if (v, p) in arcset:
-            in_children[p].append(v)
+    the tree rooted at vertex 0.  Arc i joins vertex i+1 to its parent (the
+    ``TreeCandidate`` layout); the order is descending (depth, id)."""
+    depth = [0] * tree.order
+    in_children: list[list[int]] = [[] for _ in range(tree.order)]
+    out_children: list[list[int]] = [[] for _ in range(tree.order)]
+    for v, (a, b) in enumerate(tree.arcs, start=1):
+        if a == v:
+            depth[v] = depth[b] + 1
+            in_children[b].append(v)
         else:
-            out_children[p].append(v)
-    return list(reversed(bfs)), in_children, out_children
+            depth[v] = depth[a] + 1
+            out_children[a].append(v)
+    order = sorted(range(tree.order), key=lambda v: (depth[v], v), reverse=True)
+    return order, in_children, out_children
 
 
 def build_circuit(inst: TpeInstance) -> Circuit:

@@ -22,9 +22,10 @@ bit i set when edge i points parent -> child, and masks come out in
 increasing integer order.  The loop fixes edges depth first from the last
 preorder edge down to edge 0 and carries each vertex's out - in balance.
 Vertex v's demand is final once edge v-1 is set, so a budget cuts a branch
-as soon as the final demands exceed it.  Duplicate orientations are
-recognised by a directed code rooted at the free tree's centers, whose
-rootings are built once per tree; only masks within the budget are keyed.
+as soon as the final demands exceed it.  With dedupe it keeps the least mask
+of each directed-isomorphism class, recognised by two local rules on the
+mask that the layout makes exact, in the spirit of McKay's isomorph-free
+generation: no class key and no set of seen classes.
 """
 
 from __future__ import annotations
@@ -53,7 +54,12 @@ class FreeTree:
 
 @dataclass(frozen=True)
 class TreeCandidate:
-    """Directed tree with plough-demand weights."""
+    """Directed tree with plough-demand weights.
+
+    Layout invariant (``tpe`` relies on it): arc i joins vertex i+1 to its
+    parent, which has a smaller id; ``orientation[i]`` says whether it
+    points parent -> child.
+    """
 
     order: int
     arcs: tuple[tuple[int, int], ...]
@@ -101,34 +107,6 @@ def _levels_to_parents(levels: list[int]) -> list[int]:
         parents[i] = stack[-1]
         stack.append(i)
     return parents
-
-
-def _adjacency(n: int, edges) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def _tree_centers(adj: list[list[int]]) -> list[int]:
-    n = len(adj)
-    if n <= 2:
-        return list(range(n))
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in adj[v]:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    nxt.append(u)
-            deg[v] = 0
-        layer = nxt
-    return sorted(layer)
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +158,10 @@ def plough_demand(arcs, order: Optional[int] = None) -> tuple[int, ...]:
         raise ValueError("a tree on n vertices has n-1 arcs")
     if len(set(frozenset(a) for a in arcs)) != len(arcs):
         raise ValueError("repeated underlying edge")
-    adj = _adjacency(order, arcs)
+    adj: list[list[int]] = [[] for _ in range(order)]
+    for u, v in arcs:
+        adj[u].append(v)
+        adj[v].append(u)
     seen = {0}
     stack = [0]
     while stack:
@@ -199,39 +180,21 @@ def plough_demand(arcs, order: Optional[int] = None) -> tuple[int, ...]:
     return tuple(max(0, o - i) for o, i in zip(out, inc))
 
 
-def _center_rootings(tree: FreeTree) -> list[tuple[int, list[tuple[int, tuple]]]]:
-    """For each center r of tree: (r, the vertices with children, children
-    before parents, each with its child edges as (child, edge index, vertex
-    is the edge's parent end))."""
-    nbrs: list[list[tuple[int, int, bool]]] = [[] for _ in range(tree.order)]
-    for i, (p, c) in enumerate(tree.edges):
-        nbrs[p].append((c, i, True))
-        nbrs[c].append((p, i, False))
-    rootings = []
-    for r in _tree_centers([[c for c, _, _ in nb] for nb in nbrs]):
-        visit = [(r, -1)]
-        for v, parent in visit:
-            visit.extend((c, v) for c, _, _ in nbrs[v] if c != parent)
-        kids = [(v, tuple(e for e in nbrs[v] if e[0] != parent)) for v, parent in reversed(visit)]
-        rootings.append((r, [(v, ks) for v, ks in kids if ks]))
-    return rootings
-
-
-def _orientation_key(rootings, down) -> tuple:
-    """Directed-isomorphism class key of an orientation (down[i]: edge i
-    points parent -> child): the largest directed code rooted at a center,
-    since every automorphism of a tree fixes its center set.  A vertex's code
-    is the sorted tuple of (arc leaves the vertex, child's code) over its
-    children."""
-    best = ()
-    for root, internal in rootings:
-        code = [()] * (len(down) + 1)  # leaves keep the empty code
-        for v, kids in internal:
-            code[v] = tuple(
-                sorted(((down[i] == at_parent, code[c]) for c, i, at_parent in kids), reverse=True)
-            )
-        best = max(best, code[root])
-    return best
+def _symmetries(tree: FreeTree) -> tuple[list[int], int]:
+    """(twin, half) for a tree in canonical layout: twin[i] is the subtree
+    size of vertex i+1 when its next sibling's subtree has the same code,
+    else 0; half is s when the tree is two copies of one rooted tree on s
+    vertices, rooted at vertices 0 and 1 and joined by edge 0, else 0."""
+    n, code = tree.order, tree.code
+    end = [next((j for j in range(v + 1, n) if code[j] <= code[v]), n) for v in range(n)]
+    twin = [0] * (n - 1)
+    for c in range(1, n):
+        d = end[c]  # the next sibling, if it has c's depth
+        if d < n and code[d] == code[c] and code[c : end[c]] == code[d : end[d]]:
+            twin[c - 1] = end[c] - c
+    s = n // 2
+    mirror = n % 2 == 0 and [d - 1 for d in code[1 : s + 1]] == [0, *code[s + 1 :]]
+    return twin, s if mirror else 0
 
 
 def orient_tree(
@@ -239,8 +202,9 @@ def orient_tree(
 ) -> Iterator[TreeCandidate]:
     """Orientations of tree in increasing mask order, bit i set when edge i
     points parent -> child.  With budget, only those of total demand at most
-    budget; dedupe keeps the first orientation of each directed-isomorphism
-    class.
+    budget; dedupe keeps the least mask of each directed-isomorphism class.
+    tree must come from ``enumerate_free_trees``: dedupe relies on its
+    canonical layout.
 
     Masks are built depth first from the last preorder edge down to edge 0,
     trying up before down, which is increasing integer order.  Edge i joins
@@ -249,56 +213,69 @@ def orient_tree(
     branch is cut as soon as the final demands exceed the budget; the root's
     demand is final at the leaf.  Demands come from the carried balances.
 
+    Dedupe.  Child c's block is edge c-1 and the edges below c: the bit
+    range c-1 .. c+size(c)-2.  The tree's automorphisms are generated by
+    exchanging the blocks of twin siblings (consecutive siblings with equal
+    subtree codes, hence laid out identically) and, when the tree is a
+    mirror, two copies of one rooted tree on s vertices joined by edge 0,
+    by swapping the halves, bits 1..s-1 with bits s..2s-2, which reverses
+    edge 0.  Higher bits weigh more, so a mask is the least of its class
+    exactly when
+
+    (a) block(c) >= block(c') for each child c with a twin next sibling c',
+        both read as integers, checked once edge c-1 is set; and
+    (b) on a mirror, bits s..2s-2 <= bits 1..s-1 and, on a tie, bit 0 is
+        clear (edge 0 points up), checked at the leaf.
+
     Directed-isomorphic orientations have the same demand multiset, so the
-    cut removes whole classes, and every surviving class keeps its first
-    mask: the output is the unbudgeted output filtered by budget, in the
-    same order.  The class key is the largest directed code over the free
-    tree's centers (``_orientation_key``); the center rootings are built
-    once per tree and a key is computed only for a mask within the budget.
+    budget removes whole classes: the output is the unbudgeted output
+    filtered by budget, in the same order.
     """
     n = tree.order
     m = n - 1
     edges = tree.edges
     cap = m if budget is None else budget  # total demand never exceeds the arc count
-    if dedupe:
-        rootings = _center_rootings(tree)
-        seen: set[tuple] = set()
+    twin, half = _symmetries(tree) if dedupe else ([0] * m, 0)
     bal = [0] * n  # outdeg - indeg over the edges set so far
-    down = [False] * m
     arcs: list[tuple[int, int]] = [(0, 0)] * m
 
-    def extend(i: int, done: int) -> Iterator[TreeCandidate]:
+    def extend(i: int, done: int, mask: int) -> Iterator[TreeCandidate]:
         # edges i+1..m-1 are set; done is the final demand of vertices i+2..n-1
         if i < 0:
             if done + max(bal[0], 0) > cap:
                 return
-            if dedupe:
-                key = _orientation_key(rootings, down)
-                if key in seen:
+            if half:  # (b)
+                lo = (mask >> 1) & ((1 << (half - 1)) - 1)
+                hi = mask >> half
+                if hi > lo or (hi == lo and mask & 1):
                     return
-                seen.add(key)
             yield TreeCandidate(
                 order=n,
                 arcs=tuple(arcs),
                 demand=tuple(b if b > 0 else 0 for b in bal),
                 free_code=tree.code,
-                orientation=tuple(down),
+                orientation=tuple(bool((mask >> j) & 1) for j in range(m)),
             )
             return
         p, c = edges[i]
+        size = twin[i]
         for is_down in (False, True):
+            bits = mask | (is_down << i)
+            if size:  # (a)
+                block = (1 << size) - 1
+                if ((bits >> i) & block) < ((bits >> (i + size)) & block):
+                    continue
             step = 1 if is_down else -1
             bal[p] += step
             bal[c] -= step
             total = done + max(bal[c], 0)
             if total <= cap:
-                down[i] = is_down
                 arcs[i] = (p, c) if is_down else (c, p)
-                yield from extend(i - 1, total)
+                yield from extend(i - 1, total, bits)
             bal[p] -= step
             bal[c] += step
 
-    return extend(m - 1, 0)
+    return extend(m - 1, 0, 0)
 
 
 def candidate_from_code(code: str) -> TreeCandidate:

@@ -28,6 +28,18 @@ PARAMS = SolveParams(seed=7)
 CATALOGUE = Path(__file__).resolve().parents[1] / "bench" / "catalogue.json"
 
 
+def _catalogue(family):
+    return [
+        make_instance(
+            spec["n"],
+            [tuple(a) for a in spec["arcs"]],
+            set(spec["facilities"]),
+            {v: c for v, c in enumerate(spec["ploughs"]) if c},
+        )
+        for spec in json.loads(CATALOGUE.read_text())[family]
+    ]
+
+
 def toy1():
     return make_instance(3, [(0, 1), (1, 2)], {0, 2}, {0: 1})
 
@@ -128,6 +140,14 @@ def test_jobs_pool_only_for_several_promotions(monkeypatch):
         solve_st(_two_promotions(), PARAMS)
     )
     assert started == [{"max_workers": 2}]
+    # max-st: every facility subset is one st decision, several of them with
+    # more than one promotion, and the whole call shares one pool
+    for inst in _catalogue("max-st"):
+        started.clear()
+        rep = solve_max_st(inst, SolveParams(seed=3, jobs=2))
+        assert started == [{"max_workers": 2}]
+        one = solve_max_st(inst, SolveParams(seed=3))
+        assert (rep.optimum, *_report_fields(rep)) == (one.optimum, *_report_fields(one))
 
 
 def test_every_entry_point_refuses_over_the_cap():
@@ -168,13 +188,7 @@ def test_max_st_examples():
 def test_max_st_bound_after_many_no_sub_decisions():
     """Each NO sub-decision adds only 2*eta_max/2^64, so dozens of them stay
     far below 1e-3."""
-    spec = json.loads(CATALOGUE.read_text())["st-no"][5]
-    inst = make_instance(
-        spec["n"],
-        [tuple(a) for a in spec["arcs"]],
-        set(spec["facilities"]),
-        {v: c for v, c in enumerate(spec["ploughs"]) if c},
-    )
+    inst = _catalogue("st-no")[5]
     rep = solve_max_st(inst, SolveParams())
     assert rep.optimum == 2
     assert rep.detections_run > 1

@@ -9,7 +9,6 @@ from snowteam.trees import (
     FREE_TREE_COUNTS,
     MAX_ORDER,
     TreeCandidate,
-    _tree_centers,
     candidate_stream,
     enumerate_free_trees,
     orient_tree,
@@ -69,7 +68,7 @@ def _assert_center_rooted_layout(t):
     for u, v in t.edges:
         adj[u].append(v)
         adj[v].append(u)
-    centers = _tree_centers(adj)
+    centers = sorted(nx.center(_to_nx(order, t.edges)))
     assert centers in ([0], [0, 1])
     if centers == [0, 1]:
         assert _nested_code(adj, 0, -1) >= _nested_code(adj, 1, -1)
@@ -120,6 +119,8 @@ def test_order_out_of_range():
 def test_orientation_count(order):
     for tree in enumerate_free_trees(order):
         assert sum(1 for _ in orient_tree(tree, dedupe=False)) == 2 ** (order - 1)
+        light = [c for c in orient_tree(tree) if c.total_demand() <= 3]
+        assert list(orient_tree(tree, budget=3)) == light
 
 
 def test_path3_orientation_classes():
@@ -230,14 +231,13 @@ def _directed_code(adj_dir, v, parent):
     )
 
 
-def _directed_canonical(order, arcs):
+def _directed_canonical(order, arcs, centers):
     """Directed-isomorphism key rebuilt from scratch for one orientation."""
     adj_dir = [[] for _ in range(order)]
     for u, v in arcs:
         adj_dir[u].append((v, True))
         adj_dir[v].append((u, False))
-    und = [[c for c, _ in nb] for nb in adj_dir]
-    return max(_directed_code(adj_dir, c, -1) for c in _tree_centers(und))
+    return max(_directed_code(adj_dir, c, -1) for c in centers)
 
 
 def _reference_classes(order):
@@ -246,12 +246,13 @@ def _reference_classes(order):
     rows = []
     for tree in enumerate_free_trees(order):
         m = order - 1
+        centers = nx.center(_to_nx(order, tree.edges))
         seen = set()
         for mask in range(1 << m):
             arcs = tuple(
                 (u, v) if mask >> i & 1 else (v, u) for i, (u, v) in enumerate(tree.edges)
             )
-            key = _directed_canonical(order, arcs)
+            key = _directed_canonical(order, arcs, centers)
             if key in seen:
                 continue
             seen.add(key)
@@ -262,9 +263,9 @@ def _reference_classes(order):
 
 
 def test_candidate_stream_matches_reference():
-    classes = {order: _reference_classes(order) for order in range(1, 9)}
+    classes = {order: _reference_classes(order) for order in range(1, 10)}
     for f in range(1, 6):
-        for max_order in range(f, 9):
+        for max_order in range(f, 10):
             for budget in (None, 0, 1, 2, 3, 4, 5):
                 want = [
                     row
@@ -279,22 +280,21 @@ def test_candidate_stream_matches_reference():
                 assert got == want, (f, max_order, budget)
 
 
-def test_budget_prunes_before_keying(monkeypatch):
-    from snowteam import trees
-
-    keyed = []
-    real = trees._orientation_key
-
-    def counting(rootings, down):
-        keyed.append(tuple(down))
-        return real(rootings, down)
-
-    monkeypatch.setattr(trees, "_orientation_key", counting)
-    kept = [c for t in enumerate_free_trees(8) for c in orient_tree(t, dedupe=True, budget=3)]
-    assert kept and all(c.total_demand() <= 3 for c in kept)
-    # 490 of the 23 * 2^7 orientations of order 8 have demand at most 3
-    assert sum(1 for t in enumerate_free_trees(8) for _ in orient_tree(t, budget=3)) == 490
-    assert len(keyed) <= 490
+@pytest.mark.parametrize(
+    "code,classes",
+    [
+        ((0, 1, 1, 1), 4),  # star K1,3: three twin leaves, by out-degree 0..3
+        ((0, 1, 2, 1), 4),  # path on 4 vertices: a mirror of two edges
+        ((0, 1, 2, 2, 1, 1), 9),  # double broom: a mirror of two cherries
+    ],
+)
+def test_twin_and_mirror_rules_on_named_trees(code, classes):
+    tree = next(t for t in enumerate_free_trees(len(code)) if t.code == code)
+    kept = list(orient_tree(tree, dedupe=True))
+    assert len(kept) == classes
+    digraphs = [nx.DiGraph(c.arcs) for c in kept]
+    for a, b in itertools.combinations(digraphs, 2):
+        assert not nx.is_isomorphic(a, b)
 
 
 def test_golden_canonical_codes():
