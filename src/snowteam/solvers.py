@@ -8,6 +8,19 @@ plough capacities.  The general decision enumerates which plough bases to
 promote to facilities; the min/max/unspecified variants reuse the same
 machinery.
 
+Before any closure or candidate, every pipeline decision runs one
+certain-NO precheck, ``_base_reach_connects_facilities``.  Let R be the plough bases
+and every vertex reachable from one.  Each plough's walk starts at its base,
+so every cleared arc lies on a walk from a base and both its ends are in R:
+the cleared subgraph is a subgraph of D[R].  With two or more facilities,
+each must touch a cleared arc and all must share one component of the
+cleared subgraph, hence every facility is in R and all facilities share one
+weak component of D[R].  When this fails the answer is NO with certainty:
+no candidate is counted, no detection runs and the bound is 0.  A base
+promotion keeps a subset of the original bases and adds facilities, so its
+R shrinks and its facility set grows; one failure on the original bases
+decides every promotion.
+
 Every pipeline searches through one loop, ``_search``: it filters each
 candidate tree, builds the tree's circuit and runs one detection on it,
 stopping at the first YES.  It is the only place that derives detection
@@ -83,8 +96,34 @@ def _miss(eta_max: int) -> float:
     return 2 * eta_max / 2**64
 
 
+# kept only for bench/scan.py, which draws the catalogue with it, until that
+# scan is redrawn on the base-reachability rule (ROADMAP item 1)
 def _facilities_in_one_weak_component(inst: Instance) -> bool:
     return facilities_connected(inst, inst.arcs)
+
+
+def _spread(seed: int, step: tuple[int, ...], within: int) -> int:
+    """Vertices reached from the seed mask by repeated steps inside within."""
+    seen = frontier = seed
+    while frontier:
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= step[v]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _base_reach_connects_facilities(inst: Instance) -> bool:
+    """Necessary for a YES (module docstring): every facility lies in R, the
+    bases and all vertices reachable from them, and all facilities lie in one
+    weak component of the subgraph induced by R."""
+    reach = _spread(sum(1 << b for b in inst.bases()), inst.out_mask, -1)
+    fac = sum(1 << f for f in inst.facilities())
+    if fac & ~reach:
+        return False
+    both = tuple(o | i for o, i in zip(inst.out_mask, inst.in_mask))
+    return not fac & ~_spread(fac & -fac, both, reach)
 
 
 def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
@@ -215,7 +254,7 @@ def _decide(
         return SolveReport(answer=True, elapsed=time.perf_counter() - t0)
     eta_max = _check_scale(l_param, host.n)
     report = SolveReport(answer=False)
-    if budget and _facilities_in_one_weak_component(host):
+    if budget and _base_reach_connects_facilities(host):
         stream = candidate_stream(len(fac), eta_max, budget=budget)
         hit = _search(transitive_closure(host), fac, stream, params, report, params.seed)
         report.answer = hit is not None
@@ -294,8 +333,10 @@ def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveRe
     if len(inst.facilities()) <= 1:
         return SolveReport(answer=True)
     eta_max = _check_scale(len(inst.facilities() | inst.bases()), inst.n)
-    subs = list(_promotions(inst))
     report = SolveReport(answer=False)
+    if not _base_reach_connects_facilities(inst):
+        return report  # certain for every promotion (module docstring)
+    subs = list(_promotions(inst))
     sub_params = [
         replace(params, seed=params.seed + _SEED_STRIDE * 1000 * (i + 1), jobs=1)
         for i in range(len(subs))
@@ -327,9 +368,9 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     hits = 0
     for sub_i, sub_inst in enumerate(_promotions(inst)):
         fac = sub_inst.facilities()
-        kb = sub_inst.total_ploughs()
-        if kb == 0 or not _facilities_in_one_weak_component(sub_inst):
+        if not _base_reach_connects_facilities(sub_inst):
             continue
+        kb = sub_inst.total_ploughs()
         eta_max = min(2 * len(fac) - 1, sub_inst.n)
         closure = transitive_closure(sub_inst)
         budget = kb if best is None else min(kb, best - 1)  # only lighter candidates
@@ -391,7 +432,12 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
 
 
 def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> SolveReport:
-    """Decision with k freely placed ploughs; the instance's B is ignored."""
+    """Decision with k freely placed ploughs; the instance's B is ignored.
+
+    Every vertex may hold a plough, so every vertex is in R and the
+    base-reachability precheck reduces to weak connectivity of the
+    facilities in D.
+    """
     t0 = time.perf_counter()
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -52,6 +52,17 @@ def test_solve_min_max_stu(toy1_file, toy2_file, capsys):
     assert run_cli(["solve", "--problem", "stu", "--input", toy2_file, "--k", "0"]) == 1
 
 
+def test_solve_json_on_base_reachability_no(tmp_path, capsys):
+    # facility 2 is neither a base nor reachable from base 0: decided before
+    # any candidate, so the NO is certain
+    p = tmp_path / "unreachable.st"
+    p.write_text("st 3 2\nv 0 1 1\nv 1 0 0\nv 2 1 0\na 0 1\na 2 1\n")
+    for problem, code in (("st", 1), ("min-st", 1), ("max-st", 0)):
+        assert run_cli(["solve", "--problem", problem, "--input", str(p), "--json"]) == code
+        out = capsys.readouterr().out
+        assert '"candidates_tested": 0' in out and '"failure_bound": 0.0' in out, problem
+
+
 def test_solve_stu_requires_k(toy1_file, capsys):
     assert run_cli(["solve", "--problem", "stu", "--input", toy1_file]) == 2
     assert "needs --k" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,9 @@ from snowteam.exact import solve_st_exact, solve_variant_exact
 from snowteam.gadgets import gen_fig3
 from snowteam.solvers import (
     SolveParams,
+    _base_reach_connects_facilities,
     _candidate_feasible,
+    _facilities_in_one_weak_component,
     _kuhn_saturates,
     is_tree_like,
     normalize_to_tree_like,
@@ -82,6 +85,76 @@ def test_all_st_no_detections_is_certain():
     # facilities in different weak components: certain NO without detections
     rep = solve_all_st(split, PARAMS)
     assert not rep.answer and rep.detections_run == 0 and rep.failure_bound == 0.0
+
+
+# oracle-NO instances that the base-reachability precheck decides; R is the
+# bases plus every vertex reachable from them
+RULE_NOS = {
+    # facility 1 is weakly joined to the base but not reachable from it
+    "reachability": make_instance(2, [(1, 0)], {0, 1}, {0: 1}),
+    # both facilities are bases, in different weak components
+    "component": make_instance(4, [(0, 1), (2, 3)], {0, 2}, {0: 1, 2: 1}),
+    # both facilities are bases and weakly joined, but only through vertex 2,
+    # which is outside R
+    "combined": make_instance(3, [(2, 0), (2, 1)], {0, 1}, {0: 1, 1: 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_NOS))
+def test_base_reachability_decides_without_candidates(name):
+    inst = RULE_NOS[name]
+    assert not solve_st_exact(inst)[0]
+    assert not _base_reach_connects_facilities(inst)
+    for solve in (solve_all_st, solve_st, solve_min_st):
+        rep = solve(inst, PARAMS)
+        assert not rep.answer and rep.optimum is None, solve
+        assert (rep.candidates_tested, rep.detections_run, rep.failure_bound) == (0, 0, 0.0)
+
+
+def test_base_reachability_halves():
+    # the first and last cases pass the plain weak-component test on D
+    assert _facilities_in_one_weak_component(RULE_NOS["reachability"])
+    assert not _facilities_in_one_weak_component(RULE_NOS["component"])
+    assert _facilities_in_one_weak_component(RULE_NOS["combined"])
+
+
+def test_base_reachability_rules_out_every_promotion(monkeypatch):
+    # the only base, 2, reaches facility 0 but not facility 1, so no
+    # promotion of it can help, and max-st's one two-facility subset is NO
+    from snowteam import solvers
+
+    inst = make_instance(3, [(2, 0), (1, 0)], {0, 1}, {2: 2})
+    assert not solve_st_exact(inst)[0]
+    decided = []
+    monkeypatch.setattr(solvers, "solve_all_st", lambda *args: decided.append(args))
+    for solve in (solve_st, solve_min_st):
+        rep = solve(inst, PARAMS)
+        assert not rep.answer and rep.candidates_tested == 0 and rep.failure_bound == 0.0
+    rep = solve_max_st(inst, PARAMS)
+    assert rep.optimum == 1 and rep.candidates_tested == 0 and rep.failure_bound == 0.0
+    assert decided == []  # one check on the original bases, no promotion built
+
+
+def test_base_reachability_never_rejects_a_yes():
+    """Seeded property: whenever the precheck says NO, the exact oracle does,
+    on gen_random instances (ploughs on facilities) and on the same instances
+    with the ploughs moved to arbitrary vertices."""
+    rng = random.Random(20261018)
+    checked = flagged = 0
+    while checked < 2000:
+        n = rng.randint(3, 7)
+        inst = gen_random(n, rng.randint(n - 2, 2 * n), 0.5, rng.randrange(10**6), rng.randint(1, 2))
+        if len(inst.facilities()) < 2:
+            continue
+        moved = [0] * n
+        for _ in range(rng.randint(1, 3)):
+            moved[rng.randrange(n)] += 1
+        for case in (inst, replace(inst, ploughs=tuple(min(c, n - 1) for c in moved))):
+            if not _base_reach_connects_facilities(case):
+                flagged += 1
+                assert not solve_st_exact(case)[0], case
+        checked += 1
+    assert flagged >= 1000
 
 
 def test_solve_st_examples():
@@ -186,9 +259,11 @@ def test_max_st_examples():
 
 
 def test_max_st_bound_after_many_no_sub_decisions():
-    """Each NO sub-decision adds only 2*eta_max/2^64, so dozens of them stay
+    """Each NO sub-decision adds only 2*eta_max/2^64, so many of them stay
     far below 1e-3."""
-    inst = _catalogue("st-no")[5]
+    # st-no[4]'s NO sub-decisions pass the base-reachability precheck and
+    # run detections; st-no[5]'s are decided by the precheck alone
+    inst = _catalogue("st-no")[4]
     rep = solve_max_st(inst, SolveParams())
     assert rep.optimum == 2
     assert rep.detections_run > 1
@@ -199,18 +274,24 @@ def test_default_single_trial_matches_oracle():
     """One trial per detection, the default, answers every instance right,
     and NO answers that ran detections carry the proven bound."""
     rng = random.Random(0)
-    checked = no_with_detections = 0
-    while checked < 100:
+    insts = []
+    while len(insts) < 100:
         n = rng.randint(4, 6)
         inst = gen_random(n, rng.randint(n - 1, n + 2), 0.5, rng.randrange(10**6), rng.randint(2, 3))
         if len(inst.facilities() | inst.bases()) > 4:
             continue
+        insts.append(inst)
+    # none of these small random NOs reaches a detection (the
+    # base-reachability precheck or the filter decides them); the
+    # catalogue's st-no classes do
+    insts += _catalogue("st-no")
+    no_with_detections = 0
+    for checked, inst in enumerate(insts):
         rep = solve_st(inst, SolveParams(seed=checked))
         assert rep.answer == solve_st_exact(inst)[0], inst
         if not rep.answer and rep.detections_run:
             assert 0 < rep.failure_bound <= 2 * 7 / 2**64
             no_with_detections += 1
-        checked += 1
     assert no_with_detections >= 1
 
 
