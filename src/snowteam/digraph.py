@@ -8,7 +8,7 @@ cleared arcs must connect all facilities in the underlying graph.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -238,23 +238,42 @@ def serialize_walks(sol: SolutionWalks) -> str:
 # ---------------------------------------------------------------------------
 # graph operations
 
+def bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def reach(seed: int, step, within: int = -1) -> int:
+    """Vertex mask reached from the seed mask by repeated steps inside within.
+
+    step[v] is the mask of vertices one step from v (``Instance.out_mask``
+    walks arcs forwards); the seed's own vertices are always included.
+    """
+    seen = frontier = seed
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= step[v]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def transitive_closure(inst: Instance) -> Instance:
     """Digraph with an arc (u,v) whenever a nonempty directed path u->v exists.
 
     Self-loops are excluded even for vertices on cycles; F and B carry over.
     """
-    arcs: set[tuple[int, int]] = set()
-    for s in range(inst.n):
-        seen = set()
-        stack = list(inst.out_adj[s])
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(inst.out_adj[v])
-        arcs.update((s, t) for t in seen if t != s)
-    return Instance(n=inst.n, arcs=frozenset(arcs), facility=inst.facility, ploughs=inst.ploughs)
+    out = inst.out_mask
+    arcs = frozenset(
+        (s, t) for s in range(inst.n) for t in bits(reach(out[s], out) & ~(1 << s))
+    )
+    return Instance(n=inst.n, arcs=arcs, facility=inst.facility, ploughs=inst.ploughs)
 
 
 def sources(inst: Instance) -> frozenset[int]:
@@ -270,29 +289,18 @@ def facilities_connected(inst: Instance, cleared) -> bool:
     unless there are fewer than two facilities (then the condition is
     vacuous and the answer is True).
     """
-    cleared = set(cleared)
+    adj = [0] * inst.n
     for a in cleared:
         if tuple(a) not in inst.arcs:
             raise ValueError(f"cleared set contains a non-arc {a}")
+        u, v = a
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     fac = inst.facilities()
     if len(fac) <= 1:
         return True
-    adj: dict[int, set[int]] = {}
-    for u, v in cleared:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    start = next(iter(fac))
-    if start not in adj:
-        return False
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return fac <= seen
+    fac_mask = sum(1 << f for f in fac)
+    return not fac_mask & ~reach(fac_mask & -fac_mask, adj)
 
 
 def walk_is_valid(inst: Instance, w: Walk) -> bool:

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .digraph import Instance, SolutionWalks, Walk, facilities_connected, verify_st_solution
+from .digraph import Instance, SolutionWalks, Walk, facilities_connected, reach, verify_st_solution
 from .tpe import TpeInstance
 
 
@@ -149,18 +149,6 @@ def _maximal_paths(inst: Instance, start: int, cap: int) -> list[tuple[int, ...]
     return out
 
 
-def _reach_mask(inst: Instance, start: int) -> int:
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in inst.out_adj[v]:
-            if not (seen >> u) & 1:
-                seen |= 1 << u
-                stack.append(u)
-    return seen
-
-
 def _dag_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[SolutionWalks]]:
     fac = inst.facilities()
     if len(fac) <= 1:
@@ -176,12 +164,12 @@ def _dag_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[Solutio
         if total_choices > limits.max_dag_choices:
             raise LimitsExceeded("too many maximal paths overall")
         choices.append([(p, sum(1 << v for v in p)) for p in paths])
-    reach = [_reach_mask(inst, s) for s in starts]
+    reached = [reach(1 << s, inst.out_mask) for s in starts]
     failed: set = set()
 
     def mergeable(comps: tuple[int, ...], i: int) -> bool:
         """Optimistic check: can remaining ploughs connect all facilities?"""
-        grown, pending = some_fac, [*comps, *reach[i:]]
+        grown, pending = some_fac, [*comps, *reached[i:]]
         while True:
             joined = [m for m in pending if m & grown]
             if not joined:

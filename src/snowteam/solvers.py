@@ -21,10 +21,17 @@ promotion keeps a subset of the original bases and adds facilities, so its
 R shrinks and its facility set grows; one failure on the original bases
 decides every promotion.
 
-Every pipeline searches through one loop, ``_search``: it filters each
-candidate tree, builds the tree's circuit and runs one detection on it,
-stopping at the first YES.  It is the only place that derives detection
-seeds and counts candidates and detections.
+Every restricted decision runs through one routine, ``_decide``: the
+precheck, the closure, the candidates within the plough budget, the filter
+and one detection per surviving candidate, stopping at the first YES.
+``solve_all_st`` (so each ``st`` promotion), ``solve_stu`` and each
+``min-st`` promotion call it; it is the only place that counts candidates
+and detections.  Detection seeds are spaced by ``_SEED_STRIDE``.  The i-th
+base promotion (from 1) gets ``params.seed + _SEED_STRIDE * 1000 * i``, and
+the detection counted j-th (from 0) in its report runs with that seed plus
+``_SEED_STRIDE * j``; a ``min-st`` report counts across its promotions.
+``max-st`` runs the kept-th facility subset of each size through ``st`` with
+``params.seed + _SEED_STRIDE * 31 * (kept + size)``.
 
 All detections are one-sided, so YES answers are certain.  A NO answer is
 wrong only if the detection of the first embeddable candidate in search
@@ -37,18 +44,22 @@ detections that could change the optimum.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Callable, Optional
 
 from . import trees
 from .digraph import (
     Instance,
     SolutionWalks,
     Walk,
+    bits,
     facilities_connected,
+    reach,
     transitive_closure,
     verify_st_solution,
 )
@@ -90,6 +101,19 @@ class SolveReport:
     witness: Optional[SolutionWalks] = None
 
 
+def _timed(solve):
+    """Public entry point whose report carries the call's wall time."""
+
+    @functools.wraps(solve)
+    def timed(*args, **kwargs) -> SolveReport:
+        t0 = time.perf_counter()
+        report = solve(*args, **kwargs)
+        report.elapsed = time.perf_counter() - t0
+        return report
+
+    return timed
+
+
 def _miss(eta_max: int) -> float:
     """Chance that one detection misses an embeddable tree of order at most
     eta_max."""
@@ -102,28 +126,16 @@ def _facilities_in_one_weak_component(inst: Instance) -> bool:
     return facilities_connected(inst, inst.arcs)
 
 
-def _spread(seed: int, step: tuple[int, ...], within: int) -> int:
-    """Vertices reached from the seed mask by repeated steps inside within."""
-    seen = frontier = seed
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= step[v]
-        frontier = nxt & within & ~seen
-        seen |= frontier
-    return seen
-
-
 def _base_reach_connects_facilities(inst: Instance) -> bool:
     """Necessary for a YES (module docstring): every facility lies in R, the
     bases and all vertices reachable from them, and all facilities lie in one
     weak component of the subgraph induced by R."""
-    reach = _spread(sum(1 << b for b in inst.bases()), inst.out_mask, -1)
+    within = reach(sum(1 << b for b in inst.bases()), inst.out_mask)
     fac = sum(1 << f for f in inst.facilities())
-    if fac & ~reach:
+    if fac & ~within:
         return False
     both = tuple(o | i for o, i in zip(inst.out_mask, inst.in_mask))
-    return not fac & ~_spread(fac & -fac, both, reach)
+    return not fac & ~reach(fac & -fac, both, within)
 
 
 def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
@@ -141,16 +153,6 @@ def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
         return False
 
     return all(try_assign(v, set()) for v in range(left_count))
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozenset[int]) -> bool:
@@ -186,49 +188,24 @@ def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozense
             # keep a's placements with an out-neighbour among b's, then b's
             # placements with an in-neighbour among a's
             pred_b = 0
-            for x in _bits(compat[b]):
+            for x in bits(compat[b]):
                 pred_b |= in_mask[x]
             if compat[a] & ~pred_b:
                 compat[a] &= pred_b
                 changed = True
             succ_a = 0
-            for w in _bits(compat[a]):
+            for w in bits(compat[a]):
                 succ_a |= out_mask[w]
             if compat[b] & ~succ_a:
                 compat[b] &= succ_a
                 changed = True
         if any(not c for c in compat):
             return False
-    if not _kuhn_saturates(eta, [_bits(c) for c in compat]):
+    if not _kuhn_saturates(eta, [bits(c) for c in compat]):
         return False
     term_list = sorted(terminals)
     term_adj = [[v for v in range(eta) if compat[v] >> w & 1] for w in term_list]
     return _kuhn_saturates(len(term_list), term_adj)
-
-
-def _search(
-    closure: Instance,
-    terminals: frozenset[int],
-    candidates: Iterable[TreeCandidate],
-    params: SolveParams,
-    report: SolveReport,
-    seed_base: int,
-) -> Optional[TreeCandidate]:
-    """First candidate whose detection answers YES, or None.
-
-    Counts every candidate drawn and every detection run into ``report``;
-    the detection counted j-th so far uses seed ``seed_base + _SEED_STRIDE * j``.
-    """
-    for cand in candidates:
-        report.candidates_tested += 1
-        if not _candidate_feasible(closure, cand, terminals):
-            continue
-        circuit = build_circuit(make_tpe_instance(closure, cand, terminals=terminals))
-        seed = seed_base + _SEED_STRIDE * report.detections_run
-        report.detections_run += 1
-        if detect_zt_multilinear(circuit, t=len(terminals), k=cand.order, seed=seed):
-            return cand
-    return None
 
 
 def _check_scale(l_param: int, n: int) -> int:
@@ -245,61 +222,104 @@ def _check_scale(l_param: int, n: int) -> int:
 
 
 def _decide(
-    host: Instance, budget: int, l_param: int, params: SolveParams, t0: float
-) -> SolveReport:
-    """Does a tree on at most 2*l_param-1 vertices with total demand at most
-    budget embed into host's closure, covering every facility of host?"""
-    fac = host.facilities()
-    if len(fac) <= 1:
-        return SolveReport(answer=True, elapsed=time.perf_counter() - t0)
+    host: Instance,
+    budget: int,
+    l_param: int,
+    seed: int,
+    report: SolveReport,
+    order: Optional[Callable[[TreeCandidate], object]] = None,
+) -> Optional[TreeCandidate]:
+    """First tree on at most 2*l_param-1 vertices with total demand at most
+    budget whose detection finds it embedded in host's closure covering
+    every facility of host, or None.  host has at least two facilities.
+
+    Candidates come in enumeration order, or sorted by the key ``order``.
+    Counts every candidate drawn and every detection run into ``report``;
+    the detection counted j-th so far uses seed ``seed + _SEED_STRIDE * j``.
+    Past the precheck, it sets ``report.failure_bound`` to the chance that
+    one of its detections misses, which the caller scales to its answer.
+    """
     eta_max = _check_scale(l_param, host.n)
-    report = SolveReport(answer=False)
-    if budget and _base_reach_connects_facilities(host):
-        stream = candidate_stream(len(fac), eta_max, budget=budget)
-        hit = _search(transitive_closure(host), fac, stream, params, report, params.seed)
-        report.answer = hit is not None
-        if not report.answer and report.detections_run:
-            report.failure_bound = _miss(eta_max)
-    report.elapsed = time.perf_counter() - t0
+    if not _base_reach_connects_facilities(host):
+        return None
+    report.failure_bound = _miss(eta_max)
+    if not budget:
+        return None  # every tree on two or more vertices needs a plough
+    closure = transitive_closure(host)
+    fac = host.facilities()
+    stream = candidate_stream(len(fac), eta_max, budget=budget)
+    for cand in stream if order is None else sorted(stream, key=order):
+        report.candidates_tested += 1
+        if not _candidate_feasible(closure, cand, fac):
+            continue
+        circuit = build_circuit(make_tpe_instance(closure, cand, terminals=fac))
+        det_seed = seed + _SEED_STRIDE * report.detections_run
+        report.detections_run += 1
+        if detect_zt_multilinear(circuit, t=len(fac), k=cand.order, seed=det_seed):
+            return cand
+    return None
+
+
+def _decision(host: Instance, budget: int, l_param: int, seed: int) -> SolveReport:
+    """``_decide`` as a report: YES outright with at most one facility, and a
+    NO carries the miss bound only if a detection ran."""
+    report = SolveReport(answer=len(host.facilities()) <= 1)
+    if not report.answer:
+        report.answer = _decide(host, budget, l_param, seed, report) is not None
+        if report.answer or not report.detections_run:
+            report.failure_bound = 0.0
     return report
 
 
+@_timed
 def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
     """Decision for restricted instances (every plough base is a facility)."""
-    t0 = time.perf_counter()
     if not inst.bases() <= inst.facilities():
         raise ValueError("restricted instance required: plough bases must be facilities")
     if inst.n <= params.exact_threshold:
         ans, witness = solve_st_exact(inst)
-        return SolveReport(answer=ans, witness=witness, elapsed=time.perf_counter() - t0)
-    return _decide(inst, inst.total_ploughs(), len(inst.facilities()), params, t0)
+        return SolveReport(answer=ans, witness=witness)
+    return _decision(inst, inst.total_ploughs(), len(inst.facilities()), params.seed)
 
 
-def _promotions(inst: Instance):
-    """Restricted sub-instances from promoting base subsets to facilities."""
+def _promotions(inst: Instance, seed: int):
+    """Restricted sub-instances from promoting base subsets to facilities,
+    each with its detection seed."""
     fac, bases = inst.facilities(), inst.bases()
     extra = sorted(bases - fac)
-    for size in range(len(extra) + 1):
-        for subset in itertools.combinations(extra, size):
-            promoted = fac | set(subset)
-            keep = set(subset) | (fac & bases)
-            yield replace(
-                inst,
-                facility=tuple(v in promoted for v in range(inst.n)),
-                ploughs=tuple(inst.ploughs[v] if v in keep else 0 for v in range(inst.n)),
-            )
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(extra, size) for size in range(len(extra) + 1)
+    )
+    for i, subset in enumerate(subsets, 1):
+        promoted = fac | set(subset)
+        keep = set(subset) | (fac & bases)
+        sub = replace(
+            inst,
+            facility=tuple(v in promoted for v in range(inst.n)),
+            ploughs=tuple(inst.ploughs[v] if v in keep else 0 for v in range(inst.n)),
+        )
+        yield sub, seed + _SEED_STRIDE * 1000 * i
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
 
 
 class _Workers:
     """One top-level call's process pool: started by the first map of more
-    than one task when jobs > 1, with min(jobs, tasks) workers, then shared."""
+    than one task when jobs > 1, with min(jobs, tasks, usable CPUs) workers,
+    then shared."""
 
     def __init__(self, jobs: int):
         self.jobs = jobs
         self.pool: Optional[ProcessPoolExecutor] = None
 
-    def map(self, fn, subs: list, sub_params: list):
-        workers = min(self.jobs, len(subs))
+    def map(self, fn, subs, sub_params):
+        workers = min(self.jobs, len(subs), _usable_cpus())
         if self.pool is None and workers > 1:
             self.pool = ProcessPoolExecutor(max_workers=workers)
         return (map if self.pool is None else self.pool.map)(fn, subs, sub_params)
@@ -313,17 +333,15 @@ class _Workers:
             self.pool.shutdown(cancel_futures=True)
 
 
+@_timed
 def solve_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
     """General decision: enumerate base promotions, solve each restricted case.
 
     Sub-reports are read in promotion order up to the first YES, whichever
     ``jobs`` runs them, so every ``jobs`` value gives the same report.
     """
-    t0 = time.perf_counter()
     with _Workers(params.jobs) as workers:
-        report = _solve_st(inst, params, workers)
-    report.elapsed = time.perf_counter() - t0
-    return report
+        return _solve_st(inst, params, workers)
 
 
 def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveReport:
@@ -336,75 +354,62 @@ def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveRe
     report = SolveReport(answer=False)
     if not _base_reach_connects_facilities(inst):
         return report  # certain for every promotion (module docstring)
-    subs = list(_promotions(inst))
-    sub_params = [
-        replace(params, seed=params.seed + _SEED_STRIDE * 1000 * (i + 1), jobs=1)
-        for i in range(len(subs))
-    ]
+    subs, seeds = zip(*_promotions(inst, params.seed))
+    sub_params = [replace(params, seed=seed, jobs=1) for seed in seeds]
     for sub in workers.map(solve_all_st, subs, sub_params):
         report.candidates_tested += sub.candidates_tested
         report.detections_run += sub.detections_run
         if sub.answer:
             report.answer = True
-            break
-    if not report.answer and report.detections_run:
+            return report
+    if report.detections_run:
         report.failure_bound = _miss(eta_max)
     return report
 
 
+@_timed
 def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
     """Minimum ploughs, among those placed, that suffice; infeasible -> answer False."""
-    t0 = time.perf_counter()
     if inst.n <= params.exact_threshold:
         best = solve_variant_exact(inst, "min-st")
-        return SolveReport(
-            answer=best is not None, optimum=best, elapsed=time.perf_counter() - t0
-        )
+        return SolveReport(answer=best is not None, optimum=best)
     if len(inst.facilities()) <= 1:
-        return SolveReport(answer=True, optimum=0, elapsed=time.perf_counter() - t0)
-    eta_max = _check_scale(len(inst.facilities() | inst.bases()), inst.n)
+        return SolveReport(answer=True, optimum=0)
+    _check_scale(len(inst.facilities() | inst.bases()), inst.n)
     report = SolveReport(answer=False)
     best: Optional[int] = None
     hits = 0
-    for sub_i, sub_inst in enumerate(_promotions(inst)):
-        fac = sub_inst.facilities()
-        if not _base_reach_connects_facilities(sub_inst):
-            continue
-        kb = sub_inst.total_ploughs()
-        eta_max = min(2 * len(fac) - 1, sub_inst.n)
-        closure = transitive_closure(sub_inst)
+    for sub, seed in _promotions(inst, params.seed):
+        kb = sub.total_ploughs()
         budget = kb if best is None else min(kb, best - 1)  # only lighter candidates
-        cands = sorted(
-            candidate_stream(len(fac), eta_max, budget=budget),
-            key=lambda c: (c.total_demand(), c.order, c.code_str()),
+        hit = _decide(
+            sub, budget, len(sub.facilities()), seed, report,
+            order=lambda c: (c.total_demand(), c.order, c.code_str()),  # lightest first
         )
-        seed_base = params.seed + _SEED_STRIDE * 1000 * (sub_i + 1)
-        hit = _search(closure, fac, cands, params, report, seed_base)
         if hit is not None:
             best = hit.total_demand()
             hits += 1
     report.answer = best is not None
     report.optimum = best
-    if report.detections_run:
-        # a wrong optimum needs some lighter candidate's detection to have
-        # missed; a wrong "infeasible" needs some embeddable candidate missed
-        relevant = report.detections_run - hits if best is not None else 1
-        report.failure_bound = relevant * _miss(eta_max)
-    report.elapsed = time.perf_counter() - t0
+    # _decide left one detection's miss bound at the largest order it could
+    # test in failure_bound.  A wrong optimum needs some lighter candidate's
+    # detection to have missed; a wrong "infeasible" needs some embeddable
+    # candidate missed
+    relevant = report.detections_run - hits if best is not None else 1
+    report.failure_bound = relevant * report.failure_bound if report.detections_run else 0.0
     return report
 
 
+@_timed
 def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
     """Largest facility subset that can be reconnected with the placed ploughs."""
-    t0 = time.perf_counter()
     if inst.n <= params.exact_threshold:
         best = solve_variant_exact(inst, "max-st")
-        return SolveReport(answer=True, optimum=best, elapsed=time.perf_counter() - t0)
+        return SolveReport(answer=True, optimum=best)
     fac = sorted(inst.facilities())
     if len(fac) > 1:
         _check_scale(len(inst.facilities() | inst.bases()), inst.n)
     report = SolveReport(answer=True)
-    bound_acc = 0.0
     with _Workers(params.jobs) as workers:  # one pool for every subset
         for size in range(len(fac), 1, -1):
             size_misses = 0.0
@@ -418,19 +423,15 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
                 report.detections_run += sub.detections_run
                 if sub.answer:
                     report.optimum = size
-                    break
+                    return report
                 size_misses += sub.failure_bound
-            if report.optimum is not None:
-                break
             # a missed NO at the optimum's own size cannot change the optimum
-            bound_acc += size_misses
-        else:
-            report.optimum = min(1, len(fac))
-    report.failure_bound = bound_acc
-    report.elapsed = time.perf_counter() - t0
+            report.failure_bound += size_misses
+    report.optimum = min(1, len(fac))
     return report
 
 
+@_timed
 def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> SolveReport:
     """Decision with k freely placed ploughs; the instance's B is ignored.
 
@@ -438,15 +439,13 @@ def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> So
     base-reachability precheck reduces to weak connectivity of the
     facilities in D.
     """
-    t0 = time.perf_counter()
     if k < 0:
         raise ValueError("k must be nonnegative")
     if inst.n <= params.exact_threshold:
-        ans = solve_variant_exact(inst, "stu", k=k)
-        return SolveReport(answer=ans, elapsed=time.perf_counter() - t0)
+        return SolveReport(answer=solve_variant_exact(inst, "stu", k=k))
     # capacity n-1 everywhere is equivalent to unconstrained: demands never exceed it
     free_host = replace(inst, ploughs=tuple(inst.n - 1 for _ in range(inst.n)))
-    return _decide(free_host, k, len(inst.facilities()) + k, params, t0)
+    return _decision(free_host, k, len(inst.facilities()) + k, params.seed)
 
 
 # ---------------------------------------------------------------------------

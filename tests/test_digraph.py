@@ -5,10 +5,12 @@ import pytest
 from snowteam.digraph import (
     Instance,
     ParseError,
+    bits,
     facilities_connected,
     make_instance,
     parse_instance,
     parse_walks,
+    reach,
     serialize_instance,
     serialize_walks,
     sources,
@@ -108,6 +110,39 @@ def test_serialize_round_trip_random():
         assert parse_instance(serialize_instance(inst)) == inst
 
 
+def test_bits_lists_set_positions_ascending():
+    assert bits(0) == []
+    assert bits(0b101001) == [0, 3, 5]
+    assert bits(1 << 70) == [70]
+
+
+def test_reach_steps_inside_within_and_keeps_the_seed():
+    # path 0 -> 1 -> 2 -> 3 and a side arc 3 -> 0
+    step = (0b0010, 0b0100, 0b1000, 0b0001)
+    assert reach(0b0001, step) == 0b1111
+    assert reach(0b0100, step, within=0b0110) == 0b0100  # 3 is outside within
+    assert reach(0b1000, step, within=0b0110) == 0b1000  # the seed stays, 0 is outside
+    assert reach(0b0001, step, within=0b0011) == 0b0011
+    assert reach(0, step) == 0
+
+
+def test_reach_matches_a_plain_search_on_randoms():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        inst = make_instance(n, rng.sample(pairs, k=rng.randint(0, len(pairs))), set(), {})
+        seed, within = rng.getrandbits(n), rng.getrandbits(n)
+        seen = set(bits(seed))
+        stack = list(seen)
+        while stack:
+            for u in inst.out_adj[stack.pop()]:
+                if within >> u & 1 and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        assert reach(seed, inst.out_mask, within) == sum(1 << v for v in seen)
+
+
 def test_transitive_closure_toy1():
     tc = transitive_closure(toy1())
     assert tc.arcs == {(0, 1), (1, 2), (0, 2)}
@@ -189,6 +224,23 @@ def test_facilities_connected():
     assert facilities_connected(single, set())
     with pytest.raises(ValueError, match="non-arc"):
         facilities_connected(inst, {(2, 0)})
+    with pytest.raises(ValueError, match="non-arc"):
+        facilities_connected(single, [(1, 0)])  # checked even with one facility
+
+
+def test_facilities_connected_matches_networkx_on_randoms():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, k=rng.randint(0, len(pairs)))
+        fac = set(rng.sample(range(n), rng.randint(2, n)))
+        inst = make_instance(n, arcs, fac, {})
+        cleared = rng.sample(arcs, k=rng.randint(0, len(arcs)))
+        g = nx.Graph(cleared)
+        expected = fac <= set(g) and any(fac <= c for c in nx.connected_components(g))
+        assert facilities_connected(inst, iter(cleared)) == expected
 
 
 def test_walk_is_valid():

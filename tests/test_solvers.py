@@ -1,8 +1,12 @@
+import importlib
+import importlib.util
 import json
 import random
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -206,6 +210,7 @@ def test_jobs_pool_only_for_several_promotions(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 8)  # not capped on a 1-CPU host
     two = SolveParams(seed=7, jobs=2)
     assert solve_st(toy1(), two).answer  # one promotion: no pool
     assert started == []
@@ -221,6 +226,51 @@ def test_jobs_pool_only_for_several_promotions(monkeypatch):
         assert started == [{"max_workers": 2}]
         one = solve_max_st(inst, SolveParams(seed=3))
         assert (rep.optimum, *_report_fields(rep)) == (one.optimum, *_report_fields(one))
+
+
+def test_jobs_pool_capped_at_usable_cpus(monkeypatch):
+    from snowteam import solvers
+
+    started = []
+
+    def fake_pool(**kwargs):  # records the request, starts no process
+        started.append(kwargs)
+        return SimpleNamespace(map=map, shutdown=lambda **_: None)
+
+    # facilities 0 and 7 on a two-way path, six non-facility bases: 64 promotions
+    path = [(i, i + 1) for i in range(7)] + [(i + 1, i) for i in range(7)]
+    inst = make_instance(8, path, {0, 7}, {v: 1 for v in range(1, 7)})
+    assert solvers._usable_cpus() >= 1
+    monkeypatch.setattr(solvers, "ProcessPoolExecutor", fake_pool)
+    for cpus, workers in ((1, None), (2, 2), (5, 5), (100, 64)):
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: cpus)
+        started.clear()
+        rep = solve_st(inst, SolveParams(seed=7, jobs=64))
+        assert started == ([] if workers is None else [{"max_workers": workers}])
+        assert _report_fields(rep) == _report_fields(solve_st(inst, PARAMS))
+
+
+def test_every_solver_reports_its_wall_time():
+    # pipeline, exact and one-facility paths; both instances are restricted
+    restricted = make_instance(3, [(0, 1), (1, 2)], {0, 2}, {0: 1, 2: 1})
+    one_facility = make_instance(3, [(0, 1), (1, 2)], {0}, {0: 1})
+    stu = lambda inst, p: solve_stu(inst, 1, p)  # noqa: E731
+    for solve in (solve_all_st, solve_st, solve_min_st, solve_max_st, stu):
+        for inst in (restricted, one_facility):
+            for params in (PARAMS, SolveParams(seed=7, exact_threshold=10)):
+                assert solve(inst, params).elapsed > 0
+
+
+def test_span_targets_resolve_to_callables(monkeypatch):
+    # the benchmark times layers by rebinding these names; read, never changed
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans_under_test", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look the module up
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for t in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(t.module), t.attr, None)), t
 
 
 def test_every_entry_point_refuses_over_the_cap():
