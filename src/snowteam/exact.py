@@ -8,13 +8,23 @@ Two engines for the clearing decision:
   first placed anywhere for free.  Witness walks are move-count minimal.
   Ploughs are interchangeable, so positions are kept sorted.
 
-* A sequential engine for acyclic instances of any size within memo limits:
-  walk unions are interleaving-independent, so ploughs can be processed one
-  at a time, and extending a walk never breaks connectivity, so only
-  sink-maximal paths need to be considered.  Vertex sets are int bitmasks,
-  and a state is the sorted tuple of the cleared subgraph's component
-  masks, which is already canonical.  This makes the Set-Cover gadgets
-  tractable, which the plain BFS state space is not.
+* A branching engine for acyclic instances of any size within memo limits,
+  which makes the Set-Cover gadgets tractable.  On a DAG walks are paths,
+  their union does not depend on their order, and extending a walk never
+  breaks connectivity, so each plough stays put or takes a sink-maximal
+  path.  A state is the bitmask of free ploughs and the sorted tuple of the
+  cleared subgraph's component bitmasks (canonical).  Ploughs at one base
+  are interchangeable, so only the lowest free one there takes a path.
+  With two or more facilities, each state branches on the paths one of
+  which every solution below it must still choose; as the order of choices
+  is free, no solution is lost:
+
+  - While some facility lies on no chosen path, on the paths through the
+    one with the fewest: in a solution it has a cleared arc, on a path
+    still to come.  No such path means NO.
+  - Once all are covered but split, on the paths that meet the component C
+    holding the least facility and leave it: without one, every later arc
+    lies inside C or outside it, so C stays a component short of a facility.
 
 Both engines implement the same semantics and are cross-checked in tests.
 """
@@ -26,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .digraph import Instance, SolutionWalks, Walk, facilities_connected, reach, verify_st_solution
+from .digraph import Instance, SolutionWalks, Walk, bits, facilities_connected, verify_st_solution
 from .tpe import TpeInstance
 
 
@@ -153,69 +163,59 @@ def _dag_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[Solutio
     fac = inst.facilities()
     if len(fac) <= 1:
         return True, _replay_moves(inst, [])  # zero-length walks
-    fac_mask = sum(1 << f for f in fac)
-    some_fac = 1 << min(fac)
-    starts = list(_initial_positions(inst))
-    total_choices = 0
-    choices: list[list[tuple[tuple[int, ...], int]]] = []
-    for s in starts:
-        paths = _maximal_paths(inst, s, limits.max_dag_choices)
-        total_choices += len(paths)
+    fac_mask, least_fac = sum(1 << f for f in fac), 1 << min(fac)
+    starts = _initial_positions(inst)
+    # plough i is bit i of a free mask; one group per base: (its ploughs, its paths)
+    groups, total_choices = [], 0
+    via: dict = {f: {} for f in fac}  # facility -> {base ploughs: its paths through it}
+    for b in sorted(set(starts)):
+        paths = _maximal_paths(inst, b, limits.max_dag_choices)
+        total_choices += len(paths) * inst.ploughs[b]
         if total_choices > limits.max_dag_choices:
             raise LimitsExceeded("too many maximal paths overall")
-        choices.append([(p, sum(1 << v for v in p)) for p in paths])
-    reached = [reach(1 << s, inst.out_mask) for s in starts]
+        ploughs = sum(1 << i for i, s in enumerate(starts) if s == b)
+        groups.append((ploughs, [(p, sum(1 << v for v in p)) for p in paths if len(p) > 1]))
+        for c in groups[-1][1]:
+            for f in bits(c[1] & fac_mask):
+                via[f].setdefault(ploughs, []).append(c)
     failed: set = set()
 
-    def mergeable(comps: tuple[int, ...], i: int) -> bool:
-        """Optimistic check: can remaining ploughs connect all facilities?"""
-        grown, pending = some_fac, [*comps, *reached[i:]]
-        while True:
-            joined = [m for m in pending if m & grown]
-            if not joined:
-                return fac_mask & ~grown == 0
-            pending = [m for m in pending if not m & grown]
-            for m in joined:
-                grown |= m
-
-    def recurse(i: int, comps: tuple[int, ...]) -> Optional[list]:
+    def recurse(free: int, comps: tuple[int, ...]) -> Optional[list]:
         """comps: the cleared subgraph's component masks, sorted (canonical)."""
         if any(fac_mask & ~c == 0 for c in comps):
             return []
-        if i == len(starts):
-            return None
-        key = (i, comps)
+        key = (free, comps)
         if key in failed:
             return None
-        if not mergeable(comps, i):
-            failed.add(key)
-            return None
-        touched = sum(comps)  # components are disjoint
-        ranked = sorted(
-            choices[i],
-            key=lambda c: -(c[1] & ~touched & fac_mask).bit_count() if len(c[0]) > 1 else 0,
-        )
-        for path, mask in ranked:
-            if len(path) == 1:
-                n_comps = comps
-            else:
-                kept = [c for c in comps if not c & mask]
-                merged = mask | sum(c for c in comps if c & mask)
-                n_comps = tuple(sorted(kept + [merged]))
-            rest = recurse(i + 1, n_comps)
+        uncovered = fac_mask & ~sum(comps)  # components are disjoint
+        if uncovered:  # the most constrained facility; no options at all fails
+            best = min(bits(uncovered),
+                       key=lambda f: sum(len(t) for m, t in via[f].items() if free & m))
+            options = [(m, c) for m, t in via[best].items() if free & m for c in t]
+        else:  # every facility covered: leave the component of the least one
+            home = next(c for c in comps if c & least_fac)
+            options = [(m, c) for m, ps in groups if free & m
+                       for c in ps if c[1] & home and c[1] & ~home]
+        options.sort(key=lambda o: -(o[1][1] & uncovered).bit_count())  # most newly covered first
+        for m, (path, mask) in options:
+            plough = free & m & -(free & m)  # the lowest free plough at the base
+            kept = [c for c in comps if not c & mask]
+            merged = mask | sum(c for c in comps if c & mask)
+            rest = recurse(free ^ plough, tuple(sorted(kept + [merged])))
             if rest is not None:
-                return [path] + rest
+                return [(plough.bit_length() - 1, path)] + rest
         failed.add(key)
         if len(failed) > limits.max_dag_states:
-            raise LimitsExceeded("sequential-engine memo budget exhausted")
+            raise LimitsExceeded("acyclic-engine memo budget exhausted")
         return None
 
-    chosen = recurse(0, ())
+    chosen = recurse((1 << len(starts)) - 1, ())
     if chosen is None:
         return False, None
-    # ploughs that were not needed keep zero-length walks
-    walks = [Walk(p) for p in chosen] + [Walk((s,)) for s in starts[len(chosen) :]]
-    return True, SolutionWalks(tuple(walks))
+    walks = [(s,) for s in starts]  # ploughs that were not needed keep zero-length walks
+    for i, path in chosen:
+        walks[i] = path
+    return True, SolutionWalks(tuple(Walk(w) for w in walks))
 
 
 def solve_st_exact(

@@ -11,6 +11,8 @@ from snowteam.exact import (
     solve_st_exact,
     solve_variant_exact,
 )
+from snowteam.gadgets import SetCoverInstance, build_gadget
+from snowteam.selfcheck import SAMPLE_COVER
 
 
 def toy1():
@@ -113,10 +115,44 @@ def test_engines_agree_on_tiny_dags():
     assert agree == 150
 
 
+def test_engines_agree_at_the_bfs_limits():
+    # n 7-8, at most 14 arcs and 4 ploughs: the largest instances the BFS
+    # engine takes, with stacked ploughs, bases at sinks and spare vertices
+    rng = random.Random(13)
+    limits = ExactLimits()
+    yes = stacked = sink_bases = 0
+    for _ in range(400):
+        n = rng.randint(7, 8)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pairs = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)]
+        arcs = rng.sample(pairs, k=rng.randint(n - 1, 14))
+        fac = set(rng.sample(range(n), k=rng.randint(2, 5)))
+        pl: dict[int, int] = {}
+        for _ in range(rng.randint(2, 4)):
+            v = rng.choice(sorted(pl)) if pl and rng.random() < 0.4 else rng.randrange(n)
+            pl[v] = pl.get(v, 0) + 1
+        inst = make_instance(n, arcs, fac, pl)
+        assert inst.n <= limits.max_n and len(inst.arcs) <= limits.max_arcs
+        assert inst.total_ploughs() <= limits.max_kb
+        bfs_ans, bfs_wit = _bfs_st(inst, limits)
+        dag_ans, dag_wit = _dag_st(inst, limits)
+        assert bfs_ans == dag_ans, inst
+        if dag_ans:
+            for witness in (bfs_wit, dag_wit):
+                ok, reason = verify_st_solution(inst, witness)
+                assert ok, reason
+        yes += dag_ans
+        stacked += max(pl.values()) > 1
+        sink_bases += any(not inst.out_adj[v] for v in pl)
+    assert yes >= 50 and 400 - yes >= 50
+    assert stacked >= 100 and sink_bases >= 100
+
+
 def test_dag_path_joins_two_components():
-    # Ploughs run in start order 0, 1, 2, 2.  The first two clear 0-3 and 1-4;
-    # the third walks 2->3 (or 2->4) and joins one of them; only the fourth
-    # plough's path meets both components, through 2 and through 4 (or 3).
+    # The only paths through the facilities, 0-3 and 1-4, leave them split.
+    # Both ploughs at 2 must then leave the component of 0 in turn: 2->3
+    # joins it, and 2->4 carries it on to the component of 1.
     inst = make_instance(5, [(0, 3), (1, 4), (2, 3), (2, 4)], {0, 1}, {0: 1, 1: 1, 2: 2})
     limits = ExactLimits()
     assert _bfs_st(inst, limits)[0]
@@ -135,6 +171,16 @@ def test_limits_refuse_large_cyclic():
     )
     with pytest.raises(LimitsExceeded):
         solve_st_exact(big_cycle, ExactLimits(max_n=4, max_arcs=4, max_kb=2))
+
+
+def test_dag_engine_limits():
+    # the budget-1 sample gadget is a NO that fails some hundred states
+    inst = build_gadget(SetCoverInstance(SAMPLE_COVER.n_items, SAMPLE_COVER.sets, 1)).instance
+    assert not _dag_st(inst, ExactLimits())[0]
+    with pytest.raises(LimitsExceeded, match="memo budget"):
+        _dag_st(inst, ExactLimits(max_dag_states=5))
+    with pytest.raises(LimitsExceeded, match="maximal paths"):
+        _dag_st(inst, ExactLimits(max_dag_choices=5))
 
 
 def test_min_st_examples():

@@ -18,6 +18,7 @@ from snowteam.gadgets import (
     solve_set_cover_exact,
     walks_to_cover,
 )
+from snowteam.selfcheck import SAMPLE_COVER
 
 SAMPLE = SetCoverInstance(
     n_items=5, sets=((1, 3, 4), (2, 3), (2, 4, 5), (3, 4, 5)), k=2
@@ -203,6 +204,25 @@ def test_canonicalize_random_witnesses():
             ok, reason = verify_st_solution(g.instance, canon)
             assert ok, reason
             assert sc.is_cover(walks_to_cover(g, witness))
+
+
+def test_renumbered_sample_gadgets():
+    # the exact engine breaks ties by vertex id, so item numbering moves its
+    # search and the witness it returns; answers and covers must not move
+    rng = random.Random(20171201)
+    for k in (1, 2, 3):
+        for _ in range(8):
+            perm = list(range(1, SAMPLE_COVER.n_items + 1))
+            rng.shuffle(perm)
+            sets = tuple(tuple(sorted(perm[x - 1] for x in s)) for s in SAMPLE_COVER.sets)
+            sc = SetCoverInstance(SAMPLE_COVER.n_items, sets, k)
+            g = build_gadget(sc)
+            ans, witness = solve_st_exact(g.instance)
+            assert ans == (solve_set_cover_exact(sc) is not None), sc
+            assert ans == (k >= 2)
+            if ans:
+                cover = walks_to_cover(g, witness)
+                assert sc.is_cover(cover) and len(cover) <= k, (sc, cover)
 
 
 def test_gen_fig3_closure_adds_nothing():
