@@ -27,7 +27,6 @@ from .digraph import (
     walks_from_lists,
 )
 from .exact import (
-    ExactLimits,
     LimitsExceeded,
     solve_st_exact,
     solve_tpe_exact,
@@ -37,7 +36,6 @@ from .gadgets import (
     GadgetLayout,
     SetCoverInstance,
     build_gadget,
-    canonicalize_solution,
     cover_to_walks,
     gen_fig3,
     parse_set_cover,

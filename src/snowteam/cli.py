@@ -253,8 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     extract = sub.add_parser(
         "extract-cover",
-        help="read a set cover off gadget walks (input is the set-cover file; "
-        "the gadget is rebuilt deterministically)",
+        help="read a set cover off verifying gadget walks: the sets whose rows "
+        "leave the hub z on a cleared arc (input is the set-cover file; the "
+        "gadget is rebuilt deterministically)",
     )
     extract.add_argument("--input", required=True)
     extract.add_argument("--walks", required=True)

@@ -75,7 +75,12 @@ class Instance:
 
 def make_instance(n, arcs, facilities, ploughs) -> Instance:
     """Convenience constructor from any iterables / facility set / plough map."""
-    fac = tuple(v in set(facilities) for v in range(n))
+    facilities = set(facilities)
+    keyed = facilities | set(ploughs) if isinstance(ploughs, dict) else facilities
+    for v in sorted(keyed):
+        if not 0 <= v < n:
+            raise ValueError(f"vertex id {v} out of range for n={n}")
+    fac = tuple(v in facilities for v in range(n))
     if isinstance(ploughs, dict):
         pl = tuple(ploughs.get(v, 0) for v in range(n))
     else:

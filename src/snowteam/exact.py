@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from .digraph import Instance, SolutionWalks, Walk, bits, facilities_connected, verify_st_solution
@@ -44,14 +44,14 @@ class LimitsExceeded(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExactLimits:
-    max_n: int = 8
-    max_arcs: int = 14
-    max_kb: int = 4
-    max_bfs_states: int = 3_000_000
-    max_dag_choices: int = 200_000
-    max_dag_states: int = 2_000_000
+# the BFS engine takes instances with at most MAX_N vertices, MAX_ARCS arcs
+# and MAX_KB ploughs; the other budgets bound the work of either engine
+MAX_N = 8
+MAX_ARCS = 14
+MAX_KB = 4
+MAX_BFS_STATES = 3_000_000
+MAX_DAG_CHOICES = 200_000
+MAX_DAG_STATES = 2_000_000
 
 
 def _is_dag(inst: Instance) -> bool:
@@ -82,7 +82,7 @@ def _replay_moves(inst: Instance, moves: list[tuple[int, int]]) -> SolutionWalks
 
 
 def _bfs(
-    inst: Instance, positions: tuple[int, ...], unplaced: int, limits: ExactLimits
+    inst: Instance, positions: tuple[int, ...], unplaced: int
 ) -> Optional[list[tuple[Optional[int], int]]]:
     """Fewest moves from (positions, unplaced, nothing cleared) to a state whose
     cleared arcs connect the facilities, or None.  A move (v, u) takes a plough
@@ -123,7 +123,7 @@ def _bfs(
             if nxt in pred:
                 continue
             pred[nxt] = (state, move)
-            if len(pred) > limits.max_bfs_states:
+            if len(pred) > MAX_BFS_STATES:
                 raise LimitsExceeded("BFS state budget exhausted")
             if accepting(nxt[2]):
                 moves = []
@@ -135,8 +135,8 @@ def _bfs(
     return None
 
 
-def _bfs_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[SolutionWalks]]:
-    moves = _bfs(inst, _initial_positions(inst), 0, limits)
+def _bfs_st(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
+    moves = _bfs(inst, _initial_positions(inst), 0)
     if moves is None:
         return False, None
     return True, _replay_moves(inst, moves)
@@ -159,7 +159,7 @@ def _maximal_paths(inst: Instance, start: int, cap: int) -> list[tuple[int, ...]
     return out
 
 
-def _dag_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[SolutionWalks]]:
+def _dag_st(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
     fac = inst.facilities()
     if len(fac) <= 1:
         return True, _replay_moves(inst, [])  # zero-length walks
@@ -169,9 +169,9 @@ def _dag_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[Solutio
     groups, total_choices = [], 0
     via: dict = {f: {} for f in fac}  # facility -> {base ploughs: its paths through it}
     for b in sorted(set(starts)):
-        paths = _maximal_paths(inst, b, limits.max_dag_choices)
+        paths = _maximal_paths(inst, b, MAX_DAG_CHOICES)
         total_choices += len(paths) * inst.ploughs[b]
-        if total_choices > limits.max_dag_choices:
+        if total_choices > MAX_DAG_CHOICES:
             raise LimitsExceeded("too many maximal paths overall")
         ploughs = sum(1 << i for i, s in enumerate(starts) if s == b)
         groups.append((ploughs, [(p, sum(1 << v for v in p)) for p in paths if len(p) > 1]))
@@ -205,7 +205,7 @@ def _dag_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[Solutio
             if rest is not None:
                 return [(plough.bit_length() - 1, path)] + rest
         failed.add(key)
-        if len(failed) > limits.max_dag_states:
+        if len(failed) > MAX_DAG_STATES:
             raise LimitsExceeded("acyclic-engine memo budget exhausted")
         return None
 
@@ -218,20 +218,12 @@ def _dag_st(inst: Instance, limits: ExactLimits) -> tuple[bool, Optional[Solutio
     return True, SolutionWalks(tuple(Walk(w) for w in walks))
 
 
-def solve_st_exact(
-    inst: Instance, limits: Optional[ExactLimits] = None
-) -> tuple[bool, Optional[SolutionWalks]]:
+def solve_st_exact(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
     """Ground-truth clearing decision with a verifying witness on YES."""
-    limits = limits or ExactLimits()
-    small = (
-        inst.n <= limits.max_n
-        and len(inst.arcs) <= limits.max_arcs
-        and inst.total_ploughs() <= limits.max_kb
-    )
-    if small:
-        ans, witness = _bfs_st(inst, limits)
+    if inst.n <= MAX_N and len(inst.arcs) <= MAX_ARCS and inst.total_ploughs() <= MAX_KB:
+        ans, witness = _bfs_st(inst)
     elif _is_dag(inst):
-        ans, witness = _dag_st(inst, limits)
+        ans, witness = _dag_st(inst)
     else:
         raise LimitsExceeded(
             f"instance (n={inst.n}, m={len(inst.arcs)}, k_B={inst.total_ploughs()}) "
@@ -261,10 +253,8 @@ def solve_tpe_exact(inst: TpeInstance) -> Optional[dict[int, int]]:
     return None
 
 
-def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None,
-                        limits: Optional[ExactLimits] = None):
+def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):
     """Exact optimum for 'min-st' / 'max-st', or the 'stu' decision for k ploughs."""
-    limits = limits or ExactLimits()
     if variant == "min-st":
         ranges = [range(b + 1) for b in inst.ploughs]
         best: Optional[int] = None
@@ -273,7 +263,7 @@ def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None,
             if best is not None and total >= best:
                 continue
             sub = replace(inst, ploughs=tuple(combo))
-            if solve_st_exact(sub, limits)[0]:
+            if solve_st_exact(sub)[0]:
                 best = total
         return best
     if variant == "max-st":
@@ -283,13 +273,13 @@ def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None,
                 trimmed = replace(
                     inst, facility=tuple(v in set(kept) for v in range(inst.n))
                 )
-                if solve_st_exact(trimmed, limits)[0]:
+                if solve_st_exact(trimmed)[0]:
                     return size
         return min(1, len(fac))
     if variant == "stu":
         if k is None or k < 0:
             raise ValueError("stu needs a plough count k >= 0")
-        if inst.n > limits.max_n or len(inst.arcs) > limits.max_arcs or k > limits.max_kb:
+        if inst.n > MAX_N or len(inst.arcs) > MAX_ARCS or k > MAX_KB:
             raise LimitsExceeded("stu exact limits exceeded")
-        return _bfs(inst, (), k, limits) is not None
+        return _bfs(inst, (), k) is not None
     raise ValueError(f"unknown variant {variant!r}")

@@ -10,6 +10,25 @@ clearing solutions translate into each other constructively.
 Vertex ids are dense: element components in item order (u_i first, then per
 containing set j: u_{i,j}, u'_{i,j}, v_{i,j}, v'_{i,j}), then z, then
 z_1..z_k.
+
+Reading a cover off a verifying solution: take the sets t whose row's first
+arc, z -> v_{s,t} with s the least item of set t, is cleared.  These are at
+most k sets covering U:
+
+* At most k.  The gadget is a DAG, so a walk passes z at most once, and only
+  the k ploughs at z_1..z_k reach z: at most k arcs out of z are cleared.
+* One plough per branch.  Each u'_{i,j} is a facility whose only in-arc
+  leaves u_i, so every out-arc of u_i is cleared.  Only the ploughs of the
+  component of item i reach u_i, as many as its out-arcs, and each passes
+  u_i at most once.  So exactly one walk enters each u'_{i,j}.
+* A row with an uncleared first arc has no cleared arc.  Its first vertex
+  v_{s,t} is entered only from z or u'_{s,t}, so only the branch plough of
+  u'_{s,t} reaches it, and that plough must go on to v'_{s,t}: that
+  facility's only in-arc leaves v_{s,t}.  So the next row arc is not
+  cleared either, and by induction along the row no arc of row t is.
+* A cover.  The component of item i meets the rest of the graph only through
+  the row arcs at its v-vertices, and it must be joined to the facility z.
+  So some row through item i has a cleared arc, hence a cleared first arc.
 """
 
 from __future__ import annotations
@@ -203,123 +222,17 @@ def cover_to_walks(g: GadgetLayout, cover) -> SolutionWalks:
     return sol
 
 
-def _classify_starts(g: GadgetLayout, sol: SolutionWalks):
-    """Map each walk to its start name; gadget solutions have one walk per source."""
-    id_to_name = {v: k for k, v in g.names.items()}
-    by_start: dict[tuple, Walk] = {}
-    for w in sol.walks:
-        name = id_to_name[w.start]
-        if name in by_start:
-            raise ValueError(f"two walks start at {name}")
-        by_start[name] = w
-    return by_start
-
-
-def canonicalize_solution(g: GadgetLayout, sol: SolutionWalks) -> SolutionWalks:
-    """Rewrite a verifying solution so every vertical plough clears exactly its
-    own vertical path and every z-plough rides one full horizontal path.
-
-    Each rewrite preserves verification; the loop terminates because every
-    swap strictly decreases the number of nonconforming walks.
-    """
+def walks_to_cover(g: GadgetLayout, sol: SolutionWalks) -> tuple[int, ...]:
+    """Read a set cover off a verifying solution: the sets whose rows leave z
+    on a cleared arc (the module docstring proves it is a cover of <= k sets)."""
     ok, reason = verify_st_solution(g.instance, sol)
     if not ok:
-        raise ValueError(f"solution must verify before canonicalization: {reason}")
-    nm = g.names
-    id_to_name = {v: k for k, v in g.names.items()}
-    by_start = _classify_starts(g, sol)
-    comp_vertices: dict[int, set[int]] = {}
-    for name, vid in nm.items():
-        if name[0] in ("u", "uc", "up", "v", "vp"):
-            comp_vertices.setdefault(name[1], set()).add(vid)
-
-    # Stage 1: confine vertical ploughs to their own element component.
-    # An escaping walk leaves through a horizontal arc right after a v-row
-    # vertex v_{i,j'}; the walk that ends at the matching v'_{i,j'} (one must
-    # exist: that sink is a facility with a single in-arc) donates its tail.
-    # Swapping the two tails keeps the cleared arc set identical, and the
-    # donor is never a confined walk, so the escape count strictly drops.
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 2 * len(sol.walks) + 16:
-            raise RuntimeError("component-confinement loop failed to make progress")
-        escaped = None
-        for name, walk in by_start.items():
-            if name[0] == "u" and not set(walk.vertices) <= comp_vertices[name[1]]:
-                escaped = (name, walk)
-                break
-        if not escaped:
-            break
-        name, walk = escaped
-        i = name[1]
-        # the first four vertices are forced: u_{i,j}, u_i, u'_{i,j'}, v_{i,j'}
-        split_pos = 3
-        j_prime = id_to_name[walk.vertices[split_pos]][2]
-        vp_id = nm[("vp", i, j_prime)]
-        v_id = nm[("v", i, j_prime)]
-        donor_name = next(
-            dn for dn, dw in by_start.items() if dn != name and dw.vertices[-1] == vp_id
-        )
-        donor = by_start[donor_name]
-        donor_cut = donor.vertices.index(v_id)
-        by_start[name] = Walk(walk.vertices[: split_pos + 1] + (vp_id,))
-        by_start[donor_name] = Walk(donor.vertices[: donor_cut + 1] + walk.vertices[split_pos + 1 :])
-
-    # Stage 2: make each confined vertical plough take its own column, then
-    # extend every vertical walk to the full 5-vertex path.
-    for i in range(1, g.sc.n_items + 1):
-        pending = True
-        while pending:
-            pending = False
-            taken = {}
-            for j in g.sc.containing(i):
-                w = by_start[("u", i, j)]
-                if len(w.vertices) >= 3:
-                    taken[j] = id_to_name[w.vertices[2]][2]
-            for j, jp in taken.items():
-                if jp == j:
-                    continue
-                donor = next(jj for jj, tgt in taken.items() if tgt == j)
-                wj, wd = by_start[("u", i, j)], by_start[("u", i, donor)]
-                by_start[("u", i, j)] = Walk(wj.vertices[:2] + wd.vertices[2:])
-                by_start[("u", i, donor)] = Walk(wd.vertices[:2] + wj.vertices[2:])
-                pending = True
-                break
-        for j in g.sc.containing(i):
-            by_start[("u", i, j)] = _vertical_path(g, i, j)
-
-    # Stage 3: each z-plough rides one full horizontal path.
-    for t in range(1, g.sc.k + 1):
-        w = by_start[("zs", t)]
-        ride = 1  # default horizontal row when the walk stops at z
-        for vid in w.vertices[2:]:
-            vn = id_to_name[vid]
-            if vn[0] == "v":
-                ride = vn[2]
-                break
-            if vn[0] == "vp":
-                ride = vn[2]
-                break
-        by_start[("zs", t)] = _horizontal_walk(g, t, ride)
-
-    result = SolutionWalks(tuple(by_start[nm_key] for nm_key in sorted(by_start)))
-    ok, reason = verify_st_solution(g.instance, result)
-    assert ok, f"canonical solution must verify: {reason}"
-    return result
-
-
-def walks_to_cover(g: GadgetLayout, sol: SolutionWalks) -> tuple[int, ...]:
-    """Read a set cover off a verifying solution (canonicalizing first)."""
-    canon = canonicalize_solution(g, sol)
-    by_start = _classify_starts(g, canon)
-    id_to_name = {v: k for k, v in g.names.items()}
-    rows = set()
-    for t in range(1, g.sc.k + 1):
-        third = by_start[("zs", t)].vertices[2]
-        rows.add(id_to_name[third][2])
-    cover = tuple(sorted(rows))
-    assert g.sc.is_cover(cover), "canonical z-walks must induce a cover"
+        raise ValueError(f"walks must verify before a cover is read off them: {reason}")
+    cleared, z = sol.arc_union(), g.names[("z",)]
+    cover = tuple(
+        t for t, s in enumerate(g.sc.sets, 1) if (z, g.names[("v", s[0], t)]) in cleared
+    )
+    assert g.sc.is_cover(cover) and len(cover) <= g.sc.k, "cleared rows must induce a cover"
     return cover
 
 

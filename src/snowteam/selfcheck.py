@@ -15,12 +15,13 @@ import numpy as np
 
 from .algebra import _clmul_reduce_arrays, gf_mul
 from .digraph import make_instance, sources, transitive_closure, verify_st_solution
-from .exact import ExactLimits, solve_st_exact, solve_tpe_exact, solve_variant_exact
+from .exact import solve_st_exact, solve_tpe_exact, solve_variant_exact
 from .gadgets import (
     SetCoverInstance,
     build_gadget,
     gen_fig3,
     solve_set_cover_exact,
+    walks_to_cover,
 )
 from .solvers import (
     SolveParams,
@@ -59,8 +60,9 @@ def _random_simple_digraph(rng, n, max_arcs, max_fac, max_kb):
 
 def check_gadget_equivalence() -> tuple[bool, str]:
     """Every set system with <= 4 items, <= 3 sets: clearing the gadget is
-    solvable exactly when a size-k cover exists."""
-    cases = 0
+    solvable exactly when a size-k cover exists, and the exact witness of
+    every solvable gadget reads back as a cover of at most k sets."""
+    cases = read = 0
     for n in range(1, 5):
         items = list(range(1, n + 1))
         nonempty = [
@@ -72,12 +74,18 @@ def check_gadget_equivalence() -> tuple[bool, str]:
                     continue
                 for k in range(1, m + 1):
                     sc = SetCoverInstance(n, family, k)
-                    gadget_yes, _ = solve_st_exact(build_gadget(sc).instance)
+                    g = build_gadget(sc)
+                    gadget_yes, witness = solve_st_exact(g.instance)
                     cover_yes = solve_set_cover_exact(sc) is not None
                     if gadget_yes != cover_yes:
                         return False, f"disagreement on {family} k={k}"
+                    if gadget_yes:
+                        cover = walks_to_cover(g, witness)
+                        if not sc.is_cover(cover) or len(cover) > k:
+                            return False, f"witness on {family} k={k} reads as {cover}"
+                        read += 1
                     cases += 1
-    return True, f"{cases} gadget/cover pairs agree"
+    return True, f"{cases} gadget/cover pairs agree, {read} witnesses read back as covers"
 
 
 def check_sample_gadget_numbers() -> tuple[bool, str]:

@@ -110,6 +110,19 @@ def test_serialize_round_trip_random():
         assert parse_instance(serialize_instance(inst)) == inst
 
 
+def test_make_instance_rejects_out_of_range_ids():
+    with pytest.raises(ValueError, match="id 7"):
+        make_instance(3, [(0, 1)], {0, 7}, {0: 1})
+    with pytest.raises(ValueError, match="id 9"):
+        make_instance(3, [(0, 1)], {0}, {9: 2, 0: 1})
+    with pytest.raises(ValueError, match="id -1"):
+        make_instance(3, [(0, 1)], {-1}, {})
+    with pytest.raises(ValueError, match="id -2"):
+        make_instance(3, [(0, 1)], {0}, {-2: 1})
+    inst = make_instance(3, [(0, 1)], {0, 2}, {1: 2})
+    assert inst.facility == (True, False, True) and inst.ploughs == (0, 2, 0)
+
+
 def test_bits_lists_set_positions_ascending():
     assert bits(0) == []
     assert bits(0b101001) == [0, 3, 5]

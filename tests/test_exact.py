@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from snowteam import exact
 from snowteam.digraph import make_instance, verify_st_solution
 from snowteam.exact import (
-    ExactLimits,
     LimitsExceeded,
     _bfs_st,
     _dag_st,
@@ -88,7 +88,6 @@ def test_witnesses_verify_on_random_instances():
 
 def test_engines_agree_on_tiny_dags():
     rng = random.Random(9)
-    limits = ExactLimits()
     agree = 0
     for _ in range(150):
         n = rng.randint(2, 6)
@@ -105,8 +104,8 @@ def test_engines_agree_on_tiny_dags():
             if pl.get(v, 0) < n - 1:
                 pl[v] = pl.get(v, 0) + 1
         inst = make_instance(n, arcs, fac, pl)
-        bfs_ans, _ = _bfs_st(inst, limits)
-        dag_ans, dag_wit = _dag_st(inst, limits)
+        bfs_ans, _ = _bfs_st(inst)
+        dag_ans, dag_wit = _dag_st(inst)
         assert bfs_ans == dag_ans, inst
         if dag_ans:
             ok, reason = verify_st_solution(inst, dag_wit)
@@ -119,7 +118,6 @@ def test_engines_agree_at_the_bfs_limits():
     # n 7-8, at most 14 arcs and 4 ploughs: the largest instances the BFS
     # engine takes, with stacked ploughs, bases at sinks and spare vertices
     rng = random.Random(13)
-    limits = ExactLimits()
     yes = stacked = sink_bases = 0
     for _ in range(400):
         n = rng.randint(7, 8)
@@ -133,10 +131,10 @@ def test_engines_agree_at_the_bfs_limits():
             v = rng.choice(sorted(pl)) if pl and rng.random() < 0.4 else rng.randrange(n)
             pl[v] = pl.get(v, 0) + 1
         inst = make_instance(n, arcs, fac, pl)
-        assert inst.n <= limits.max_n and len(inst.arcs) <= limits.max_arcs
-        assert inst.total_ploughs() <= limits.max_kb
-        bfs_ans, bfs_wit = _bfs_st(inst, limits)
-        dag_ans, dag_wit = _dag_st(inst, limits)
+        assert inst.n <= exact.MAX_N and len(inst.arcs) <= exact.MAX_ARCS
+        assert inst.total_ploughs() <= exact.MAX_KB
+        bfs_ans, bfs_wit = _bfs_st(inst)
+        dag_ans, dag_wit = _dag_st(inst)
         assert bfs_ans == dag_ans, inst
         if dag_ans:
             for witness in (bfs_wit, dag_wit):
@@ -154,9 +152,8 @@ def test_dag_path_joins_two_components():
     # Both ploughs at 2 must then leave the component of 0 in turn: 2->3
     # joins it, and 2->4 carries it on to the component of 1.
     inst = make_instance(5, [(0, 3), (1, 4), (2, 3), (2, 4)], {0, 1}, {0: 1, 1: 1, 2: 2})
-    limits = ExactLimits()
-    assert _bfs_st(inst, limits)[0]
-    ans, witness = _dag_st(inst, limits)
+    assert _bfs_st(inst)[0]
+    ans, witness = _dag_st(inst)
     assert ans
     ok, reason = verify_st_solution(inst, witness)
     assert ok, reason
@@ -170,17 +167,19 @@ def test_limits_refuse_large_cyclic():
         {0: 1, 2: 1, 4: 1, 6: 1, 8: 1},
     )
     with pytest.raises(LimitsExceeded):
-        solve_st_exact(big_cycle, ExactLimits(max_n=4, max_arcs=4, max_kb=2))
+        solve_st_exact(big_cycle)
 
 
-def test_dag_engine_limits():
+def test_dag_engine_limits(monkeypatch):
     # the budget-1 sample gadget is a NO that fails some hundred states
     inst = build_gadget(SetCoverInstance(SAMPLE_COVER.n_items, SAMPLE_COVER.sets, 1)).instance
-    assert not _dag_st(inst, ExactLimits())[0]
+    assert not _dag_st(inst)[0]
+    monkeypatch.setattr(exact, "MAX_DAG_STATES", 5)
     with pytest.raises(LimitsExceeded, match="memo budget"):
-        _dag_st(inst, ExactLimits(max_dag_states=5))
+        _dag_st(inst)
+    monkeypatch.setattr(exact, "MAX_DAG_CHOICES", 5)  # checked before any state
     with pytest.raises(LimitsExceeded, match="maximal paths"):
-        _dag_st(inst, ExactLimits(max_dag_choices=5))
+        _dag_st(inst)
 
 
 def test_min_st_examples():

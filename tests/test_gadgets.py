@@ -9,7 +9,6 @@ from snowteam.gadgets import (
     GadgetLayout,
     SetCoverInstance,
     build_gadget,
-    canonicalize_solution,
     cover_to_walks,
     gen_fig3,
     parse_set_cover,
@@ -118,16 +117,10 @@ def test_cover_to_walks_rejects_bad_covers():
         cover_to_walks(g, {2, 4})
 
 
-def test_canonicalize_fixpoint():
-    g = build_gadget(SAMPLE)
-    sol = cover_to_walks(g, {1, 3})
-    assert canonicalize_solution(g, sol) == sol
-
-
-def test_canonicalize_rejects_non_verifying():
+def test_walks_to_cover_rejects_non_verifying():
     g = build_gadget(SAMPLE)
     with pytest.raises(ValueError, match="verify"):
-        canonicalize_solution(g, walks_from_lists([[0]]))
+        walks_to_cover(g, walks_from_lists([[0]]))
 
 
 def test_walks_to_cover_round_trip():
@@ -146,8 +139,8 @@ def test_walks_to_cover_from_exact_witness():
     assert sc.is_cover(cover) and len(cover) <= sc.k
 
 
-def test_canonicalize_handles_crafted_escape():
-    """A solution whose vertical plough rides a horizontal row is rewritten."""
+def test_walks_to_cover_reads_crafted_escape():
+    """A vertical plough may ride a row arc; only the arcs out of z pick sets."""
     sc = SetCoverInstance(2, ((1, 2),), 1)
     g = build_gadget(sc)
     nm = g.names
@@ -164,23 +157,32 @@ def test_canonicalize_handles_crafted_escape():
     )
     ok, reason = verify_st_solution(g.instance, crafted)
     assert ok, reason
-    canon = canonicalize_solution(g, crafted)
-    id_to_name = {v: k for k, v in nm.items()}
-    for w in canon.walks:
-        start = id_to_name[w.start]
-        if start[0] == "u":
-            i, j = start[1], start[2]
-            assert [id_to_name[v] for v in w.vertices] == [
-                ("u", i, j), ("uc", i), ("up", i, j), ("v", i, j), ("vp", i, j)
-            ]
-        else:
-            assert id_to_name[w.vertices[1]] == ("z",)
-            assert id_to_name[w.vertices[2]][0] == "v"
-    # idempotent
-    assert canonicalize_solution(g, canon) == canon
+    assert walks_to_cover(g, crafted) == (1,)
 
 
-def test_canonicalize_random_witnesses():
+def test_walks_to_cover_z_plough_stopping_at_z():
+    """The cover holds only the rows z-ploughs ride; none is padded in."""
+    sc = SetCoverInstance(2, ((1,), (1, 2)), 2)
+    g = build_gadget(sc)
+    nm = g.names
+    vertical = [
+        [nm[("u", i, j)], nm[("uc", i)], nm[("up", i, j)], nm[("v", i, j)], nm[("vp", i, j)]]
+        for i in (1, 2)
+        for j in sc.containing(i)
+    ]
+    sol = walks_from_lists(
+        vertical
+        + [
+            [nm[("zs", 1)], nm[("z",)], nm[("v", 1, 2)], nm[("v", 2, 2)]],
+            [nm[("zs", 2)], nm[("z",)]],
+        ]
+    )
+    ok, reason = verify_st_solution(g.instance, sol)
+    assert ok, reason
+    assert walks_to_cover(g, sol) == (2,)
+
+
+def test_walks_to_cover_random_witnesses():
     rng = random.Random(13)
     for _ in range(25):
         n = rng.randint(1, 3)
@@ -200,10 +202,8 @@ def test_canonicalize_random_witnesses():
         want = solve_set_cover_exact(sc) is not None
         assert ans == want
         if ans:
-            canon = canonicalize_solution(g, witness)
-            ok, reason = verify_st_solution(g.instance, canon)
-            assert ok, reason
-            assert sc.is_cover(walks_to_cover(g, witness))
+            cover = walks_to_cover(g, witness)
+            assert sc.is_cover(cover) and len(cover) <= sc.k, (sc, cover)
 
 
 def test_renumbered_sample_gadgets():
