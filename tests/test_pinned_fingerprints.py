@@ -1,0 +1,105 @@
+"""Pinned fingerprints: ``eval_trial`` values of built circuits against a committed file.
+
+The corpus is every circuit the restricted solver builds on the bench
+catalogue's ``st-no`` instances (``solve_st`` with SolveParams(seed=3), each
+circuit taken at the detection call with its seed), 20 circuits on seeded
+random hosts with random terminal sets, and one circuit whose every branch
+is pruned (its values are 0).  Each circuit is evaluated at every z-degree
+t from 0 to its terminal count, for k equal to the tree order and one below
+it, so most values are nonzero field elements.  The values depend on the
+circuit's x-gate order and on numpy's ``default_rng`` stream.  A change to
+the circuit's representation must leave this file alone; a change meant to
+alter the fingerprints regenerates it with
+
+    PYTHONPATH=src python3 tests/test_pinned_fingerprints.py --write
+"""
+
+import json
+import random
+import sys
+from pathlib import Path
+
+from snowteam import solvers
+from snowteam.digraph import make_instance
+from snowteam.tpe import build_circuit, eval_trial, make_tpe_instance
+from snowteam.trees import candidate_stream
+
+HERE = Path(__file__).resolve().parent
+PINNED = HERE / "pinned_fingerprints.json"
+CATALOGUE = HERE.parent / "bench" / "catalogue.json"
+
+
+def _st_no_circuits():
+    """(name, circuit, seed) for every detection of solve_st on st-no."""
+    calls = []
+    detect = solvers.detect_zt_multilinear
+
+    def record(circuit, t, k, seed=1):
+        calls.append((circuit, seed))
+        return detect(circuit, t, k, seed)
+
+    solvers.detect_zt_multilinear = record
+    try:
+        for i, spec in enumerate(json.loads(CATALOGUE.read_text())["st-no"]):
+            inst = make_instance(
+                spec["n"],
+                [tuple(a) for a in spec["arcs"]],
+                set(spec["facilities"]),
+                {v: c for v, c in enumerate(spec["ploughs"]) if c},
+            )
+            start = len(calls)
+            solvers.solve_st(inst, solvers.SolveParams(seed=3))
+            for j, (circuit, seed) in enumerate(calls[start:]):
+                yield f"st-no[{i}] detection {j}", circuit, seed
+    finally:
+        solvers.detect_zt_multilinear = detect
+
+
+def _random_circuits():
+    rng = random.Random(20261019)
+    for i in range(20):
+        n = rng.randint(3, 7)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, rng.randint(n - 1, min(3 * n, len(pairs))))
+        ploughs = {v: rng.randint(1, 2) for v in rng.sample(range(n), rng.randint(2, n))}
+        host = make_instance(n, arcs, set(), ploughs)
+        cand = rng.choice([c for c in candidate_stream(1, min(5, n)) if c.order >= 2])
+        terminals = rng.sample(range(n), rng.randint(1, cand.order))
+        yield f"random{i}", build_circuit(make_tpe_instance(host, cand, terminals)), i
+
+
+def _pruned_circuit():
+    """An out-star needing two ploughs on a host with one: every pair is pruned."""
+    cand = next(c for c in candidate_stream(1, 3) if c.arcs == ((0, 1), (0, 2)))
+    host = make_instance(3, [(0, 1), (0, 2)], {0}, {0: 1})
+    return build_circuit(make_tpe_instance(host, cand))
+
+
+def _fingerprints() -> dict:
+    corpus = [*_st_no_circuits(), *_random_circuits(), ("all-pruned", _pruned_circuit(), 5)]
+    return {
+        name: [
+            eval_trial(circuit, t, k, seed)
+            for k in (circuit.tree_order - 1, circuit.tree_order)
+            for t in range(circuit.n_terminals + 1)
+        ]
+        for name, circuit, seed in corpus
+    }
+
+
+def test_tpe_fingerprints_match_the_pinned_file():
+    pinned = json.loads(PINNED.read_text())
+    got = _fingerprints()
+    assert sorted(got) == sorted(pinned)
+    assert not any(pinned["all-pruned"])
+    diff = {key: (pinned[key], got[key]) for key in pinned if pinned[key] != got[key]}
+    assert not diff, f"fingerprints differ from {PINNED.name} (pinned, got): {diff}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    rows = sorted(_fingerprints().items())
+    PINNED.write_text(
+        "{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in rows) + "\n}\n"
+    )
