@@ -28,7 +28,9 @@ inst = make_tpe_instance(host, pattern)
 circuit = build_circuit(inst)
 
 print("pattern:", pattern.code_str(), "demand", pattern.demand)
-print("gates:", len(circuit.gates))
+print(f"gates ({len(circuit.gates)}): x = z^e * x_(w,u), add, mul")
+for gid, gate in enumerate(circuit.gates):
+    print(f"  {gid}: {gate}")
 print("expansion (variables, z-degree) -> coefficient:")
 for key, coef in sorted(expand_symbolic(circuit, 4, 4).items()):
     print("  ", key, "->", coef)

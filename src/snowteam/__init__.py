@@ -62,7 +62,6 @@ from .tpe import (
     detect_zt_multilinear,
     eval_trial,
     expand_symbolic,
-    indicator,
     make_tpe_instance,
     solve_tpe,
 )

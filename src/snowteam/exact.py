@@ -269,10 +269,8 @@ def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):
     if variant == "max-st":
         fac = sorted(inst.facilities())
         for size in range(len(fac), 1, -1):
-            for kept in itertools.combinations(fac, size):
-                trimmed = replace(
-                    inst, facility=tuple(v in set(kept) for v in range(inst.n))
-                )
+            for kept in map(set, itertools.combinations(fac, size)):
+                trimmed = replace(inst, facility=tuple(v in kept for v in range(inst.n)))
                 if solve_st_exact(trimmed)[0]:
                     return size
         return min(1, len(fac))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .digraph import Instance, ParseError, SolutionWalks, Walk, verify_st_solution, _content_lines
@@ -122,6 +123,20 @@ def serialize_set_cover(sc: SetCoverInstance) -> str:
     return "\n".join(out) + "\n"
 
 
+def _format_name(name: tuple) -> str:
+    """Printed form of a structured name: u_i, u_{i,j}, u'_{i,j}, v_{i,j},
+    v'_{i,j}, z or z_l."""
+    kind, *idx = name
+    if kind == "uc":
+        return f"u_{idx[0]}"
+    if kind == "z":
+        return "z"
+    if kind == "zs":
+        return f"z_{idx[0]}"
+    prime = "'" if kind in ("up", "vp") else ""
+    return f"{kind[0]}{prime}_{{{idx[0]},{idx[1]}}}"
+
+
 @dataclass(frozen=True)
 class GadgetLayout:
     """Built gadget plus the structured-name -> dense-id map."""
@@ -130,24 +145,13 @@ class GadgetLayout:
     instance: Instance
     names: dict[tuple, int]
 
+    @cached_property
+    def _name_by_id(self) -> dict[int, tuple]:
+        return {i: name for name, i in self.names.items()}
+
     def name_of(self, vid: int) -> str:
-        for name, i in self.names.items():
-            if i == vid:
-                kind = name[0]
-                if kind == "u":
-                    return f"u_{{{name[1]},{name[2]}}}"
-                if kind == "uc":
-                    return f"u_{name[1]}"
-                if kind == "up":
-                    return f"u'_{{{name[1]},{name[2]}}}"
-                if kind == "v":
-                    return f"v_{{{name[1]},{name[2]}}}"
-                if kind == "vp":
-                    return f"v'_{{{name[1]},{name[2]}}}"
-                if kind == "z":
-                    return "z"
-                return f"z_{name[1]}"
-        raise KeyError(vid)
+        """Printed name of vertex vid; KeyError when no vertex has that id."""
+        return _format_name(self._name_by_id[vid])
 
 
 def build_gadget(sc: SetCoverInstance) -> GadgetLayout:
@@ -266,6 +270,6 @@ def serialize_gadget(g: GadgetLayout) -> str:
     from .digraph import serialize_instance
 
     lines = ["# set-cover gadget; vertex names:"]
-    for name in sorted(g.names, key=lambda nm: g.names[nm]):
-        lines.append(f"#   {g.names[name]} = {g.name_of(g.names[name])}")
+    for name, vid in sorted(g.names.items(), key=lambda item: item[1]):
+        lines.append(f"#   {vid} = {_format_name(name)}")
     return "\n".join(lines) + "\n" + serialize_instance(g.instance)

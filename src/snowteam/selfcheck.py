@@ -169,9 +169,9 @@ def check_embedding_conformance() -> tuple[bool, str]:
 
 def _x_product(hosts: list[int]) -> Circuit:
     """Circuit for x_{hosts[0],0} * x_{hosts[1],1} * ... (no z)."""
-    gates = [("zero",), ("const", 1), ("x", hosts[0], 0)]
+    gates = [("x", hosts[0], 0, 0)]
     for u, w in enumerate(hosts[1:], start=1):
-        gates.append(("x", w, u))
+        gates.append(("x", w, u, 0))
         gates.append(("mul", len(gates) - 2, len(gates) - 1))
     n = len(hosts)
     return Circuit(gates=gates, output=len(gates) - 1, host_n=n, tree_order=n, n_terminals=0)
@@ -346,10 +346,10 @@ CHECKS = [
 
 
 def run_all(only: str | None = None) -> int:
+    """Run every check, or only the named one; ValueError for an unknown name."""
     names = {name for name, _ in CHECKS}
     if only is not None and only not in names:
-        print(f"error: unknown check {only!r}; known: {sorted(names)}")
-        return 2
+        raise ValueError(f"unknown check {only!r}; known: {sorted(names)}")
     failures = 0
     for name, fn in CHECKS:
         if only is not None and name != only:

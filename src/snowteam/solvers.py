@@ -413,10 +413,8 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     with _Workers(params.jobs) as workers:  # one pool for every subset
         for size in range(len(fac), 1, -1):
             size_misses = 0.0
-            for kept, subset in enumerate(itertools.combinations(fac, size)):
-                trimmed = replace(
-                    inst, facility=tuple(v in set(subset) for v in range(inst.n))
-                )
+            for kept, subset in enumerate(map(set, itertools.combinations(fac, size))):
+                trimmed = replace(inst, facility=tuple(v in subset for v in range(inst.n)))
                 sub_params = replace(params, seed=params.seed + _SEED_STRIDE * 31 * (kept + size))
                 sub = _solve_st(trimmed, sub_params, workers)
                 report.candidates_tested += sub.candidates_tested

@@ -9,8 +9,13 @@ pair) and tested with algebraic fingerprints (Koutis and Williams,
 "Algebraic fingerprints for faster algorithms"; Bjorklund, Husfeldt, Kaski
 and Koivisto, "Narrow sieves for parameterized paths and packings").
 
-Fingerprints.  The circuit has one x-gate x_{w,u} per affordable pair of host
-vertex w and tree vertex u, and its z^t coefficient is
+Gates.  Three kinds: the leaf ("x", w, u, e) is z^e * x_{w,u} for host
+vertex w and tree vertex u, e = 1 exactly when w is a terminal; ("add", ids)
+is a sum, the empty one being 0; ("mul", a, b) is a product.
+
+Fingerprints.  The circuit has one x-gate per pair (w, u) where w can pay
+u's plough demand and every child of u has a placement adjacent to w, and
+its z^t coefficient is
 
     Q_t = sum over phi of prod_u x_{phi(u),u},
 
@@ -57,12 +62,10 @@ from .algebra import _clmul_reduce_arrays
 from .digraph import Instance
 from .trees import MAX_ORDER, TreeCandidate
 
-# Gate-count ceiling: the unpruned construction uses at most 3 + 6*eta*n
-# gates, which stays below CIRCUIT_SIZE_C * n^3 for every n >= 1, eta <= n.
+# Gate-count ceiling: one x-gate, and an add and a mul per child, per pair,
+# plus the output sum: at most n*(3*eta - 2) + 1 <= 3*eta*n gates, below
+# CIRCUIT_SIZE_C * n^3 for every n >= 1, eta <= n.
 CIRCUIT_SIZE_C = 10
-
-ZERO_GATE = 0  # gates[0] is always the constant 0
-Z_GATE = 1  # gates[1] is always the constant z
 
 
 @dataclass(frozen=True)
@@ -90,20 +93,13 @@ def make_tpe_instance(
     return TpeInstance(host=host, tree=tree, terminals=frozenset(terminals))
 
 
-def indicator(u: int, w: int, inst: TpeInstance) -> str:
-    """Per-pair leaf factor: 'z' on affordable terminals, '1' on affordable
-    non-terminals, '0' when the demand exceeds the capacity."""
-    if inst.tree.demand[u] > inst.host.ploughs[w]:
-        return "0"
-    return "z" if w in inst.terminals else "1"
-
-
 @dataclass
 class Circuit:
     """Monotone arithmetic circuit in topological gate order.
 
-    Gate encodings: ("zero",) | ("const", z_exp) | ("x", host_vertex, tree_vertex)
-    | ("add", ids) | ("mul", a, b).  Gate 0 is the constant 0, gate 1 is z.
+    Gate encodings: ("x", host_vertex, tree_vertex, z_exp), the leaf
+    z^z_exp * x_{host_vertex,tree_vertex}; ("add", ids), a sum, 0 when ids is
+    empty; ("mul", a, b), a product.
     """
 
     gates: list[tuple]
@@ -120,14 +116,13 @@ class Circuit:
         """Structural monotonicity/topology check."""
         for i, g in enumerate(self.gates):
             kind = g[0]
-            if kind == "add":
+            if kind == "x":
+                assert g[3] >= 0, "negative z power"
+            elif kind == "add":
                 assert all(0 <= c < i for c in g[1]), "add gate references forward"
-            elif kind == "mul":
-                assert 0 <= g[1] < i and 0 <= g[2] < i, "mul gate references forward"
-            elif kind == "const":
-                assert g[1] >= 0, "negative z power"
             else:
-                assert kind in ("zero", "x"), f"unknown gate kind {kind}"
+                assert kind == "mul", f"unknown gate kind {kind}"
+                assert 0 <= g[1] < i and 0 <= g[2] < i, "mul gate references forward"
         assert 0 <= self.output < len(self.gates)
 
 
@@ -150,64 +145,44 @@ def _rooted_structure(tree: TreeCandidate):
 
 
 def build_circuit(inst: TpeInstance) -> Circuit:
-    """Shared-DAG circuit for Q(X, z); zero-indicator branches are pruned."""
+    """Shared-DAG circuit for Q(X, z).
+
+    A pair (u, w) gets gates only when w pays u's demand and every child of
+    u has a placement adjacent to w, so pruned pairs leave no gates behind.
+    """
     host, tree = inst.host, inst.tree
     n, eta = host.n, tree.order
     order, in_children, out_children = _rooted_structure(tree)
 
-    gates: list[tuple] = [("zero",), ("const", 1)]
+    gates: list[tuple] = []
 
-    def add_gate(children: list[int]) -> int:
-        children = [c for c in children if c != ZERO_GATE]
-        if not children:
-            return ZERO_GATE
-        if len(children) == 1:
-            return children[0]
-        gates.append(("add", tuple(children)))
+    def append(gate: tuple) -> int:
+        gates.append(gate)
         return len(gates) - 1
 
-    def mul_gate(a: int, b: int) -> int:
-        if a == ZERO_GATE or b == ZERO_GATE:
-            return ZERO_GATE
-        gates.append(("mul", a, b))
-        return len(gates) - 1
+    def add_gate(ids: list[int]) -> int:
+        return ids[0] if len(ids) == 1 else append(("add", tuple(ids)))
 
     qid: dict[tuple[int, int], int] = {}
     for u in order:
         for w in range(n):
-            ind = indicator(u, w, inst)
-            if ind == "0":
-                qid[(u, w)] = ZERO_GATE
+            if tree.demand[u] > host.ploughs[w]:
                 continue
-            factors = []
-            dead = False
-            for v in in_children[u]:
-                s = add_gate([qid[(v, wp)] for wp in host.in_adj[w]])
-                if s == ZERO_GATE:
-                    dead = True
-                    break
-                factors.append(s)
-            if not dead:
-                for v in out_children[u]:
-                    s = add_gate([qid[(v, wp)] for wp in host.out_adj[w]])
-                    if s == ZERO_GATE:
-                        dead = True
-                        break
-                    factors.append(s)
-            if dead:
-                qid[(u, w)] = ZERO_GATE
+            branches = [
+                [qid[v, wp] for wp in adj[w] if (v, wp) in qid]
+                for children, adj in ((in_children, host.in_adj), (out_children, host.out_adj))
+                for v in children[u]
+            ]
+            if not all(branches):
                 continue
-            gates.append(("x", w, u))
-            acc = len(gates) - 1
-            if ind == "z":
-                acc = mul_gate(Z_GATE, acc)
-            for f in factors:
-                acc = mul_gate(acc, f)
-            qid[(u, w)] = acc
+            acc = append(("x", w, u, int(w in inst.terminals)))
+            for ids in branches:
+                acc = append(("mul", acc, add_gate(ids)))
+            qid[u, w] = acc
 
-    output = add_gate([qid[(0, w)] for w in range(n)])
-    bound = 3 + 6 * eta * n
-    assert len(gates) <= bound <= CIRCUIT_SIZE_C * n**3
+    output = add_gate([qid[0, w] for w in range(n) if (0, w) in qid])
+    bound = n * (3 * eta - 2) + 1
+    assert len(gates) <= bound <= 3 * eta * n <= CIRCUIT_SIZE_C * n**3
     circ = Circuit(
         gates=gates,
         output=output,
@@ -236,12 +211,8 @@ def expand_symbolic(
     vals: list[dict] = []
     for g in circuit.gates:
         kind = g[0]
-        if kind == "zero":
-            vals.append({})
-        elif kind == "const":
-            vals.append({((), g[1]): 1} if g[1] <= max_zdeg else {})
-        elif kind == "x":
-            vals.append({((g[1],), 0): 1} if max_vars >= 1 else {})
+        if kind == "x":
+            vals.append({((g[1],), g[3]): 1} if max_vars >= 1 and g[3] <= max_zdeg else {})
         elif kind == "add":
             acc: dict = {}
             for c in g[1]:
@@ -279,7 +250,7 @@ def _operands(gate: tuple) -> tuple:
 def _last_readers(circuit: Circuit) -> dict[int, int]:
     """Each gate the output depends on -> the last such gate reading it.
 
-    Pruned branches leave dead gate families, which are absent.
+    Placements of a subtree that no placement of its parent uses are absent.
     """
     last = {circuit.output: circuit.output}
     for gid in range(circuit.output, -1, -1):
@@ -319,30 +290,18 @@ def _mul(a: tuple, b: tuple, zcap: int) -> Optional[tuple]:
 def _evaluate(circuit: Circuit, zcap: int, x_vals: np.ndarray, last: dict) -> Optional[np.ndarray]:
     """The output's z^zcap coefficient in every lane, the i-th x-gate set to
     x_vals[i]; each gate's value is dropped after its last reader."""
-    gates = circuit.gates
     x_rows = {gid: i for i, gid in enumerate(circuit.x_gate_ids())}
     vals: dict[int, Optional[tuple]] = {}
-    for gid, gate in enumerate(gates):
-        kind = gate[0]
+    for gid, gate in enumerate(circuit.gates):
         if gid not in last:
             continue
-        val = None
-        if kind == "const" and gate[1] <= zcap:
-            val = (gate[1], np.ones((1,) + x_vals.shape[1:], dtype=np.uint64))
-        elif kind == "x":
-            val = (0, x_vals[x_rows[gid]][None])
-        elif kind == "add":
+        if gate[0] == "x":
+            val = (gate[3], x_vals[x_rows[gid]][None])
+        elif gate[0] == "add":
             val = _add([vals[c] for c in gate[1]])
-        elif kind == "mul":
-            a, b = gate[1:3]
-            if gates[b][0] == "const":
-                a, b = b, a
-            if vals[a] is not None and vals[b] is not None:
-                if gates[a][0] == "const":  # z^e: a shift, no field work
-                    lo = vals[b][0] + gates[a][1]
-                    val = (lo, vals[b][1][: zcap - lo + 1]) if lo <= zcap else None
-                else:
-                    val = _mul(vals[a], vals[b], zcap)
+        else:
+            a, b = vals[gate[1]], vals[gate[2]]
+            val = None if a is None or b is None else _mul(a, b, zcap)
         vals[gid] = val
         for c in _operands(gate):
             if last[c] == gid:

@@ -186,6 +186,9 @@ def test_selftest_single_check(capsys):
     assert run_cli(["selftest", "--only", "tree-counts"]) == 0
     assert "PASS tree-counts" in capsys.readouterr().out
     assert run_cli(["selftest", "--only", "nope"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: unknown check 'nope'; known: [") and "'tree-counts'" in err
 
 
 def test_usage_errors(tmp_path, toy1_file, capsys, monkeypatch):

@@ -93,6 +93,17 @@ def test_serialize_gadget_parses_back():
     assert sum(1 for l in body if l.startswith("v ")) == 52
 
 
+def test_name_of_matches_the_comment_lines():
+    g = build_gadget(SAMPLE)
+    comments = serialize_gadget(g).splitlines()[1:53]
+    assert comments[:5] == ["#   0 = u_1", "#   1 = u_{1,1}", "#   2 = u'_{1,1}", "#   3 = v_{1,1}", "#   4 = v'_{1,1}"]
+    assert comments[-3:] == ["#   49 = z", "#   50 = z_1", "#   51 = z_2"]
+    assert comments == [f"#   {vid} = {g.name_of(vid)}" for vid in range(52)]
+    for vid in (-1, 52):
+        with pytest.raises(KeyError):
+            g.name_of(vid)
+
+
 def test_solve_set_cover_exact_sample():
     assert solve_set_cover_exact(SAMPLE) == (1, 3)
     k1 = SetCoverInstance(SAMPLE.n_items, SAMPLE.sets, 1)

@@ -11,7 +11,6 @@ from snowteam.tpe import (
     detect_zt_multilinear,
     eval_trial,
     expand_symbolic,
-    indicator,
     make_tpe_instance,
     solve_tpe,
     CIRCUIT_SIZE_C,
@@ -39,14 +38,13 @@ def toy1_tpe():
     return make_tpe_instance(toy1_closure(), _tree_edge_down())
 
 
-def test_indicator_cases():
-    inst = toy1_tpe()
-    # terminal, affordable demand
-    assert indicator(0, 0, inst) == "z"
-    # non-terminal, zero demand
-    assert indicator(1, 1, inst) == "1"
-    # demand exceeds capacity
-    assert indicator(0, 1, inst) == "0"
+def test_x_gate_exponents_and_pruned_pairs():
+    circ = build_circuit(toy1_tpe())
+    # (host, tree vertex, z exponent), deepest tree vertex first: z on the
+    # terminals 0 and 2; tree vertex 0 needs a plough, so host vertices 1 and
+    # 2 (no plough) get no x-gate for it
+    xs = [circ.gates[g][1:] for g in circ.x_gate_ids()]
+    assert xs == [(0, 1, 1), (1, 1, 0), (2, 1, 1), (0, 0, 1)]
 
 
 def test_toy1_circuit_expansion():
@@ -112,18 +110,24 @@ def test_circuit_is_monotone_and_topological():
     circ.validate()
 
 
+def test_every_sum_feeds_a_product():
+    """A pair that cannot be placed appends no gates, so every add gate but
+    the output is read by its own pair's mul."""
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        host = _random_host(rng, n, 10)
+        cand = rng.choice(_all_orientations(min(4, n)))
+        circ = build_circuit(make_tpe_instance(host, cand))
+        read = {g[2] for g in circ.gates if g[0] == "mul"}
+        adds = {i for i, g in enumerate(circ.gates) if g[0] == "add"}
+        assert adds - {circ.output} <= read
+
+
 def _hand_circuit_two_x(var_a, var_b):
     """(z * x_a) * (z * x_b) with distinct x-gate occurrences."""
-    gates = [
-        ("zero",),
-        ("const", 1),
-        ("x", var_a, 0),
-        ("mul", 1, 2),
-        ("x", var_b, 1),
-        ("mul", 1, 4),
-        ("mul", 3, 5),
-    ]
-    return Circuit(gates=gates, output=6, host_n=3, tree_order=2, n_terminals=2)
+    gates = [("x", var_a, 0, 1), ("x", var_b, 1, 1), ("mul", 0, 1)]
+    return Circuit(gates=gates, output=2, host_n=3, tree_order=2, n_terminals=2)
 
 
 def test_eval_square_is_zero():
@@ -252,14 +256,12 @@ def _reference_eval(circuit, zcap, k, seed):
         for gid, gate in enumerate(circuit.gates):
             kind = gate[0]
             val = [0] * (zcap + 1)
-            if kind == "const" and gate[1] <= zcap:
-                val[gate[1]] = 1
-            elif kind == "x":
+            if kind == "x" and gate[3] <= zcap:
                 s = 0
                 for j in range(k):
                     if mask >> j & 1:
                         s ^= int(a[gate[1], j])
-                val[0] = gf_mul(r_of[gid], s)
+                val[gate[3]] = gf_mul(r_of[gid], s)
             elif kind == "add":
                 for c in gate[1]:
                     val = [u ^ v for u, v in zip(val, vals[c])]
@@ -280,19 +282,15 @@ def _reference_cases():
         yield build_circuit(make_tpe_instance(host, cand, terminals=terminals)), len(terminals), cand.order
     # (z*x_0 + x_1) * (z*x_2 + x_3): both factors span two z-degrees
     gates = [
-        ("zero",),
-        ("const", 1),
-        ("x", 0, 0),
-        ("mul", 1, 2),
-        ("x", 1, 0),
+        ("x", 0, 0, 1),
+        ("x", 1, 0, 0),
+        ("add", (0, 1)),
+        ("x", 2, 1, 1),
+        ("x", 3, 1, 0),
         ("add", (3, 4)),
-        ("x", 2, 1),
-        ("mul", 1, 6),
-        ("x", 3, 1),
-        ("add", (7, 8)),
-        ("mul", 5, 9),
+        ("mul", 2, 5),
     ]
-    yield Circuit(gates=gates, output=10, host_n=4, tree_order=2, n_terminals=1), 1, 2
+    yield Circuit(gates=gates, output=6, host_n=4, tree_order=2, n_terminals=1), 1, 2
 
 
 def test_engine_matches_reference_algebra_evaluation():
