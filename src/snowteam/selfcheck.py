@@ -14,7 +14,13 @@ import time
 import numpy as np
 
 from .algebra import _clmul_reduce_arrays, gf_mul
-from .digraph import make_instance, sources, transitive_closure, verify_st_solution
+from .digraph import (
+    make_instance,
+    sources,
+    transitive_closure,
+    verify_st_solution,
+    walks_from_lists,
+)
 from .exact import solve_st_exact, solve_tpe_exact, solve_variant_exact
 from .gadgets import (
     SetCoverInstance,
@@ -129,7 +135,7 @@ def _conformance_patterns(n):
     two = min(2, n - 1)
     yield {0}, {0: one}
     if n >= 2:
-        yield {0, n - 1}, {1: two} if n >= 2 else {}
+        yield {0, n - 1}, {1: two}
         yield set(), {0: two, n - 1: one}
     else:
         yield {0}, {}
@@ -272,12 +278,34 @@ def check_circuit_size() -> tuple[bool, str]:
     return True, f"all circuits within {CIRCUIT_SIZE_C}*n^3 gates (largest {biggest})"
 
 
+def random_verifying_walks(rng, closed, tries: int = 50):
+    """A verifying walk system on ``closed`` drawn at random, or None after
+    ``tries`` misses: one walk per plough from its base, each step along a
+    random arc, up to n steps."""
+    for _ in range(tries):
+        walks = []
+        for b in sorted(closed.bases()):
+            for _ in range(closed.ploughs[b]):
+                w = [b]
+                for _ in range(rng.randint(0, closed.n)):
+                    if not closed.out_adj[w[-1]]:
+                        break
+                    w.append(rng.choice(closed.out_adj[w[-1]]))
+                walks.append(w)
+        sol = walks_from_lists(walks)
+        if verify_st_solution(closed, sol)[0]:
+            return sol
+    return None
+
+
 def check_walk_normalization() -> tuple[bool, str]:
-    """100 oracle witnesses on transitively closed restricted instances
-    normalize to verifying tree-like path systems of bounded order."""
+    """100 oracle witnesses and 100 random verifying walk systems on
+    transitively closed restricted instances normalize to verifying
+    tree-like path systems of bounded order with the same starts."""
     rng = random.Random(31)
-    done = 0
-    while done < 100:
+    walk_rng = random.Random(32)
+    witnesses = drawn = rewritten = 0
+    while witnesses < 100 or drawn < 100:
         n = rng.randint(2, 5)
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         arcs = rng.sample(pairs, k=rng.randint(1, min(8, len(pairs))))
@@ -294,19 +322,32 @@ def check_walk_normalization() -> tuple[bool, str]:
         ans, witness = solve_st_exact(closed)
         if not ans:
             continue
-        out = normalize_to_tree_like(closed, witness)
-        ok, reason = verify_st_solution(closed, out)
-        if not ok:
-            return False, f"normalized output fails verification: {reason}"
-        if not is_tree_like(out):
-            return False, "output not tree-like"
-        if sorted(w.start for w in out.walks) != sorted(w.start for w in witness.walks):
-            return False, "start multiset changed"
-        touched = {v for w in out.walks if w.length >= 1 for v in w.vertices}
-        if len(fac) >= 2 and len(touched) > 2 * len(fac) - 1:
-            return False, f"union tree order {len(touched)} exceeds bound"
-        done += 1
-    return True, "100 witnesses normalized, verified, bounded"
+        inputs = []
+        if witnesses < 100:
+            inputs.append(witness)
+            witnesses += 1
+        if drawn < 100:
+            sol = random_verifying_walks(walk_rng, closed)
+            if sol is not None:
+                inputs.append(sol)
+                drawn += 1
+        for sol in inputs:
+            out = normalize_to_tree_like(closed, sol)
+            ok, reason = verify_st_solution(closed, out)
+            if not ok:
+                return False, f"normalized output fails verification: {reason}"
+            if not is_tree_like(out):
+                return False, "output not tree-like"
+            if sorted(w.start for w in out.walks) != sorted(w.start for w in sol.walks):
+                return False, "start multiset changed"
+            touched = {v for w in out.walks if w.length >= 1 for v in w.vertices}
+            if len(fac) >= 2 and len(touched) > 2 * len(fac) - 1:
+                return False, f"union tree order {len(touched)} exceeds bound"
+            rewritten += out != sol
+    return True, (
+        f"100 witnesses and 100 random walk systems normalized ({rewritten} rewritten), "
+        "verified, bounded"
+    )
 
 
 def check_zigzag_family() -> tuple[bool, str]:

@@ -15,6 +15,7 @@ from snowteam.cli import gen_random
 from snowteam.digraph import make_instance, transitive_closure, verify_st_solution, walks_from_lists
 from snowteam.exact import solve_st_exact, solve_variant_exact
 from snowteam.gadgets import gen_fig3
+from snowteam.selfcheck import random_verifying_walks
 from snowteam.solvers import (
     SolveParams,
     _base_reach_connects_facilities,
@@ -562,24 +563,48 @@ def _random_restricted_instances(rng, count):
 
 
 def test_normalize_on_oracle_witnesses():
+    """Oracle witnesses, all already tree-like, and random verifying walk
+    systems, which the normalization must rewrite at least sometimes."""
     rng = random.Random(29)
-    normalized = 0
+    walk_rng = random.Random(30)
+    normalized = rewritten = 0
     for inst in _random_restricted_instances(rng, 80):
         closed = transitive_closure(inst)
         ans, witness = solve_st_exact(closed)
         if not ans:
             continue
-        out = normalize_to_tree_like(closed, witness)
-        ok, reason = verify_st_solution(closed, out)
-        assert ok, reason
-        assert is_tree_like(out)
-        assert sorted(w.start for w in out.walks) == sorted(w.start for w in witness.walks)
-        fac = closed.facilities()
-        touched = {v for w in out.walks if w.length >= 1 for v in w.vertices}
-        if len(fac) >= 2:
-            assert len(touched) <= 2 * len(fac) - 1
-        normalized += 1
-    assert normalized >= 30
+        drawn = random_verifying_walks(walk_rng, closed)
+        for sol in (witness,) if drawn is None else (witness, drawn):
+            out = normalize_to_tree_like(closed, sol)
+            ok, reason = verify_st_solution(closed, out)
+            assert ok, reason
+            assert is_tree_like(out)
+            assert sorted(w.start for w in out.walks) == sorted(w.start for w in sol.walks)
+            fac = closed.facilities()
+            touched = {v for w in out.walks if w.length >= 1 for v in w.vertices}
+            if len(fac) >= 2:
+                assert len(touched) <= 2 * len(fac) - 1
+            normalized += 1
+            rewritten += out != sol
+    assert normalized >= 100
+    assert rewritten >= 20
+
+
+@pytest.mark.parametrize(
+    "walks",
+    [
+        [[0, 1, 2, 1]],  # a walk that revisits a vertex
+        [[0, 1], [1, 0]],  # antiparallel arcs in two walks
+        [[0, 1], [1, 2], [2, 0]],  # a triangle spread over three walks
+        [[0, 1, 2], [3, 1, 2]],  # an arc used by two walks
+    ],
+)
+def test_is_tree_like_rejects(walks):
+    assert not is_tree_like(walks_from_lists(walks))
+
+
+def test_is_tree_like_accepts():
+    assert is_tree_like(walks_from_lists([[0, 1, 2], [0, 3], [2], [4, 2]]))
 
 
 def _candidate_feasible_sets(host, cand, terminals):
