@@ -4,9 +4,9 @@ The base decision routine reduces a restricted instance (ploughs only at
 facilities) to embedding questions on its transitive closure: the instance
 is solvable iff some directed tree on at most 2|F|-1 vertices, weighted by
 plough demand, embeds into the closure covering all facilities within the
-plough capacities.  The general decision enumerates which plough bases to
-promote to facilities; the min/max/unspecified variants reuse the same
-machinery.
+plough capacities.  ``normalize_to_tree_like`` is the constructive proof
+of that 2|F|-1 bound.  The general decision enumerates which plough bases
+to promote to facilities; the other variants reuse the same machinery.
 
 Before any closure or candidate, every pipeline decision runs one
 certain-NO precheck, ``_base_reach_connects_facilities``.  Let R be the plough bases
@@ -56,12 +56,12 @@ from . import trees
 from .digraph import (
     Instance,
     SolutionWalks,
-    Walk,
     bits,
     facilities_connected,
     reach,
     transitive_closure,
     verify_st_solution,
+    walks_from_lists,
 )
 from .exact import solve_st_exact, solve_variant_exact
 from .tpe import build_circuit, detect_zt_multilinear, make_tpe_instance
@@ -449,54 +449,33 @@ def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> So
 # ---------------------------------------------------------------------------
 # walk normalization
 
-def _edge_multiplicities(walks: list[list[int]]):
-    mult: dict[frozenset, int] = {}
-    for w in walks:
-        for a, b in zip(w, w[1:]):
-            e = frozenset((a, b))
-            mult[e] = mult.get(e, 0) + 1
-    return mult
-
-
-def _union_graph(walks: list[list[int]]):
-    adj: dict[int, set[int]] = {}
-    for w in walks:
-        for a, b in zip(w, w[1:]):
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-    return adj
-
-
-def _cycle_edges(adj: dict[int, set[int]]) -> set[frozenset]:
-    """Edges lying on some cycle = edges that are not bridges."""
-    edges = {frozenset((a, b)) for a, nbrs in adj.items() for b in nbrs}
-    out = set()
-    for e in edges:
-        a, b = tuple(e)
-        # is b reachable from a without crossing e?
-        stack, seen = [a], {a}
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if frozenset((v, u)) == e or u in seen:
-                    continue
-                seen.add(u)
-                stack.append(u)
-        if b in seen:
-            out.add(e)
-    return out
-
-
 def normalize_to_tree_like(tc_inst: Instance, sol: SolutionWalks) -> SolutionWalks:
-    """Rewrite a verifying solution on a transitively closed restricted instance
-    into strongly arc-distinct simple paths whose union is a small tree.
+    """Rewrite a verifying solution on a transitively closed restricted
+    instance into arc-distinct simple paths whose union is a tree on at most
+    2|F|-1 vertices: the constructive proof of the bound ``_check_scale`` uses.
 
-    Two phases of local rewrites, each strictly shortening the total length:
-    first drop or shortcut arcs whose underlying edge is multiply traversed or
-    lies on a cycle (applied at the last offending position of a walk, which
-    keeps the replacement arc well defined); then splice out non-facility
-    vertices of degree at most two, except meeting points of two walk ends.
-    Start vertices are never touched.
+    One rule, applied until it no longer applies: delete a vertex after a
+    walk's start, its last one or an inner w[i] that the closure's arc
+    (w[i-1], w[i+1]) shortcuts, if the walks still verify.  Walks go in
+    order, positions from the last one down; the first deletion that
+    verifies is made, then the search restarts.  Each deletion shortens a
+    walk, so the rule stops.  At its fixpoint:
+
+    No edge is used twice or lies on a cycle.  Else take the last such
+    position t of a walk w.  If w[t]w[t+1] is w's last arc, dropping it keeps
+    every vertex joined.  Otherwise w[t+1]w[t+2] is a bridge used once, so
+    w[t] != w[t+2] and the closure has (w[t], w[t+2]); without both arcs
+    w[t] stays joined to w[t+1] (by the other use, or by the cycle, which
+    avoids the bridge), so the shortcut rejoins w[t+2]'s side and every
+    vertex stays joined.  Either way the rule would apply.  So the union is
+    a forest, each walk a simple path (a return would retrace an edge), and,
+    as every walk starts at a facility and the facilities are joined, a tree.
+
+    At most 2|F|-1 vertices when |F| >= 2.  A tree vertex v that is no
+    facility starts no walk, so out(v) <= in(v); with in(v) = 1 it is a leaf
+    or one walk's inner vertex and could be deleted, so in(v) >= 2.  The
+    in-degrees sum to |V|-1 and every facility is on the tree, so
+    2(|V|-|F|) <= |V|-1.
     """
     if not tc_inst.bases() <= tc_inst.facilities():
         raise ValueError("restricted instance required")
@@ -506,67 +485,21 @@ def normalize_to_tree_like(tc_inst: Instance, sol: SolutionWalks) -> SolutionWal
     if not ok:
         raise ValueError(f"input solution must verify: {reason}")
 
+    def deletions(walks):
+        for j, w in enumerate(walks):
+            for i in range(len(w) - 1, 0, -1):
+                if i == len(w) - 1 or (w[i - 1], w[i + 1]) in tc_inst.arcs:
+                    yield walks[:j] + (w[:i] + w[i + 1 :],) + walks[j + 1 :]
+
+    def verifies(walks):
+        return verify_st_solution(tc_inst, walks_from_lists(walks))[0]
+
+    walks = tuple(w.vertices for w in sol.walks)
+    while (step := next(filter(verifies, deletions(walks)), None)) is not None:
+        walks = step
+    out = walks_from_lists(walks)
+    assert is_tree_like(out), "normalized walks must be tree-like"
     fac = tc_inst.facilities()
-    walks = [list(w.vertices) for w in sol.walks]
-
-    # Phase 1: make walks strongly arc-distinct and the union acyclic.
-    while True:
-        mult = _edge_multiplicities(walks)
-        cyc = _cycle_edges(_union_graph(walks))
-        offending = {e for e, c in mult.items() if c >= 2} | cyc
-        target = None
-        for wi, w in enumerate(walks):
-            hits = [t for t in range(len(w) - 1) if frozenset((w[t], w[t + 1])) in offending]
-            if hits:
-                target = (wi, max(hits))
-                break
-        if target is None:
-            break
-        wi, t = target
-        w = walks[wi]
-        if t == len(w) - 2:
-            w.pop()
-        else:
-            assert w[t] != w[t + 2], "offending-position maximality violated"
-            assert (w[t], w[t + 2]) in tc_inst.arcs, "closure must contain the shortcut"
-            del w[t + 1]
-
-    # Phase 2: splice out low-degree non-facility vertices.
-    while True:
-        adj = _union_graph(walks)
-        acted = False
-        for v, nbrs in sorted(adj.items()):
-            if v in fac or len(nbrs) > 2:
-                continue
-            if len(nbrs) == 1:
-                # non-facility degree-1 vertices are always a walk's end: starts
-                # are facilities and interior vertices have two distinct edges
-                end_wi = next(i for i, w in enumerate(walks) if len(w) >= 2 and w[-1] == v)
-                walks[end_wi].pop()
-                acted = True
-                break
-            through = next(
-                (
-                    (i, pos)
-                    for i, w in enumerate(walks)
-                    for pos in range(1, len(w) - 1)
-                    if w[pos] == v
-                ),
-                None,
-            )
-            if through is None:
-                continue  # two walk ends meet here; allowed to remain
-            i, pos = through
-            assert (walks[i][pos - 1], walks[i][pos + 1]) in tc_inst.arcs
-            del walks[i][pos]
-            acted = True
-            break
-        if not acted:
-            break
-
-    out = SolutionWalks(tuple(Walk(tuple(w)) for w in walks))
-    ok, reason = verify_st_solution(tc_inst, out)
-    assert ok, f"normalized solution must verify: {reason}"
     if len(fac) >= 2:
         touched = {v for w in walks if len(w) >= 2 for v in w}
         assert len(touched) <= 2 * len(fac) - 1, "union tree larger than the bound"
@@ -574,10 +507,22 @@ def normalize_to_tree_like(tc_inst: Instance, sol: SolutionWalks) -> SolutionWal
 
 
 def is_tree_like(sol: SolutionWalks) -> bool:
-    """Strongly arc-distinct simple paths whose union's underlying graph is acyclic."""
-    walks = [list(w.vertices) for w in sol.walks]
-    if any(len(set(w)) != len(w) for w in walks):
-        return False
-    if any(c >= 2 for c in _edge_multiplicities(walks).values()):
-        return False
-    return not _cycle_edges(_union_graph(walks))
+    """Arc-distinct simple paths whose union's underlying graph is acyclic.
+
+    One union-find pass over the walks' arcs: an arc whose ends are already
+    joined is a repeated edge, a cycle or a walk that returns to a vertex.
+    """
+    parent: dict[int, int] = {}
+
+    def root(v: int) -> int:
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    for w in sol.walks:
+        for a, b in w.arcs():
+            ra, rb = root(a), root(b)
+            if ra == rb:
+                return False
+            parent[ra] = rb
+    return True
