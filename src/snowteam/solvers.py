@@ -463,13 +463,13 @@ def normalize_to_tree_like(tc_inst: Instance, sol: SolutionWalks) -> SolutionWal
 
     No edge is used twice or lies on a cycle.  Else take the last such
     position t of a walk w.  If w[t]w[t+1] is w's last arc, dropping it keeps
-    every vertex joined.  Otherwise w[t+1]w[t+2] is a bridge used once, so
-    w[t] != w[t+2] and the closure has (w[t], w[t+2]); without both arcs
-    w[t] stays joined to w[t+1] (by the other use, or by the cycle, which
-    avoids the bridge), so the shortcut rejoins w[t+2]'s side and every
-    vertex stays joined.  Either way the rule would apply.  So the union is
-    a forest, each walk a simple path (a return would retrace an edge), and,
-    as every walk starts at a facility and the facilities are joined, a tree.
+    every vertex joined.  Otherwise w[t+1]w[t+2] is a bridge used once, not
+    w[t]w[t+1] again, so w[t] != w[t+2] and the closure has (w[t], w[t+2]).
+    Without both arcs w[t] stays joined to w[t+1] (by the other use, or by
+    the cycle, which avoids the bridge), so the shortcut rejoins w[t+2]'s
+    side and every vertex stays joined.  Either way the rule would apply.
+    So the union is a forest, each walk a simple path (a return would
+    retrace an edge), and, as all walks start at joined facilities, a tree.
 
     At most 2|F|-1 vertices when |F| >= 2.  A tree vertex v that is no
     facility starts no walk, so out(v) <= in(v); with in(v) = 1 it is a leaf
