@@ -278,11 +278,11 @@ def check_circuit_size() -> tuple[bool, str]:
     return True, f"all circuits within {CIRCUIT_SIZE_C}*n^3 gates (largest {biggest})"
 
 
-def random_verifying_walks(rng, closed, tries: int = 50):
+def random_verifying_walks(rng, closed):
     """A verifying walk system on ``closed`` drawn at random, or None after
-    ``tries`` misses: one walk per plough from its base, each step along a
+    50 misses: one walk per plough from its base, each step along a
     random arc, up to n steps."""
-    for _ in range(tries):
+    for _ in range(50):
         walks = []
         for b in sorted(closed.bases()):
             for _ in range(closed.ploughs[b]):
