@@ -113,14 +113,14 @@ def _report_output(args, problem: str, report: SolveReport, decision: str) -> in
 
 
 def _split_tree_line(text: str):
-    """Split an instance file holding an extra 'tree <code>' line."""
+    """Split off an instance file's 'tree <code>' line, blanked to keep line numbers."""
     inst_lines, tree_code = [], None
     for raw in text.splitlines():
         stripped = raw.split("#", 1)[0].strip()
         if stripped.startswith("tree "):
             tree_code = stripped[len("tree ") :].strip()
-        else:
-            inst_lines.append(raw)
+            raw = ""
+        inst_lines.append(raw)
     return "\n".join(inst_lines), tree_code
 
 

@@ -59,7 +59,7 @@ class Instance:
             outs[u].append(v)
             ins[v].append(u)
         object.__setattr__(self, "out_adj", tuple(tuple(x) for x in outs))
-        object.__setattr__(self, "in_adj", tuple(tuple(sorted(x)) for x in ins))
+        object.__setattr__(self, "in_adj", tuple(tuple(x) for x in ins))
         object.__setattr__(self, "out_mask", tuple(sum(1 << x for x in xs) for xs in outs))
         object.__setattr__(self, "in_mask", tuple(sum(1 << x for x in xs) for xs in ins))
 
@@ -141,12 +141,26 @@ def walks_from_lists(seqs) -> SolutionWalks:
 def _content_lines(text) -> list[tuple[int, str]]:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((i, line))
-    return out
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [(i, line) for i, line in enumerate(stripped, start=1) if line]
+
+
+def _record(ln: int, line: str, form: str, kind: str = "record") -> list[int]:
+    """Integer fields of content line ln, a kind of line (record, header) read like form.
+
+    In a form such as ``'v <id> <F> <B>'`` a plain first word is the line's
+    tag, each ``<...>`` word an integer field, and a last word ``...``
+    repeats the field before it any number of times, zero included.
+    """
+    want, got = form.split(), line.split()
+    tag = [] if want[0].startswith("<") else want[:1]
+    fits = len(got) == len(want) or (want[-1] == "..." and len(got) >= len(want) - 2)
+    if got[: len(tag)] == tag and fits:
+        try:
+            return [int(x) for x in got[len(tag) :]]
+        except ValueError:
+            pass
+    raise ParseError(ln, f"expected {kind} {form!r} with integer fields, got {line!r}")
 
 
 def parse_instance(text) -> Instance:
@@ -155,17 +169,9 @@ def parse_instance(text) -> Instance:
     Layout: ``st <n> <m>``, then n lines ``v <id> <F> <B>`` with ids 0..n-1
     in order, then m lines ``a <u> <v>``.  ``#`` starts a comment.
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty instance text")
+    lines = _content_lines(text) or [(1, "")]  # no content: a blank header
     ln, head = lines[0]
-    parts = head.split()
-    if len(parts) != 3 or parts[0] != "st":
-        raise ParseError(ln, f"expected header 'st <n> <m>', got {head!r}")
-    try:
-        n, m = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(ln, "header counts must be integers") from None
+    n, m = _record(ln, head, "st <n> <m>", "header")
     if n < 1 or m < 0:
         raise ParseError(ln, f"bad header counts n={n} m={m}")
     if len(lines) != 1 + n + m:
@@ -173,15 +179,8 @@ def parse_instance(text) -> Instance:
 
     facility = []
     ploughs = []
-    for idx in range(n):
-        ln, line = lines[1 + idx]
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "v":
-            raise ParseError(ln, f"expected 'v <id> <F> <B>', got {line!r}")
-        try:
-            vid, f, b = int(parts[1]), int(parts[2]), int(parts[3])
-        except ValueError:
-            raise ParseError(ln, "vertex fields must be integers") from None
+    for idx, (ln, line) in enumerate(lines[1 : 1 + n]):
+        vid, f, b = _record(ln, line, "v <id> <F> <B>")
         if vid != idx:
             raise ParseError(ln, f"vertex ids must appear in order; expected {idx}, got {vid}")
         if f not in (0, 1):
@@ -194,15 +193,8 @@ def parse_instance(text) -> Instance:
         ploughs.append(b)
 
     arcs: set[tuple[int, int]] = set()
-    for idx in range(m):
-        ln, line = lines[1 + n + idx]
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "a":
-            raise ParseError(ln, f"expected 'a <u> <v>', got {line!r}")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(ln, "arc endpoints must be integers") from None
+    for ln, line in lines[1 + n :]:
+        u, v = _record(ln, line, "a <u> <v>")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(ln, f"arc ({u},{v}) references an unknown vertex")
         if u == v:
@@ -226,14 +218,9 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_walks(text) -> SolutionWalks:
     """One walk per line as space-separated vertex ids; empty file = no walks."""
-    walks = []
-    for ln, line in _content_lines(text):
-        try:
-            vs = tuple(int(x) for x in line.split())
-        except ValueError:
-            raise ParseError(ln, f"walk entries must be integers: {line!r}") from None
-        walks.append(Walk(vs))
-    return SolutionWalks(tuple(walks))
+    return SolutionWalks(
+        tuple(Walk(tuple(_record(ln, line, "<v> ..."))) for ln, line in _content_lines(text))
+    )
 
 
 def serialize_walks(sol: SolutionWalks) -> str:

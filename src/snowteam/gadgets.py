@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .digraph import Instance, ParseError, SolutionWalks, Walk, verify_st_solution, _content_lines
+from .digraph import Instance, ParseError, SolutionWalks, Walk, serialize_instance
+from .digraph import _content_lines, _record, verify_st_solution
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,8 @@ class SetCoverInstance:
             raise ValueError("budget k must be positive")
         covered: set[int] = set()
         for s in self.sets:
-            if not s:
-                raise ValueError("empty set in the family")
-            if list(s) != sorted(set(s)):
-                raise ValueError(f"set {s} must be strictly ascending")
-            if not all(1 <= x <= self.n_items for x in s):
-                raise ValueError(f"set {s} mentions an unknown item")
+            if error := _set_error(s, self.n_items):
+                raise ValueError(error)
             covered.update(s)
         if covered != set(range(1, self.n_items + 1)):
             missing = sorted(set(range(1, self.n_items + 1)) - covered)
@@ -84,31 +81,29 @@ class SetCoverInstance:
         return got == set(range(1, self.n_items + 1))
 
 
+def _set_error(s: tuple[int, ...], n_items: int) -> Optional[str]:
+    """Why s is not a nonempty strictly ascending subset of 1..n_items, or None."""
+    if not s:
+        return "empty set in the family"
+    if list(s) != sorted(set(s)):
+        return f"set {s} must be strictly ascending"
+    if not all(1 <= x <= n_items for x in s):
+        return f"set {s} mentions an unknown item"
+    return None
+
+
 def parse_set_cover(text) -> SetCoverInstance:
     """Format: ``sc <n> <m> <k>`` then m lines ``s <item> <item> ...``."""
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty set-cover text")
+    lines = _content_lines(text) or [(1, "")]  # no content: a blank header
     ln, head = lines[0]
-    parts = head.split()
-    if len(parts) != 4 or parts[0] != "sc":
-        raise ParseError(ln, f"expected header 'sc <n> <m> <k>', got {head!r}")
-    try:
-        n, m, k = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError:
-        raise ParseError(ln, "header counts must be integers") from None
+    n, m, k = _record(ln, head, "sc <n> <m> <k>", "header")
     if len(lines) != 1 + m:
         raise ParseError(ln, f"expected {1 + m} content lines, found {len(lines)}")
     sets = []
-    for idx in range(m):
-        ln, line = lines[1 + idx]
-        parts = line.split()
-        if not parts or parts[0] != "s":
-            raise ParseError(ln, f"expected 's <item> ...', got {line!r}")
-        try:
-            items = tuple(int(x) for x in parts[1:])
-        except ValueError:
-            raise ParseError(ln, "items must be integers") from None
+    for ln, line in lines[1:]:
+        items = tuple(_record(ln, line, "s <item> ..."))
+        if error := _set_error(items, n):
+            raise ParseError(ln, error)
         sets.append(items)
     try:
         return SetCoverInstance(n_items=n, sets=tuple(sets), k=k)
@@ -267,8 +262,6 @@ def gen_fig3(n: int) -> Instance:
 
 def serialize_gadget(g: GadgetLayout) -> str:
     """Instance text with a comment block documenting the name map."""
-    from .digraph import serialize_instance
-
     lines = ["# set-cover gadget; vertex names:"]
     for name, vid in sorted(g.names.items(), key=lambda item: item[1]):
         lines.append(f"#   {vid} = {_format_name(name)}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from math import comb
 
 import numpy as np
 
@@ -213,12 +214,15 @@ def check_algebra_kernels() -> tuple[bool, str]:
     return True, f"{len(pairs)} products match gf_mul; {shared} shared-host products vanish, k<=8"
 
 
+def _rejects_rate_tenth(hits: int) -> bool:
+    """P(X >= hits) < 0.01 for X ~ Binomial(200, 1/10), in exact integers."""
+    return 100 * sum(comb(200, i) * 9 ** (200 - i) for i in range(hits, 201)) < 10**200
+
+
 def check_detection_power() -> tuple[bool, str]:
     """On 20 instances with a certified embedding, single trials, one per
     seed, succeed at a rate of at least 0.2 (and reject per-trial rate 0.1 at
     99% confidence)."""
-    from scipy.stats import binomtest
-
     rng = random.Random(99)
     collected = 0
     worst = 1.0
@@ -238,7 +242,7 @@ def check_detection_power() -> tuple[bool, str]:
         worst = min(worst, freq)
         if freq < 0.2:
             return False, f"success frequency {freq:.3f} below 0.2"
-        if binomtest(hits, 200, 0.1, alternative="greater").pvalue >= 0.01:
+        if not _rejects_rate_tenth(hits):
             return False, f"cannot reject per-trial rate 0.1 ({hits}/200)"
         collected += 1
     return True, f"20 embedded instances, worst frequency {worst:.3f}"

@@ -82,6 +82,14 @@ def test_solve_tpe(tmp_path):
     assert run_cli(["solve", "--problem", "tpe", "--input", str(g), "--exact"]) == 1
 
 
+def test_tpe_parse_errors_name_the_file_line(tmp_path, capsys):
+    # the tree line comes first; the self-loop is the file's seventh line
+    f = tmp_path / "loop.tpe"
+    f.write_text("tree 0 1 / d\nst 3 2\nv 0 1 1\nv 1 0 0\nv 2 0 0\na 0 1\na 1 1\n")
+    assert run_cli(["solve", "--problem", "tpe", "--input", str(f)]) == 2
+    assert capsys.readouterr().err == "error: line 7: self-loop (1,1) is not allowed\n"
+
+
 def test_verify_command(toy1_file, tmp_path):
     good = tmp_path / "good.walks"
     good.write_text("0 1 2\n")

@@ -77,6 +77,13 @@ def test_parse_self_loop_rejected():
         ("st 2 0\nv 1 1 0\nv 0 0 0\n", "in order"),
         ("st 2 0\nv 0 3 0\nv 1 0 0\n", "facility flag"),
         ("st 2 1\nv 0 1 0\nv 1 0 0\n", "content lines"),
+        ("", "header"),
+        ("st 2 x\nv 0 1 0\nv 1 0 0\n", "header"),
+        ("st 2 0 0\nv 0 1 0\nv 1 0 0\n", "header"),
+        ("st 2 0\nv 0 1 0\nv 1 0 0.5\n", "integer"),
+        ("st 2 1\nv 0 1 0\nv 1 0 0\na 0\n", "'a <u> <v>'"),
+        ("st 2 1\nv 0 1 0\nv 1 0 0\nv 0 1\n", "'a <u> <v>'"),
+        ("st 2 0\nv 0 1 -1\nv 1 0 0\n", "nonnegative"),
     ],
 )
 def test_parse_errors(text, match):
@@ -108,6 +115,24 @@ def test_serialize_round_trip_random():
         pl = {v: rng.randint(0, n - 1) for v in rng.sample(range(n), k=min(n, 2))}
         inst = make_instance(n, arcs, fac, pl)
         assert parse_instance(serialize_instance(inst)) == inst
+        assert all(list(us) == sorted(us) for us in inst.in_adj)
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        (dict(n=0, arcs=frozenset(), facility=(), ploughs=()), "at least one vertex"),
+        (dict(n=2, arcs=frozenset(), facility=(True,), ploughs=(0, 0)), "length n"),
+        (dict(n=2, arcs=frozenset(), facility=(True, False), ploughs=(0,)), "length n"),
+        (dict(n=2, arcs=frozenset({(0, 2)}), facility=(True, True), ploughs=(1, 0)), "range"),
+        (dict(n=2, arcs=frozenset({(1, 1)}), facility=(True, True), ploughs=(1, 0)), "loop"),
+        (dict(n=2, arcs=frozenset(), facility=(True, True), ploughs=(-1, 0)), "negative"),
+        (dict(n=2, arcs=frozenset(), facility=(True, True), ploughs=(2, 0)), "exceeds n-1"),
+    ],
+)
+def test_instance_rejects(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        Instance(**kwargs)
 
 
 def test_make_instance_rejects_out_of_range_ids():
@@ -281,3 +306,6 @@ def test_walks_text_round_trip():
     sol = walks_from_lists([[0, 1, 2], [2], [1, 2]])
     assert parse_walks(serialize_walks(sol)) == sol
     assert parse_walks("") == walks_from_lists([])
+    with pytest.raises(ParseError, match="integer") as err:
+        parse_walks("0 1\n# comment\n\n2 x 1\n")
+    assert err.value.line == 4

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from snowteam.digraph import parse_instance, verify_st_solution, walks_from_lists
+from snowteam.digraph import ParseError, parse_instance, verify_st_solution
+from snowteam.digraph import walks_from_lists
 from snowteam.exact import solve_st_exact, solve_variant_exact
 from snowteam.gadgets import (
     GadgetLayout,
@@ -83,6 +84,29 @@ def test_set_cover_text_round_trip():
     text = serialize_set_cover(SAMPLE)
     assert parse_set_cover(text) == SAMPLE
     assert text.splitlines()[0] == "sc 5 4 2"
+
+
+@pytest.mark.parametrize(
+    "text,match,line",
+    [
+        ("sc 2 2 1\ns 1 2\ns\n", "empty set", 3),
+        ("# cover\nsc 2 1\ns 1 2\n", "header", 2),
+        ("sc 2 one 1\ns 1 2\n", "header", 1),
+        ("", "header", 1),
+        ("sc 2 2 1\ns 1 2\n", "content lines", 1),
+        ("sc 3 2 1\ns 1 2\ns 2 x\n", "integer", 3),
+        ("sc 3 2 1\ns 1 2\nt 3\n", "'s <item> ...'", 3),
+        ("sc 3 3 1\ns 1\n\ns 3 2\ns 2\n", "ascending", 4),
+        ("sc 3 2 1\ns 1 2\ns 3 4\n", "unknown item", 3),
+        ("sc 3 2 1\ns 1\ns 2\n", "no set", 1),
+        ("sc 0 0 1\n", "at least one item", 1),
+        ("sc 2 1 0\ns 1 2\n", "positive", 1),
+    ],
+)
+def test_parse_set_cover_errors_name_their_line(text, match, line):
+    with pytest.raises(ParseError, match=match) as err:
+        parse_set_cover(text)
+    assert err.value.line == line
 
 
 def test_serialize_gadget_parses_back():
