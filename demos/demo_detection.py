@@ -15,7 +15,6 @@ from snowteam import (
     expand_symbolic,
     gf_mul,
     make_instance,
-    make_tpe_instance,
     transitive_closure,
 )
 from snowteam.trees import candidate_from_code
@@ -24,8 +23,7 @@ host = transitive_closure(
     make_instance(3, [(0, 1), (1, 2)], facilities={0, 2}, ploughs={0: 1})
 )
 pattern = candidate_from_code("0 1 / d")  # one arc, demand 1 at the tail
-inst = make_tpe_instance(host, pattern)
-circuit = build_circuit(inst)
+circuit = build_circuit(host, pattern, host.facilities() | host.bases())
 
 print("pattern:", pattern.code_str(), "demand", pattern.demand)
 print(f"gates ({len(circuit.gates)}): x = z^e * x_(w,u), add, mul")

@@ -57,12 +57,10 @@ from .solvers import (
 )
 from .tpe import (
     Circuit,
-    TpeInstance,
     build_circuit,
     detect_zt_multilinear,
     eval_trial,
     expand_symbolic,
-    make_tpe_instance,
     solve_tpe,
 )
 from .trees import (

@@ -18,6 +18,7 @@ import numpy as np
 from .digraph import (
     Instance,
     ParseError,
+    _content_lines,
     parse_instance,
     parse_walks,
     serialize_instance,
@@ -33,7 +34,7 @@ from .solvers import (
     solve_st,
     solve_stu,
 )
-from .tpe import make_tpe_instance, solve_tpe
+from .tpe import solve_tpe
 from .trees import candidate_from_code, candidate_stream, enumerate_free_trees, orient_tree
 
 EXIT_YES = 0
@@ -113,14 +114,14 @@ def _report_output(args, problem: str, report: SolveReport, decision: str) -> in
 
 
 def _split_tree_line(text: str):
-    """Split off an instance file's 'tree <code>' line, blanked to keep line numbers."""
-    inst_lines, tree_code = [], None
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("tree "):
-            tree_code = stripped[len("tree ") :].strip()
-            raw = ""
-        inst_lines.append(raw)
+    """Split off a tpe file's one 'tree <code>' line, blanked to keep line numbers."""
+    inst_lines, tree_code = text.splitlines(), None
+    for ln, line in _content_lines(text):
+        if line.startswith("tree "):
+            if tree_code is not None:
+                raise ParseError(ln, "a tpe file has exactly one 'tree' line")
+            tree_code = line[len("tree ") :].strip()
+            inst_lines[ln - 1] = ""
     return "\n".join(inst_lines), tree_code
 
 
@@ -137,11 +138,11 @@ def _cmd_solve(args) -> int:
             raise ValueError("tpe input needs a 'tree <levels> [/ <dirs>]' line")
         host = parse_instance(inst_text)
         cand = candidate_from_code(tree_code)
-        tpe = make_tpe_instance(host, cand)
+        terminals = host.facilities() | host.bases()
         if args.exact:
-            answer = solve_tpe_exact(tpe) is not None
+            answer = solve_tpe_exact(host, cand, terminals) is not None
         else:
-            answer = solve_tpe(tpe, seed=args.seed)
+            answer = solve_tpe(host, cand, terminals, seed=args.seed)
         rep = SolveReport(answer=answer)
         return _report_output(args, "tpe", rep, "yes" if answer else "no")
     inst = parse_instance(text)

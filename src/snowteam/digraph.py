@@ -8,6 +8,7 @@ cleared arcs must connect all facilities in the underlying graph.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -150,16 +151,15 @@ def _record(ln: int, line: str, form: str, kind: str = "record") -> list[int]:
 
     In a form such as ``'v <id> <F> <B>'`` a plain first word is the line's
     tag, each ``<...>`` word an integer field, and a last word ``...``
-    repeats the field before it any number of times, zero included.
+    repeats the field before it any number of times, zero included.  An
+    integer field is ASCII decimal, ``-?[0-9]+``: no ``+``, ``_`` or other digits.
     """
     want, got = form.split(), line.split()
     tag = [] if want[0].startswith("<") else want[:1]
+    fields = got[len(tag) :]
     fits = len(got) == len(want) or (want[-1] == "..." and len(got) >= len(want) - 2)
-    if got[: len(tag)] == tag and fits:
-        try:
-            return [int(x) for x in got[len(tag) :]]
-        except ValueError:
-            pass
+    if got[: len(tag)] == tag and fits and all(re.fullmatch(r"-?[0-9]+", x) for x in fields):
+        return [int(x) for x in fields]
     raise ParseError(ln, f"expected {kind} {form!r} with integer fields, got {line!r}")
 
 
@@ -240,18 +240,21 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def reach(seed: int, step, within: int = -1) -> int:
-    """Vertex mask reached from the seed mask by repeated steps inside within.
+def neighbours(mask: int, step) -> int:
+    """Vertex mask one step from mask's vertices, step[v] being the mask one
+    step from v (``Instance.out_mask`` walks arcs forwards)."""
+    out = 0
+    for v in bits(mask):
+        out |= step[v]
+    return out
 
-    step[v] is the mask of vertices one step from v (``Instance.out_mask``
-    walks arcs forwards); the seed's own vertices are always included.
-    """
+
+def reach(seed: int, step, within: int = -1) -> int:
+    """Vertex mask reached from the seed mask by repeated ``neighbours`` steps
+    inside within; the seed's own vertices are always included."""
     seen = frontier = seed
     while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= step[v]
-        frontier = nxt & within & ~seen
+        frontier = neighbours(frontier, step) & within & ~seen
         seen |= frontier
     return seen
 

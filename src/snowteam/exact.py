@@ -37,7 +37,7 @@ from dataclasses import replace
 from typing import Optional
 
 from .digraph import Instance, SolutionWalks, Walk, bits, facilities_connected, verify_st_solution
-from .tpe import TpeInstance
+from .trees import TreeCandidate
 
 
 class LimitsExceeded(ValueError):
@@ -235,18 +235,18 @@ def solve_st_exact(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
     return ans, witness
 
 
-def solve_tpe_exact(inst: TpeInstance) -> Optional[dict[int, int]]:
-    """Brute force over injective maps; returns an embedding or None."""
-    host, tree = inst.host, inst.tree
+def solve_tpe_exact(
+    host: Instance, tree: TreeCandidate, terminals: frozenset[int]
+) -> Optional[dict[int, int]]:
+    """Brute force over injective maps covering the terminals; an embedding or None."""
+    if not all(0 <= t < host.n for t in terminals):
+        raise ValueError("terminals outside host vertex range")
     if host.n > 8 or tree.order > 5:
         raise LimitsExceeded("exact embedding search limits: n <= 8, order <= 5")
-    if tree.order > host.n:
-        return None
-    verts = range(host.n)
-    for image in itertools.permutations(verts, tree.order):
+    for image in itertools.permutations(range(host.n), tree.order):  # none if order > n
         if any(tree.demand[v] > host.ploughs[image[v]] for v in range(tree.order)):
             continue
-        if not inst.terminals <= set(image):
+        if not terminals <= set(image):
             continue
         if all((image[u], image[v]) in host.arcs for u, v in tree.arcs):
             return {v: image[v] for v in range(tree.order)}

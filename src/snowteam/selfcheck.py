@@ -44,7 +44,6 @@ from .tpe import (
     build_circuit,
     eval_trial,
     expand_symbolic,
-    make_tpe_instance,
 )
 from .trees import FREE_TREE_COUNTS, candidate_stream, enumerate_free_trees, orient_tree
 
@@ -156,18 +155,17 @@ def check_embedding_conformance() -> tuple[bool, str]:
                 patterns = list(_conformance_patterns(n))
                 fac, ploughs = patterns[(len(arcs) + r) % len(patterns)]
                 host = make_instance(n, arcs, fac, ploughs)
+                terminals = host.facilities() | host.bases()
                 for cand in cands:
                     if cand.order > n:
                         continue
-                    inst = make_tpe_instance(host, cand)
-                    poly = expand_symbolic(build_circuit(inst), 4, 4)
-                    s_size = len(inst.terminals)
+                    poly = expand_symbolic(build_circuit(host, cand, terminals), 4, 4)
                     has_monomial = any(
-                        z == s_size and len(vs) == cand.order and len(set(vs)) == cand.order
+                        z == len(terminals) and len(vs) == cand.order and len(set(vs)) == cand.order
                         for (vs, z), coef in poly.items()
                         if coef != 0
                     )
-                    embeds = solve_tpe_exact(inst) is not None
+                    embeds = solve_tpe_exact(host, cand, terminals) is not None
                     if has_monomial != embeds:
                         return False, f"mismatch on n={n} arcs={arcs} tree={cand.code_str()}"
                     cases += 1
@@ -181,7 +179,7 @@ def _x_product(hosts: list[int]) -> Circuit:
         gates.append(("x", w, u, 0))
         gates.append(("mul", len(gates) - 2, len(gates) - 1))
     n = len(hosts)
-    return Circuit(gates=gates, output=len(gates) - 1, host_n=n, tree_order=n, n_terminals=0)
+    return Circuit(gates=gates, output=len(gates) - 1, host_n=n, tree_order=n)
 
 
 def check_algebra_kernels() -> tuple[bool, str]:
@@ -232,12 +230,11 @@ def check_detection_power() -> tuple[bool, str]:
         cands = [c for c in candidate_stream(1, min(4, n)) if c.order <= n]
         cand = rng.choice(cands)
         terminals = set(rng.sample(range(n), k=rng.randint(0, min(cand.order, 2))))
-        inst = make_tpe_instance(host, cand, terminals=terminals)
-        if solve_tpe_exact(inst) is None:
+        if solve_tpe_exact(host, cand, terminals) is None:
             continue
-        circuit = build_circuit(inst)
+        circuit = build_circuit(host, cand, terminals)
         seeds = range(1000 + 200 * collected, 1200 + 200 * collected)
-        hits = sum(eval_trial(circuit, len(inst.terminals), cand.order, s) != 0 for s in seeds)
+        hits = sum(eval_trial(circuit, len(terminals), cand.order, s) != 0 for s in seeds)
         freq = hits / 200
         worst = min(worst, freq)
         if freq < 0.2:
@@ -272,10 +269,11 @@ def check_circuit_size() -> tuple[bool, str]:
     biggest = 0
     for n in (5, 10, 20, 30):
         host = _random_simple_digraph(rng, n, 3 * n, 3, 3)
+        terminals = host.facilities() | host.bases()
         for eta in range(1, min(7, n) + 1):
             for tree in enumerate_free_trees(eta):
                 cand = next(iter(orient_tree(tree)))
-                circ = build_circuit(make_tpe_instance(host, cand))
+                circ = build_circuit(host, cand, terminals)
                 if not (len(circ.gates) <= circ.prepruning_bound <= CIRCUIT_SIZE_C * n**3):
                     return False, f"gate bound violated at n={n} eta={eta}"
                 biggest = max(biggest, len(circ.gates))

@@ -58,13 +58,14 @@ from .digraph import (
     SolutionWalks,
     bits,
     facilities_connected,
+    neighbours,
     reach,
     transitive_closure,
     verify_st_solution,
     walks_from_lists,
 )
 from .exact import solve_st_exact, solve_variant_exact
-from .tpe import build_circuit, detect_zt_multilinear, make_tpe_instance
+from .tpe import build_circuit, detect_zt_multilinear
 from .trees import TreeCandidate, candidate_stream
 
 _SEED_STRIDE = 104_729  # distinct detection seeds within one pipeline call
@@ -158,14 +159,23 @@ def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
 def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozenset[int]) -> bool:
     """Cheap necessary conditions for an embedding; never prunes a true YES.
 
-    Per-vertex capacity/degree compatibility is tightened by arc-consistency
+    Per-vertex capacity/degree compatibility is tightened to arc consistency
     (a placement needs compatible placements across every tree arc), then a
     matching must saturate the tree side and another one the terminal set.
     Host vertex sets are int bitmasks: bit w stands for host vertex w.
+
+    On a tree two passes reach the arc-consistency fixpoint (Freuder, JACM
+    1982).  Arc i joins vertex i+1 to its smaller-id parent (the
+    ``TreeCandidate`` layout).  Pass one, arcs m-1 down to 0, restricts each
+    parent by its child, which its subtree has restricted already, so an
+    empty domain empties the root's.  Pass two, arcs 0 up to m-1, restricts
+    each child by its parent, final by then; a child keeps every placement
+    adjacent to one of its parent's, so no parent placement loses its
+    support and no domain empties.  Every arc ends consistent both ways and
+    each step drops only placements the fixpoint drops too.
     """
     eta = cand.order
-    n = host.n
-    if eta > n or len(terminals) > eta:
+    if eta > host.n or len(terminals) > eta:
         return False
     tout = [0] * eta
     tin = [0] * eta
@@ -176,31 +186,24 @@ def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozense
     compat = [
         sum(
             1 << w
-            for w in range(n)
+            for w in range(host.n)
             if d <= host.ploughs[w] and to <= len(out_adj[w]) and ti <= len(in_adj[w])
         )
         for d, to, ti in zip(cand.demand, tout, tin)
     ]
-    changed = True
-    while changed:
-        changed = False
-        for a, b in cand.arcs:
-            # keep a's placements with an out-neighbour among b's, then b's
-            # placements with an in-neighbour among a's
-            pred_b = 0
-            for x in bits(compat[b]):
-                pred_b |= in_mask[x]
-            if compat[a] & ~pred_b:
-                compat[a] &= pred_b
-                changed = True
-            succ_a = 0
-            for w in bits(compat[a]):
-                succ_a |= out_mask[w]
-            if compat[b] & ~succ_a:
-                compat[b] &= succ_a
-                changed = True
-        if any(not c for c in compat):
-            return False
+
+    def restrict(i: int, v: int) -> None:
+        # keep v's placements with a neighbour among the other end's across
+        # tree arc i = (a, b): an out-neighbour for a, an in-neighbour for b
+        a, b = cand.arcs[i]
+        compat[v] &= neighbours(compat[b], in_mask) if v == a else neighbours(compat[a], out_mask)
+
+    for i in reversed(range(eta - 1)):
+        restrict(i, sum(cand.arcs[i]) - (i + 1))  # the parent of vertex i+1
+    if not compat[0]:
+        return False
+    for i in range(eta - 1):
+        restrict(i, i + 1)
     if not _kuhn_saturates(eta, [bits(c) for c in compat]):
         return False
     term_list = sorted(terminals)
@@ -252,7 +255,7 @@ def _decide(
         report.candidates_tested += 1
         if not _candidate_feasible(closure, cand, fac):
             continue
-        circuit = build_circuit(make_tpe_instance(closure, cand, terminals=fac))
+        circuit = build_circuit(closure, cand, fac)
         det_seed = seed + _SEED_STRIDE * report.detections_run
         report.detections_run += 1
         if detect_zt_multilinear(circuit, t=len(fac), k=cand.order, seed=det_seed):

@@ -53,7 +53,7 @@ SUBSET_CHUNK times t+1 words, plus one word per x-gate and lane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,31 +66,6 @@ from .trees import MAX_ORDER, TreeCandidate
 # plus the output sum: at most n*(3*eta - 2) + 1 <= 3*eta*n gates, below
 # CIRCUIT_SIZE_C * n^3 for every n >= 1, eta <= n.
 CIRCUIT_SIZE_C = 10
-
-
-@dataclass(frozen=True)
-class TpeInstance:
-    """Host digraph, pattern tree and terminal set; the circuit roots the
-    tree at its vertex 0."""
-
-    host: Instance
-    tree: TreeCandidate
-    terminals: frozenset[int]
-
-    def __post_init__(self):
-        if not all(0 <= t < self.host.n for t in self.terminals):
-            raise ValueError("terminals outside host vertex range")
-
-
-def make_tpe_instance(
-    host: Instance,
-    tree: TreeCandidate,
-    terminals=None,
-) -> TpeInstance:
-    """Terminals default to facilities plus plough bases of the host."""
-    if terminals is None:
-        terminals = host.facilities() | host.bases()
-    return TpeInstance(host=host, tree=tree, terminals=frozenset(terminals))
 
 
 @dataclass
@@ -106,8 +81,7 @@ class Circuit:
     output: int
     host_n: int
     tree_order: int
-    n_terminals: int
-    prepruning_bound: int = field(default=0)
+    prepruning_bound: int = 0
 
     def x_gate_ids(self) -> list[int]:
         return [i for i, g in enumerate(self.gates) if g[0] == "x"]
@@ -128,29 +102,27 @@ class Circuit:
 
 def _rooted_structure(tree: TreeCandidate):
     """Return (order of vertices deepest-first, in_children, out_children),
-    the tree rooted at vertex 0.  Arc i joins vertex i+1 to its parent (the
-    ``TreeCandidate`` layout); the order is descending (depth, id)."""
-    depth = [0] * tree.order
+    the tree rooted at vertex 0, from the ``TreeCandidate`` layout: arc i
+    joins vertex i+1 to its parent, and the order is descending (free_code, id)."""
     in_children: list[list[int]] = [[] for _ in range(tree.order)]
     out_children: list[list[int]] = [[] for _ in range(tree.order)]
     for v, (a, b) in enumerate(tree.arcs, start=1):
         if a == v:
-            depth[v] = depth[b] + 1
             in_children[b].append(v)
         else:
-            depth[v] = depth[a] + 1
             out_children[a].append(v)
-    order = sorted(range(tree.order), key=lambda v: (depth[v], v), reverse=True)
+    order = sorted(range(tree.order), key=lambda v: (tree.free_code[v], v), reverse=True)
     return order, in_children, out_children
 
 
-def build_circuit(inst: TpeInstance) -> Circuit:
-    """Shared-DAG circuit for Q(X, z).
+def build_circuit(host: Instance, tree: TreeCandidate, terminals: frozenset[int]) -> Circuit:
+    """Shared-DAG circuit for Q(X, z): tree rooted at vertex 0, z on the terminals.
 
     A pair (u, w) gets gates only when w pays u's demand and every child of
     u has a placement adjacent to w, so pruned pairs leave no gates behind.
     """
-    host, tree = inst.host, inst.tree
+    if not all(0 <= t < host.n for t in terminals):
+        raise ValueError("terminals outside host vertex range")
     n, eta = host.n, tree.order
     order, in_children, out_children = _rooted_structure(tree)
 
@@ -175,7 +147,7 @@ def build_circuit(inst: TpeInstance) -> Circuit:
             ]
             if not all(branches):
                 continue
-            acc = append(("x", w, u, int(w in inst.terminals)))
+            acc = append(("x", w, u, int(w in terminals)))
             for ids in branches:
                 acc = append(("mul", acc, add_gate(ids)))
             qid[u, w] = acc
@@ -183,14 +155,7 @@ def build_circuit(inst: TpeInstance) -> Circuit:
     output = add_gate([qid[0, w] for w in range(n) if (0, w) in qid])
     bound = n * (3 * eta - 2) + 1
     assert len(gates) <= bound <= 3 * eta * n <= CIRCUIT_SIZE_C * n**3
-    circ = Circuit(
-        gates=gates,
-        output=output,
-        host_n=n,
-        tree_order=eta,
-        n_terminals=len(inst.terminals),
-        prepruning_bound=bound,
-    )
+    circ = Circuit(gates=gates, output=output, host_n=n, tree_order=eta, prepruning_bound=bound)
     circ.validate()
     return circ
 
@@ -352,16 +317,17 @@ def detect_zt_multilinear(circuit: Circuit, t: int, k: int, seed: int = 1) -> bo
     return eval_trial(circuit, t, k, seed) != 0
 
 
-def solve_tpe(inst: TpeInstance, seed: int = 1) -> bool:
+def solve_tpe(
+    host: Instance, tree: TreeCandidate, terminals: frozenset[int], seed: int = 1
+) -> bool:
     """Randomized embedding decision: z-degree |terminals|, k = tree order.
 
     A tree above ``trees.MAX_ORDER`` raises ValueError before any work: the
     detection walks 2^k subsets.
     """
-    eta = inst.tree.order
+    eta = tree.order
     if eta > MAX_ORDER:
         raise ValueError(f"tree order {eta} exceeds the detection cap {MAX_ORDER}")
-    if eta > inst.host.n or len(inst.terminals) > eta:
+    if eta > host.n or len(terminals) > eta:
         return False
-    circuit = build_circuit(inst)
-    return detect_zt_multilinear(circuit, t=len(inst.terminals), k=eta, seed=seed)
+    return detect_zt_multilinear(build_circuit(host, tree, terminals), len(terminals), eta, seed)

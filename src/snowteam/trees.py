@@ -56,9 +56,10 @@ class FreeTree:
 class TreeCandidate:
     """Directed tree with plough-demand weights.
 
-    Layout invariant (``tpe`` relies on it): arc i joins vertex i+1 to its
-    parent, which has a smaller id; ``orientation[i]`` says whether it
-    points parent -> child.
+    Layout invariant (``tpe`` and the filter ``solvers._candidate_feasible``
+    rely on it): arc i joins vertex i+1 to its parent, which has a smaller
+    id; ``orientation[i]`` says whether it points parent -> child, and
+    ``free_code[v]`` is v's depth below vertex 0.
     """
 
     order: int

@@ -90,6 +90,18 @@ def test_tpe_parse_errors_name_the_file_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 7: self-loop (1,1) is not allowed\n"
 
 
+def test_tpe_file_has_one_tree_line(tmp_path, capsys):
+    host = "st 2 1\nv 0 1 1\nv 1 0 0\na 0 1\n"
+    f = tmp_path / "two.tpe"
+    f.write_text("tree 0 1 / d\n" + host + "\ntree 0 1 2 / du\n")
+    assert run_cli(["solve", "--problem", "tpe", "--input", str(f)]) == 2
+    assert capsys.readouterr().err == "error: line 7: a tpe file has exactly one 'tree' line\n"
+    # a commented-out tree line is a comment, as in every format
+    f.write_text("# tree 0 1 2 / du\ntree 0 1 / d  # the pattern\n" + host)
+    assert run_cli(["solve", "--problem", "tpe", "--input", str(f), "--json"]) == 0
+    assert '"answer": "yes"' in capsys.readouterr().out
+
+
 def test_verify_command(toy1_file, tmp_path):
     good = tmp_path / "good.walks"
     good.write_text("0 1 2\n")

@@ -91,6 +91,33 @@ def test_parse_errors(text, match):
         parse_instance(text)
 
 
+# a sign, a digit separator, an Arabic-Indic one and a fullwidth one: int()
+# reads each as an integer, the formats do not
+NON_DECIMAL = ["+1", "1_0", "\u0661", "\uff11"]
+
+
+@pytest.mark.parametrize("field", NON_DECIMAL)
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("st 2 {}\nv 0 1 1\nv 1 0 0\na 0 1\n", 1),
+        ("st 2 1\nv 0 1 1\nv 1 0 {}\na 0 1\n", 3),
+        ("st 2 1\nv 0 1 1\nv 1 0 0\n# arcs\na 0 {}\n", 5),
+    ],
+)
+def test_parse_instance_fields_are_ascii_decimal(text, line, field):
+    with pytest.raises(ParseError, match="with integer fields") as err:
+        parse_instance(text.format(field))
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("field", NON_DECIMAL)
+def test_parse_walks_fields_are_ascii_decimal(field):
+    with pytest.raises(ParseError, match="with integer fields") as err:
+        parse_walks(f"0 1\n\n1 {field}\n")
+    assert err.value.line == 3
+
+
 def test_parse_error_carries_line_number():
     try:
         parse_instance(TOY1_TEXT.replace("a 1 2", "a 2 2"))

@@ -101,6 +101,13 @@ def test_set_cover_text_round_trip():
         ("sc 3 2 1\ns 1\ns 2\n", "no set", 1),
         ("sc 0 0 1\n", "at least one item", 1),
         ("sc 2 1 0\ns 1 2\n", "positive", 1),
+    ]
+    # a sign, a digit separator, an Arabic-Indic one and a fullwidth one,
+    # which int() reads, are no integer fields
+    + [
+        (text.format(field), "with integer fields", line)
+        for field in ("+1", "1_0", "\u0661", "\uff11")
+        for text, line in (("sc 3 2 {}\ns 1 2\ns 3\n", 1), ("sc 3 2 1\ns 1 2\n\ns {}\n", 4))
     ],
 )
 def test_parse_set_cover_errors_name_their_line(text, match, line):

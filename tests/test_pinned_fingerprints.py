@@ -21,7 +21,7 @@ from pathlib import Path
 
 from snowteam import solvers
 from snowteam.digraph import make_instance
-from snowteam.tpe import build_circuit, eval_trial, make_tpe_instance
+from snowteam.tpe import build_circuit, eval_trial
 from snowteam.trees import candidate_stream
 
 HERE = Path(__file__).resolve().parent
@@ -30,12 +30,12 @@ CATALOGUE = HERE.parent / "bench" / "catalogue.json"
 
 
 def _st_no_circuits():
-    """(name, circuit, seed) for every detection of solve_st on st-no."""
+    """(name, circuit, seed, terminal count) for every detection of solve_st on st-no."""
     calls = []
     detect = solvers.detect_zt_multilinear
 
     def record(circuit, t, k, seed=1):
-        calls.append((circuit, seed))
+        calls.append((circuit, seed, t))
         return detect(circuit, t, k, seed)
 
     solvers.detect_zt_multilinear = record
@@ -49,8 +49,8 @@ def _st_no_circuits():
             )
             start = len(calls)
             solvers.solve_st(inst, solvers.SolveParams(seed=3))
-            for j, (circuit, seed) in enumerate(calls[start:]):
-                yield f"st-no[{i}] detection {j}", circuit, seed
+            for j, (circuit, seed, t) in enumerate(calls[start:]):
+                yield f"st-no[{i}] detection {j}", circuit, seed, t
     finally:
         solvers.detect_zt_multilinear = detect
 
@@ -65,25 +65,25 @@ def _random_circuits():
         host = make_instance(n, arcs, set(), ploughs)
         cand = rng.choice([c for c in candidate_stream(1, min(5, n)) if c.order >= 2])
         terminals = rng.sample(range(n), rng.randint(1, cand.order))
-        yield f"random{i}", build_circuit(make_tpe_instance(host, cand, terminals)), i
+        yield f"random{i}", build_circuit(host, cand, terminals), i, len(terminals)
 
 
 def _pruned_circuit():
     """An out-star needing two ploughs on a host with one: every pair is pruned."""
     cand = next(c for c in candidate_stream(1, 3) if c.arcs == ((0, 1), (0, 2)))
     host = make_instance(3, [(0, 1), (0, 2)], {0}, {0: 1})
-    return build_circuit(make_tpe_instance(host, cand))
+    return build_circuit(host, cand, {0})
 
 
 def _fingerprints() -> dict:
-    corpus = [*_st_no_circuits(), *_random_circuits(), ("all-pruned", _pruned_circuit(), 5)]
+    corpus = [*_st_no_circuits(), *_random_circuits(), ("all-pruned", _pruned_circuit(), 5, 1)]
     return {
         name: [
             eval_trial(circuit, t, k, seed)
             for k in (circuit.tree_order - 1, circuit.tree_order)
-            for t in range(circuit.n_terminals + 1)
+            for t in range(t_max + 1)
         ]
-        for name, circuit, seed in corpus
+        for name, circuit, seed, t_max in corpus
     }
 
 

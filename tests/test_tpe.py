@@ -11,7 +11,6 @@ from snowteam.tpe import (
     detect_zt_multilinear,
     eval_trial,
     expand_symbolic,
-    make_tpe_instance,
     solve_tpe,
     CIRCUIT_SIZE_C,
 )
@@ -34,12 +33,19 @@ def toy1_closure():
     return transitive_closure(make_instance(3, [(0, 1), (1, 2)], {0, 2}, {0: 1}))
 
 
+def _terminals(host):
+    """Facilities and plough bases: the terminal set of a ``tpe`` file."""
+    return host.facilities() | host.bases()
+
+
 def toy1_tpe():
-    return make_tpe_instance(toy1_closure(), _tree_edge_down())
+    """(host, tree, terminals) of the one-arc pattern on toy1's closure."""
+    host = toy1_closure()
+    return host, _tree_edge_down(), _terminals(host)
 
 
 def test_x_gate_exponents_and_pruned_pairs():
-    circ = build_circuit(toy1_tpe())
+    circ = build_circuit(*toy1_tpe())
     # (host, tree vertex, z exponent), deepest tree vertex first: z on the
     # terminals 0 and 2; tree vertex 0 needs a plough, so host vertices 1 and
     # 2 (no plough) get no x-gate for it
@@ -48,7 +54,7 @@ def test_x_gate_exponents_and_pruned_pairs():
 
 
 def test_toy1_circuit_expansion():
-    circ = build_circuit(toy1_tpe())
+    circ = build_circuit(*toy1_tpe())
     got = expand_symbolic(circ, max_vars=3, max_zdeg=3)
     assert got == {((0, 1), 1): 1, ((0, 2), 2): 1}
 
@@ -56,21 +62,21 @@ def test_toy1_circuit_expansion():
 def test_single_vertex_tree_circuit():
     host = make_instance(2, [], facilities={0}, ploughs={})
     tree = next(iter(orient_tree(next(iter(enumerate_free_trees(1))))))
-    circ = build_circuit(make_tpe_instance(host, tree))
+    circ = build_circuit(host, tree, _terminals(host))
     got = expand_symbolic(circ, max_vars=2, max_zdeg=2)
     assert got == {((0,), 1): 1, ((1,), 0): 1}
 
 
 def test_symmetric_embeddings_double_coefficient():
     host = make_instance(3, [(0, 1), (0, 2)], facilities=set(), ploughs={0: 2})
-    circ = build_circuit(make_tpe_instance(host, _tree_star_out()))
+    circ = build_circuit(host, _tree_star_out(), _terminals(host))
     got = expand_symbolic(circ, max_vars=3, max_zdeg=3)
     assert got[((0, 1, 2), 1)] == 2
 
 
 def test_expand_guard():
     host = make_instance(7, [(0, 1)], facilities={0}, ploughs={})
-    circ = build_circuit(make_tpe_instance(host, _tree_edge_down()))
+    circ = build_circuit(host, _tree_edge_down(), _terminals(host))
     with pytest.raises(ValueError, match="guard"):
         expand_symbolic(circ, 5, 5)
 
@@ -101,12 +107,12 @@ def test_gate_count_bound():
         for eta in (1, 3, min(7, n)):
             for tree in enumerate_free_trees(eta):
                 cand = next(iter(orient_tree(tree)))
-                circ = build_circuit(make_tpe_instance(host, cand))
+                circ = build_circuit(host, cand, _terminals(host))
                 assert len(circ.gates) <= circ.prepruning_bound <= CIRCUIT_SIZE_C * n**3
 
 
 def test_circuit_is_monotone_and_topological():
-    circ = build_circuit(toy1_tpe())
+    circ = build_circuit(*toy1_tpe())
     circ.validate()
 
 
@@ -118,7 +124,7 @@ def test_every_sum_feeds_a_product():
         n = rng.randint(2, 6)
         host = _random_host(rng, n, 10)
         cand = rng.choice(_all_orientations(min(4, n)))
-        circ = build_circuit(make_tpe_instance(host, cand))
+        circ = build_circuit(host, cand, _terminals(host))
         read = {g[2] for g in circ.gates if g[0] == "mul"}
         adds = {i for i, g in enumerate(circ.gates) if g[0] == "add"}
         assert adds - {circ.output} <= read
@@ -127,7 +133,7 @@ def test_every_sum_feeds_a_product():
 def _hand_circuit_two_x(var_a, var_b):
     """(z * x_a) * (z * x_b) with distinct x-gate occurrences."""
     gates = [("x", var_a, 0, 1), ("x", var_b, 1, 1), ("mul", 0, 1)]
-    return Circuit(gates=gates, output=2, host_n=3, tree_order=2, n_terminals=2)
+    return Circuit(gates=gates, output=2, host_n=3, tree_order=2)
 
 
 def test_eval_square_is_zero():
@@ -144,7 +150,7 @@ def test_eval_distinct_variables_survive_often():
 
 
 def test_toy1_detection():
-    circ = build_circuit(toy1_tpe())
+    circ = build_circuit(*toy1_tpe())
     # z^2 x0 x2 exists
     assert detect_zt_multilinear(circ, t=2, k=2, seed=3)
     # z^1 x0 x1 exists as well
@@ -155,13 +161,13 @@ def test_toy1_detection():
 
 
 def test_solve_tpe_examples():
-    assert solve_tpe(toy1_tpe(), seed=1)
+    assert solve_tpe(*toy1_tpe(), seed=1)
 
     host = make_instance(2, [(1, 0)], facilities={0, 1}, ploughs={1: 1})
-    assert solve_tpe(make_tpe_instance(host, _tree_edge_down()), seed=1)
+    assert solve_tpe(host, _tree_edge_down(), _terminals(host), seed=1)
 
     host_bad = make_instance(2, [(1, 0)], facilities={0, 1}, ploughs={0: 1})
-    assert not solve_tpe(make_tpe_instance(host_bad, _tree_edge_down()), seed=1)
+    assert not solve_tpe(host_bad, _tree_edge_down(), _terminals(host_bad), seed=1)
 
 
 def test_solve_tpe_agrees_with_exact_oracle():
@@ -176,9 +182,8 @@ def test_solve_tpe_agrees_with_exact_oracle():
         cands = list(candidate_stream(1, eta))
         cand = rng.choice([c for c in cands if c.order <= n])
         terminals = set(rng.sample(range(n), k=rng.randint(0, min(cand.order, n))))
-        inst = make_tpe_instance(host, cand, terminals=terminals)
-        want = solve_tpe_exact(inst) is not None
-        got = solve_tpe(inst, seed=17)
+        want = solve_tpe_exact(host, cand, terminals) is not None
+        got = solve_tpe(host, cand, terminals, seed=17)
         if want:
             checked_yes += 1
             assert got, (host, cand, terminals)
@@ -191,16 +196,26 @@ def test_solve_tpe_agrees_with_exact_oracle():
 def test_exact_embedding_respects_conditions():
     from snowteam.exact import solve_tpe_exact
 
-    inst = toy1_tpe()
-    emb = solve_tpe_exact(inst)
+    emb = solve_tpe_exact(*toy1_tpe())
     assert emb == {0: 0, 1: 2}
 
     host = make_instance(2, [(1, 0)], facilities={0, 1}, ploughs={0: 1})
-    assert solve_tpe_exact(make_tpe_instance(host, _tree_edge_down())) is None
+    assert solve_tpe_exact(host, _tree_edge_down(), _terminals(host)) is None
 
     single = next(iter(orient_tree(next(iter(enumerate_free_trees(1))))))
     host2 = make_instance(2, [], facilities={1}, ploughs={})
-    assert solve_tpe_exact(make_tpe_instance(host2, single)) == {0: 1}
+    assert solve_tpe_exact(host2, single, _terminals(host2)) == {0: 1}
+
+
+@pytest.mark.parametrize("terminals", [{3}, {0, -1}])
+def test_terminals_outside_the_host_are_rejected(terminals):
+    from snowteam.exact import solve_tpe_exact
+
+    host = toy1_closure()
+    with pytest.raises(ValueError, match="terminals outside host vertex range"):
+        build_circuit(host, _tree_edge_down(), terminals)
+    with pytest.raises(ValueError, match="terminals outside host vertex range"):
+        solve_tpe_exact(host, _tree_edge_down(), terminals)
 
 
 def test_detection_one_sided_on_certified_no_instances():
@@ -213,10 +228,9 @@ def test_detection_one_sided_on_certified_no_instances():
         host = _random_host(rng, n, 8)
         cand = rng.choice([c for c in candidate_stream(1, min(4, n)) if c.order <= n])
         terminals = set(rng.sample(range(n), k=rng.randint(0, min(cand.order, n))))
-        inst = make_tpe_instance(host, cand, terminals=terminals)
-        if solve_tpe_exact(inst) is not None:
+        if solve_tpe_exact(host, cand, terminals) is not None:
             continue
-        circ = build_circuit(inst)
+        circ = build_circuit(host, cand, terminals)
         seeds = range(checked * 1000, checked * 1000 + 8)
         assert all(eval_trial(circ, len(terminals), cand.order, s) == 0 for s in seeds), (
             host,
@@ -227,7 +241,7 @@ def test_detection_one_sided_on_certified_no_instances():
 
 
 def test_toy1_survival_frequency():
-    circ = build_circuit(toy1_tpe())
+    circ = build_circuit(*toy1_tpe())
     hits = sum(eval_trial(circ, t=2, k=2, seed=s) != 0 for s in range(200))
     assert hits / 200 >= 0.2
 
@@ -279,7 +293,7 @@ def _reference_cases():
         host = _random_host(rng, n, 8)
         cand = rng.choice(_all_orientations(min(3, n)))
         terminals = set(rng.sample(range(n), k=rng.randint(0, min(cand.order, n))))
-        yield build_circuit(make_tpe_instance(host, cand, terminals=terminals)), len(terminals), cand.order
+        yield build_circuit(host, cand, terminals), len(terminals), cand.order
     # (z*x_0 + x_1) * (z*x_2 + x_3): both factors span two z-degrees
     gates = [
         ("x", 0, 0, 1),
@@ -290,7 +304,7 @@ def _reference_cases():
         ("add", (3, 4)),
         ("mul", 2, 5),
     ]
-    yield Circuit(gates=gates, output=6, host_n=4, tree_order=2, n_terminals=1), 1, 2
+    yield Circuit(gates=gates, output=6, host_n=4, tree_order=2), 1, 2
 
 
 def test_engine_matches_reference_algebra_evaluation():
@@ -314,9 +328,8 @@ def test_subset_chunks_agree_with_one_chunk(monkeypatch):
     assert [eval_trial(circ, t, k, seed) for circ, t, k in cases for seed in (1, 9)] == whole
 
 
-def _direct_polynomial(inst, max_vars, max_zdeg):
+def _direct_polynomial(host, tree, terminals, max_vars, max_zdeg):
     """Unshared recursive expansion of the defining product-of-sums formulas."""
-    host, tree = inst.host, inst.tree
     und = {v: [] for v in range(tree.order)}
     arcset = set(tree.arcs)
     for u, v in tree.arcs:
@@ -343,7 +356,7 @@ def _direct_polynomial(inst, max_vars, max_zdeg):
     def q(u, w, parent):
         if tree.demand[u] > host.ploughs[w]:
             return {}
-        ze = 1 if w in inst.terminals else 0
+        ze = 1 if w in terminals else 0
         acc = {((w,), ze): 1}
         for v in und[u]:
             if v == parent:
@@ -365,6 +378,5 @@ def test_shared_dag_matches_unshared_expansion():
         host = _random_host(rng, n, 12)
         cand = rng.choice(_all_orientations(min(4, n)))
         terminals = set(rng.sample(range(n), k=rng.randint(0, 2)))
-        inst = make_tpe_instance(host, cand, terminals=terminals)
-        circ = build_circuit(inst)
-        assert expand_symbolic(circ, 6, 6) == _direct_polynomial(inst, 6, 6)
+        circ = build_circuit(host, cand, terminals)
+        assert expand_symbolic(circ, 6, 6) == _direct_polynomial(host, cand, terminals, 6, 6)
