@@ -271,6 +271,33 @@ def transitive_closure(inst: Instance) -> Instance:
     return Instance(n=inst.n, arcs=arcs, facility=inst.facility, ploughs=inst.ploughs)
 
 
+def condense(inst: Instance) -> Instance:
+    """The condensation: each strongly connected component becomes one vertex.
+
+    Components are numbered in the order of their smallest members.  A
+    component is a facility if it holds one, and holds its members' ploughs,
+    capped at n_c-1 for n_c components; the arcs between components carry
+    over.  A host with no cycle comes back as the same object.
+    """
+    comp = [-1] * inst.n
+    members = []
+    for v in range(inst.n):
+        if comp[v] < 0:
+            scc = bits(reach(1 << v, inst.out_mask) & reach(1 << v, inst.in_mask))
+            for u in scc:
+                comp[u] = len(members)
+            members.append(scc)
+    n_c = len(members)
+    if n_c == inst.n:
+        return inst
+    return Instance(
+        n=n_c,
+        arcs=frozenset((comp[u], comp[v]) for u, v in inst.arcs if comp[u] != comp[v]),
+        facility=tuple(any(inst.facility[u] for u in c) for c in members),
+        ploughs=tuple(min(sum(inst.ploughs[u] for u in c), n_c - 1) for c in members),
+    )
+
+
 def sources(inst: Instance) -> frozenset[int]:
     """Vertices with in-degree zero."""
     return frozenset(v for v in range(inst.n) if not inst.in_adj[v])

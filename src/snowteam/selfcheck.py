@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import _clmul_reduce_arrays, gf_mul
 from .digraph import (
+    condense,
     make_instance,
     sources,
     transitive_closure,
@@ -114,11 +115,15 @@ def check_sample_gadget_numbers() -> tuple[bool, str]:
 
 def check_pipeline_vs_oracle() -> tuple[bool, str]:
     """500 random instances: the randomized pipeline agrees with the search
-    oracle; reported failure bounds stay below 1e-3."""
+    oracle; reported failure bounds stay below 1e-3.  At least 200 hosts
+    must have a cycle, so the condensation step stays exercised."""
     rng = random.Random(20260809)
-    yes = no = 0
+    yes = no = condensed = collapsed = 0
     for i in range(500):
         inst = _random_simple_digraph(rng, rng.randint(2, 6), 10, 3, 3)
+        host = condense(inst)
+        condensed += host is not inst
+        collapsed += len(host.facilities()) <= 1 < len(inst.facilities())
         want, _ = solve_st_exact(inst)
         rep = solve_st(inst, SolveParams(seed=1 + i))
         if rep.failure_bound >= 1e-3:
@@ -127,7 +132,12 @@ def check_pipeline_vs_oracle() -> tuple[bool, str]:
             return False, f"disagreement on case {i}: pipeline={rep.answer} oracle={want}"
         yes += want
         no += not want
-    return True, f"500 instances agree ({yes} yes / {no} no)"
+    if condensed < 200:
+        return False, f"only {condensed} of 500 hosts have a cycle to condense"
+    return True, (
+        f"500 instances agree ({yes} yes / {no} no; {condensed} condense, "
+        f"{collapsed} to one facility component)"
+    )
 
 
 def _conformance_patterns(n):

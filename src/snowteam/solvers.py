@@ -21,6 +21,35 @@ promotion keeps a subset of the original bases and adds facilities, so its
 R shrinks and its facility set grows; one failure on the original bases
 decides every promotion.
 
+Past the precheck, each entry point solves the condensation,
+``digraph.condense``: every strongly connected component contracted to one
+vertex, a facility if it holds one, with its members' ploughs capped at
+n_c-1 for n_c components.  With two or more facility components the instance
+is YES exactly when its condensation is.  To project a solution, map each
+walk's vertices to their components and drop repeats.  A walk that leaves a
+component never returns to it, so this is a walk of the condensation from
+its base's component, and it keeps every cleared arc between components.
+Arcs inside a component collapse onto its vertex, so facilities joined by
+cleared arcs stay joined, and each facility component, joined to another,
+touches a cleared arc.  To lift a solution, give each condensed walk at a
+component its own plough there (there are at most as many walks as
+ploughs; the rest stay put).  The plough tours its component, every member
+reachable from every other, then crosses the next arc between components
+from that arc's tail, tours the component it enters, and so on.  The tours
+join all members of each visited component and the crossed arcs join the
+components; every facility component is visited, so all facilities are
+joined.  The cap changes no answer: a candidate tree has at most n_c
+vertices, so a tree vertex's demand is at most its out-degree, at most
+n_c-1, and every capacity test comes out the same with or without the cap.
+When every facility lies in one component C and there are at least two,
+the condensation has one facility and is trivially YES, while the instance
+is YES exactly when some base reaches C: a plough walks there and tours C,
+and without one no facility touches a cleared arc.  The precheck, run on the
+instance before condensing, has then found such a base, so ``st`` answers
+YES, ``min-st`` needs one plough (a facility must touch a cleared arc) and
+``stu`` answers YES exactly when k >= 1.  ``max-st`` condenses each
+facility subset on its own, so its optimum still counts original facilities.
+
 Every restricted decision runs through one routine, ``_decide``: the
 precheck, the closure, the candidates within the plough budget, the filter
 and one detection per surviving candidate, stopping at the first YES.
@@ -57,6 +86,7 @@ from .digraph import (
     Instance,
     SolutionWalks,
     bits,
+    condense,
     facilities_connected,
     neighbours,
     reach,
@@ -137,6 +167,14 @@ def _base_reach_connects_facilities(inst: Instance) -> bool:
         return False
     both = tuple(o | i for o, i in zip(inst.out_mask, inst.in_mask))
     return not fac & ~reach(fac & -fac, both, within)
+
+
+def _condensed(inst: Instance) -> Optional[Instance]:
+    """None when the precheck proves inst a NO, else the condensation that
+    decides it (module docstring); inst itself with at most one facility."""
+    if len(inst.facilities()) <= 1:
+        return inst
+    return condense(inst) if _base_reach_connects_facilities(inst) else None
 
 
 def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
@@ -282,7 +320,10 @@ def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     if inst.n <= params.exact_threshold:
         ans, witness = solve_st_exact(inst)
         return SolveReport(answer=ans, witness=witness)
-    return _decision(inst, inst.total_ploughs(), len(inst.facilities()), params.seed)
+    host = _condensed(inst)
+    if host is None:
+        return SolveReport(answer=False)
+    return _decision(host, host.total_ploughs(), len(host.facilities()), params.seed)
 
 
 def _promotions(inst: Instance, seed: int):
@@ -351,14 +392,16 @@ def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveRe
     if inst.n <= params.exact_threshold:
         ans, witness = solve_st_exact(inst)
         return SolveReport(answer=ans, witness=witness)
-    if len(inst.facilities()) <= 1:
+    host = _condensed(inst)
+    if host is None:
+        return SolveReport(answer=False)  # certain for every promotion (module docstring)
+    if len(host.facilities()) <= 1:
         return SolveReport(answer=True)
-    eta_max = _check_scale(len(inst.facilities() | inst.bases()), inst.n)
+    eta_max = _check_scale(len(host.facilities() | host.bases()), host.n)
     report = SolveReport(answer=False)
-    if not _base_reach_connects_facilities(inst):
-        return report  # certain for every promotion (module docstring)
-    subs, seeds = zip(*_promotions(inst, params.seed))
-    sub_params = [replace(params, seed=seed, jobs=1) for seed in seeds]
+    subs, seeds = zip(*_promotions(host, params.seed))
+    # promotions of the condensation stay on the pipeline, however few vertices
+    sub_params = [replace(params, seed=seed, jobs=1, exact_threshold=0) for seed in seeds]
     for sub in workers.map(solve_all_st, subs, sub_params):
         report.candidates_tested += sub.candidates_tested
         report.detections_run += sub.detections_run
@@ -378,11 +421,16 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
         return SolveReport(answer=best is not None, optimum=best)
     if len(inst.facilities()) <= 1:
         return SolveReport(answer=True, optimum=0)
-    _check_scale(len(inst.facilities() | inst.bases()), inst.n)
+    host = _condensed(inst)
+    if host is None:
+        return SolveReport(answer=False)
+    if len(host.facilities()) <= 1:
+        return SolveReport(answer=True, optimum=1)  # one plough tours the one component
+    _check_scale(len(host.facilities() | host.bases()), host.n)
     report = SolveReport(answer=False)
     best: Optional[int] = None
     hits = 0
-    for sub, seed in _promotions(inst, params.seed):
+    for sub, seed in _promotions(host, params.seed):
         kb = sub.total_ploughs()
         budget = kb if best is None else min(kb, best - 1)  # only lighter candidates
         hit = _decide(
@@ -411,7 +459,8 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
         return SolveReport(answer=True, optimum=best)
     fac = sorted(inst.facilities())
     if len(fac) > 1:
-        _check_scale(len(inst.facilities() | inst.bases()), inst.n)
+        host = condense(inst)  # each subset condenses to these vertices, no more facilities
+        _check_scale(len(host.facilities() | host.bases()), host.n)
     report = SolveReport(answer=True)
     with _Workers(params.jobs) as workers:  # one pool for every subset
         for size in range(len(fac), 1, -1):
@@ -438,15 +487,20 @@ def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> So
 
     Every vertex may hold a plough, so every vertex is in R and the
     base-reachability precheck reduces to weak connectivity of the
-    facilities in D.
+    facilities in D.  The condensation of the free host is the free host of
+    the condensation: each component's ploughs reach the cap.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if inst.n <= params.exact_threshold:
         return SolveReport(answer=solve_variant_exact(inst, "stu", k=k))
     # capacity n-1 everywhere is equivalent to unconstrained: demands never exceed it
-    free_host = replace(inst, ploughs=tuple(inst.n - 1 for _ in range(inst.n)))
-    return _decision(free_host, k, len(inst.facilities()) + k, params.seed)
+    host = _condensed(replace(inst, ploughs=tuple(inst.n - 1 for _ in range(inst.n))))
+    if host is None:
+        return SolveReport(answer=False)
+    if len(host.facilities()) <= 1 < len(inst.facilities()):
+        return SolveReport(answer=k >= 1)  # one plough tours the one component
+    return _decision(host, k, len(host.facilities()) + k, params.seed)
 
 
 # ---------------------------------------------------------------------------

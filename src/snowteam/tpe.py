@@ -328,6 +328,8 @@ def solve_tpe(
     eta = tree.order
     if eta > MAX_ORDER:
         raise ValueError(f"tree order {eta} exceeds the detection cap {MAX_ORDER}")
+    if not all(0 <= t < host.n for t in terminals):
+        raise ValueError("terminals outside host vertex range")
     if eta > host.n or len(terminals) > eta:
         return False
     return detect_zt_multilinear(build_circuit(host, tree, terminals), len(terminals), eta, seed)

@@ -30,6 +30,7 @@ generation: no class key and no set of seen classes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -281,16 +282,17 @@ def orient_tree(
 
 def candidate_from_code(code: str) -> TreeCandidate:
     """Parse a printable candidate code: depth sequence, then '/' and one
-    direction character per non-root vertex ('d' = away from parent)."""
+    direction character per non-root vertex ('d' = away from parent).  Depths
+    are ASCII decimal, as every integer field of the text formats."""
     if "/" in code:
         levels_part, dirs = code.split("/", 1)
         dirs = dirs.strip()
     else:
         levels_part, dirs = code, ""
-    try:
-        levels = [int(x) for x in levels_part.split()]
-    except ValueError:
-        raise ValueError(f"bad depth sequence in {code!r}") from None
+    words = levels_part.split()
+    if not all(re.fullmatch(r"-?[0-9]+", x) for x in words):
+        raise ValueError(f"bad depth sequence in {code!r}")
+    levels = [int(x) for x in words]
     order = len(levels)
     if order == 0 or levels[0] != 0:
         raise ValueError("depth sequence must start with 0")

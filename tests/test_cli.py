@@ -102,6 +102,14 @@ def test_tpe_file_has_one_tree_line(tmp_path, capsys):
     assert '"answer": "yes"' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("depth", ["+1", "\uff11"])
+def test_tpe_tree_line_depths_are_ascii_decimal(tmp_path, capsys, depth):
+    f = tmp_path / "sign.tpe"
+    f.write_text(f"st 2 1\nv 0 1 1\nv 1 0 0\na 0 1\ntree 0 {depth} / d\n", encoding="utf-8")
+    assert run_cli(["solve", "--problem", "tpe", "--input", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: bad depth sequence in '0 {depth} / d'\n"
+
+
 def test_verify_command(toy1_file, tmp_path):
     good = tmp_path / "good.walks"
     good.write_text("0 1 2\n")

@@ -6,6 +6,7 @@ from snowteam.digraph import (
     Instance,
     ParseError,
     bits,
+    condense,
     facilities_connected,
     make_instance,
     parse_instance,
@@ -206,6 +207,57 @@ def test_reach_matches_a_plain_search_on_randoms():
                     seen.add(u)
                     stack.append(u)
         assert reach(seed, inst.out_mask, within) == sum(1 << v for v in seen)
+
+
+def test_condense_numbers_components_by_smallest_member():
+    # components {0}, {1, 3, 5} and {2, 4} become vertices 0, 1 and 2
+    arcs = [(1, 5), (5, 3), (3, 1), (2, 4), (4, 2), (0, 1), (4, 5), (4, 3), (2, 0)]
+    inst = make_instance(6, arcs, {3, 4}, {1: 1, 3: 1, 5: 1, 2: 1})
+    dag = condense(inst)
+    assert dag.n == 3
+    # arcs inside a component vanish; (4, 5) and (4, 3) merge into (2, 1)
+    assert dag.arcs == {(0, 1), (2, 1), (2, 0)}
+    assert dag.facility == (False, True, True)
+    assert dag.ploughs == (0, 2, 1)
+
+
+def test_condense_caps_ploughs_at_n_c_minus_one():
+    # {0, 1} holds 1 + 2 ploughs, capped at n_c - 1 = 1; {2} keeps its one
+    inst = make_instance(3, [(0, 1), (1, 0), (1, 2)], {2}, {0: 1, 1: 2, 2: 1})
+    assert condense(inst).ploughs == (1, 1)
+    # one component: a single vertex with no arcs and no ploughs
+    ring = make_instance(3, [(0, 1), (1, 2), (2, 0)], {0, 2}, {1: 2})
+    assert condense(ring) == make_instance(1, [], {0}, {})
+
+
+def test_condense_leaves_an_acyclic_host_alone():
+    inst = make_instance(4, [(0, 1), (1, 2), (0, 3), (3, 2)], {0, 2}, {0: 2})
+    assert condense(inst) is inst
+    path = toy1()
+    assert condense(path) is path
+
+
+def test_condense_matches_a_pairwise_reachability_oracle_on_randoms():
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, k=rng.randint(0, min(12, len(pairs))))
+        fac = set(rng.sample(range(n), k=rng.randint(0, n)))
+        pl = {v: rng.randint(0, n - 1) for v in range(n)}
+        inst = make_instance(n, arcs, fac, pl)
+        reaches = [reach(1 << v, inst.out_mask) for v in range(n)]
+        same = [[reaches[u] >> v & 1 and reaches[v] >> u & 1 for v in range(n)] for u in range(n)]
+        leaders = sorted({min(v for v in range(n) if same[u][v]) for u in range(n)})
+        comp = [leaders.index(min(v for v in range(n) if same[u][v])) for u in range(n)]
+        dag = condense(inst)
+        assert dag.n == len(leaders)
+        assert dag.arcs == {(comp[u], comp[v]) for u, v in arcs if comp[u] != comp[v]}
+        for c in range(dag.n):
+            members = [u for u in range(n) if comp[u] == c]
+            assert dag.facility[c] == any(u in fac for u in members)
+            assert dag.ploughs[c] == min(sum(pl[u] for u in members), dag.n - 1)
+        assert (dag is inst) == (dag.n == n)
 
 
 def test_transitive_closure_toy1():

@@ -1,8 +1,9 @@
 """Pinned fingerprints: ``eval_trial`` values of built circuits against a committed file.
 
 The corpus is every circuit the restricted solver builds on the bench
-catalogue's ``st-no`` instances (``solve_st`` with SolveParams(seed=3), each
-circuit taken at the detection call with its seed), 20 circuits on seeded
+catalogue's ``st-no`` instances as given, with the condensation step turned
+off (``solve_st`` with SolveParams(seed=3), each circuit taken at the
+detection call with its seed), 20 circuits on seeded
 random hosts with random terminal sets, and one circuit whose every branch
 is pruned (its values are 0).  Each circuit is evaluated at every z-degree
 t from 0 to its terminal count, for k equal to the tree order and one below
@@ -39,6 +40,8 @@ def _st_no_circuits():
         return detect(circuit, t, k, seed)
 
     solvers.detect_zt_multilinear = record
+    condense = solvers.condense
+    solvers.condense = lambda inst: inst  # circuits on the uncontracted closures
     try:
         for i, spec in enumerate(json.loads(CATALOGUE.read_text())["st-no"]):
             inst = make_instance(
@@ -53,6 +56,7 @@ def _st_no_circuits():
                 yield f"st-no[{i}] detection {j}", circuit, seed, t
     finally:
         solvers.detect_zt_multilinear = detect
+        solvers.condense = condense
 
 
 def _random_circuits():

@@ -6,7 +6,9 @@ k 1, all with SolveParams(seed=3), on the bench catalogue instances, a
 seeded gen_random set (ploughs on facilities), a seeded set with ploughs on
 any vertex (several base promotions), and three instances where a min-st
 promotion passes the base-reachability precheck after the last promotion
-that runs a detection (its larger tree order sets the min-st bound).  A change meant to keep answers, optima, bounds and
+that runs a detection (its larger tree order sets the min-st bound).  The
+first of those has a cycle; on its condensation its min-st needs no such
+detection and carries bound 0.  A change meant to keep answers, optima, bounds and
 counts must leave this file alone; a change meant to alter them regenerates
 it with
 

@@ -12,7 +12,13 @@ import pytest
 
 from snowteam.cli import gen_random
 
-from snowteam.digraph import make_instance, transitive_closure, verify_st_solution, walks_from_lists
+from snowteam.digraph import (
+    condense,
+    make_instance,
+    transitive_closure,
+    verify_st_solution,
+    walks_from_lists,
+)
 from snowteam.exact import solve_st_exact, solve_variant_exact
 from snowteam.gadgets import gen_fig3
 from snowteam.selfcheck import random_verifying_walks
@@ -68,15 +74,28 @@ def test_all_st_examples():
 def test_all_st_no_after_real_detections():
     # candidates pass the feasibility filters yet nothing embeds (certified by
     # the exact oracle), so the NO answer rests on detections and carries a
-    # nonzero failure bound
+    # nonzero failure bound; the host is acyclic, so condensing leaves it alone
     inst = make_instance(
-        6, [(0, 3), (1, 5), (3, 0), (4, 0), (4, 5), (5, 1)], {3, 4, 5}, {4: 1}
+        5, [(0, 4), (1, 4), (2, 1), (3, 0), (3, 1), (3, 2), (3, 4)], {0, 1, 3}, {3: 1}
     )
     assert not solve_st_exact(inst)[0]
     rep = solve_all_st(inst, PARAMS)
     assert not rep.answer
     assert rep.detections_run >= 1
     assert 0 < rep.failure_bound < 1e-3
+
+
+def test_all_st_cyclic_no_decided_on_the_condensation():
+    # the cycles 0-3 and 1-5 contract: the one plough at 4 must reach both
+    # facility components {0, 3} and {1, 5}, and no candidate within one
+    # plough passes the filter on the 4-vertex condensation
+    inst = make_instance(
+        6, [(0, 3), (1, 5), (3, 0), (4, 0), (4, 5), (5, 1)], {3, 4, 5}, {4: 1}
+    )
+    assert not solve_st_exact(inst)[0]
+    rep = solve_all_st(inst, PARAMS)
+    assert not rep.answer
+    assert rep.detections_run == 0 and rep.failure_bound == 0.0
 
 
 def test_all_st_requires_restricted_input():
@@ -238,9 +257,9 @@ def test_jobs_pool_capped_at_usable_cpus(monkeypatch):
         started.append(kwargs)
         return SimpleNamespace(map=map, shutdown=lambda **_: None)
 
-    # facilities 0 and 7 on a two-way path, six non-facility bases: 64 promotions
-    path = [(i, i + 1) for i in range(7)] + [(i + 1, i) for i in range(7)]
-    inst = make_instance(8, path, {0, 7}, {v: 1 for v in range(1, 7)})
+    # facilities 0 and 7 on an acyclic host, six non-facility bases: 64 promotions
+    arcs = [(i, j) for i in range(1, 7) for j in (0, 7)] + [(i, i + 1) for i in range(1, 6)]
+    inst = make_instance(8, arcs, {0, 7}, {v: 1 for v in range(1, 7)})
     assert solvers._usable_cpus() >= 1
     monkeypatch.setattr(solvers, "ProcessPoolExecutor", fake_pool)
     for cpus, workers in ((1, None), (2, 2), (5, 5), (100, 64)):
@@ -302,11 +321,18 @@ def test_max_st_examples():
     assert solve_max_st(toy2(), PARAMS).optimum == 1
     none_fac = make_instance(2, [(0, 1)], set(), {0: 1})
     assert solve_max_st(none_fac, PARAMS).optimum == 0
-    # NO sub-decisions at the optimum's own size do not count toward the bound
+    # NO sub-decisions at the optimum's own size do not count toward the
+    # bound: a size-3 subset runs a detection before the YES, yet the bound is
+    # the one size-4 decision's
+    inst = make_instance(5, [(0, 1), (0, 4), (2, 4), (3, 0)], {0, 1, 2, 3}, {2: 1, 3: 1, 4: 1})
+    rep = solve_max_st(inst, SolveParams())
+    assert rep.optimum == 3
+    assert 0 < rep.failure_bound == solve_st(inst, SolveParams()).failure_bound < 1e-3
+    # the cycle 2-4 contracts; the size-4 decision then needs no detection
     inst = make_instance(5, [(0, 1), (2, 3), (2, 4), (4, 0), (4, 2)], {0, 2, 3, 4}, {1: 1, 3: 1, 4: 1})
     rep = solve_max_st(inst, SolveParams())
     assert rep.optimum == 3
-    assert 0 < rep.failure_bound < 1e-3
+    assert rep.failure_bound == 0.0
 
 
 def test_max_st_bound_after_many_no_sub_decisions():
@@ -487,6 +513,55 @@ def test_min_max_st_match_exact_on_randoms():
         p = SolveParams(seed=13)
         assert solve_min_st(inst, p).optimum == solve_variant_exact(inst, "min-st"), inst
         assert solve_max_st(inst, p).optimum == solve_variant_exact(inst, "max-st"), inst
+
+
+def test_pipeline_matches_oracles_on_cyclic_hosts():
+    """Every variant solved on the condensation agrees with the exact engines
+    on the uncontracted host, including the cases whose facilities all lie in
+    one strongly connected component."""
+    rng = random.Random(20261019)
+    cases = collapsed = 0
+    while cases < 300:
+        n = rng.randint(3, 6)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, k=rng.randint(2, min(10, len(pairs))))
+        fac = set(rng.sample(range(n), k=rng.randint(2, 3)))
+        pl = {}
+        for _ in range(rng.randint(1, 3)):
+            v = rng.randrange(n)
+            pl[v] = min(pl.get(v, 0) + 1, n - 1)
+        inst = make_instance(n, arcs, fac, pl)
+        host = condense(inst)
+        if host is inst:
+            continue
+        cases += 1
+        collapsed += len(host.facilities()) <= 1
+        p = SolveParams(seed=cases)
+        assert solve_st(inst, p).answer == solve_st_exact(inst)[0], inst
+        assert solve_min_st(inst, p).optimum == solve_variant_exact(inst, "min-st"), inst
+        assert solve_max_st(inst, p).optimum == solve_variant_exact(inst, "max-st"), inst
+        for k in (0, 1, 2):
+            assert solve_stu(inst, k, p).answer == solve_variant_exact(inst, "stu", k=k), (inst, k)
+    assert collapsed >= 50
+
+
+def test_one_component_min_st_needs_one_plough():
+    # facilities 1 and 2 share the cycle 1-2-3, which the plough at 0 reaches:
+    # the condensation has one facility, yet some plough must move
+    inst = make_instance(4, [(0, 1), (1, 2), (2, 3), (3, 1)], {1, 2}, {0: 2})
+    assert len(condense(inst).facilities()) == 1
+    rep = solve_min_st(inst, PARAMS)
+    assert rep.answer and rep.optimum == 1 == solve_variant_exact(inst, "min-st")
+    assert rep.detections_run == 0 and rep.failure_bound == 0.0
+
+
+def test_one_component_stu_needs_a_plough():
+    inst = make_instance(3, [(0, 1), (1, 0), (1, 2)], {0, 1}, {})
+    assert len(condense(inst).facilities()) == 1
+    for k in (0, 1, 2):
+        rep = solve_stu(inst, k, PARAMS)
+        assert rep.answer == (k >= 1) == solve_variant_exact(inst, "stu", k=k)
+        assert rep.detections_run == 0 and rep.failure_bound == 0.0
 
 
 def test_max_st_monotone_under_arc_addition():

@@ -207,7 +207,9 @@ def test_exact_embedding_respects_conditions():
     assert solve_tpe_exact(host2, single, _terminals(host2)) == {0: 1}
 
 
-@pytest.mark.parametrize("terminals", [{3}, {0, -1}])
+# {0, 1, 3} holds more terminals than the tree has vertices: solve_tpe checks
+# the range before it answers NO for that
+@pytest.mark.parametrize("terminals", [{3}, {0, -1}, {0, 1, 3}])
 def test_terminals_outside_the_host_are_rejected(terminals):
     from snowteam.exact import solve_tpe_exact
 
@@ -216,6 +218,17 @@ def test_terminals_outside_the_host_are_rejected(terminals):
         build_circuit(host, _tree_edge_down(), terminals)
     with pytest.raises(ValueError, match="terminals outside host vertex range"):
         solve_tpe_exact(host, _tree_edge_down(), terminals)
+    with pytest.raises(ValueError, match="terminals outside host vertex range"):
+        solve_tpe(host, _tree_edge_down(), terminals)
+
+
+def test_solve_tpe_checks_terminals_before_a_tree_larger_than_the_host():
+    host = toy1_closure()
+    path = next(c for c in candidate_stream(1, 4) if c.order == 4)
+    assert host.n < path.order
+    assert not solve_tpe(host, path, {0})
+    with pytest.raises(ValueError, match="terminals outside host vertex range"):
+        solve_tpe(host, path, {0, 99})
 
 
 def test_detection_one_sided_on_certified_no_instances():

@@ -331,3 +331,15 @@ def test_candidate_code_rejects_malformed():
         candidate_from_code("0 1 / x")  # bad direction char
     with pytest.raises(ValueError):
         candidate_from_code("0 1 1 / d")  # wrong direction count
+
+
+@pytest.mark.parametrize("depth", ["+1", "\uff11", "\u0661", "1_0"])
+def test_candidate_code_depths_are_ascii_decimal(depth):
+    from snowteam.trees import candidate_from_code
+
+    # the ASCII-decimal rule of every integer field: '+', digits of other
+    # scripts and '_' are no depth, though int() would read each of them
+    code = f"0 {depth} / d"
+    with pytest.raises(ValueError, match="bad depth sequence"):
+        candidate_from_code(code)
+    assert candidate_from_code("0 1 / d").free_code == (0, 1)
