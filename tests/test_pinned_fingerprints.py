@@ -4,8 +4,10 @@ The corpus is every circuit the restricted solver builds on the bench
 catalogue's ``st-no`` instances as given, with the condensation step turned
 off (``solve_st`` with SolveParams(seed=3), each circuit taken at the
 detection call with its seed), 20 circuits on seeded
-random hosts with random terminal sets, and one circuit whose every branch
-is pruned (its values are 0).  Each circuit is evaluated at every z-degree
+random hosts with random terminal sets, four larger ones (orders 6 to 11,
+dozens of products per mul level; the order-11 tree at k = 11 spans two
+``SUBSET_CHUNK`` chunks of lanes, and at small t many products vanish past
+z^t), and one circuit whose every branch is pruned (its values are 0).  Each circuit is evaluated at every z-degree
 t from 0 to its terminal count, for k equal to the tree order and one below
 it, so most values are nonzero field elements.  The values depend on the
 circuit's x-gate order and on numpy's ``default_rng`` stream.  A change to
@@ -23,7 +25,7 @@ from pathlib import Path
 from snowteam import solvers
 from snowteam.digraph import make_instance
 from snowteam.tpe import build_circuit, eval_trial
-from snowteam.trees import candidate_stream
+from snowteam.trees import candidate_from_code, candidate_stream
 
 HERE = Path(__file__).resolve().parent
 PINNED = HERE / "pinned_fingerprints.json"
@@ -72,6 +74,24 @@ def _random_circuits():
         yield f"random{i}", build_circuit(host, cand, terminals), i, len(terminals)
 
 
+def _large_circuits():
+    """Random trees of orders 6 to 11 (a random depth sequence and random
+    directions) on hosts with 3n arcs, 1 to 3 ploughs everywhere and three
+    terminals."""
+    rng = random.Random(20261020)
+    for i, (n, order) in enumerate([(8, 6), (9, 7), (10, 8), (12, 11)]):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        ploughs = {v: rng.randint(1, 3) for v in range(n)}
+        host = make_instance(n, rng.sample(pairs, 3 * n), set(), ploughs)
+        levels = [0]
+        for _ in range(order - 1):
+            levels.append(rng.randint(1, levels[-1] + 1))
+        dirs = "".join(rng.choice("du") for _ in range(order - 1))
+        cand = candidate_from_code(" ".join(map(str, levels)) + " / " + dirs)
+        terminals = rng.sample(range(n), 3)
+        yield f"large{i}", build_circuit(host, cand, terminals), i, len(terminals)
+
+
 def _pruned_circuit():
     """An out-star needing two ploughs on a host with one: every pair is pruned."""
     cand = next(c for c in candidate_stream(1, 3) if c.arcs == ((0, 1), (0, 2)))
@@ -80,7 +100,12 @@ def _pruned_circuit():
 
 
 def _fingerprints() -> dict:
-    corpus = [*_st_no_circuits(), *_random_circuits(), ("all-pruned", _pruned_circuit(), 5, 1)]
+    corpus = [
+        *_st_no_circuits(),
+        *_random_circuits(),
+        *_large_circuits(),
+        ("all-pruned", _pruned_circuit(), 5, 1),
+    ]
     return {
         name: [
             eval_trial(circuit, t, k, seed)
