@@ -46,20 +46,29 @@ Schwartz-Zippel one trial gives F = 0 with probability at most 2k/2^64.
 A detection is one trial.
 
 The evaluation runs over GF(2^64)[z]/(z^(t+1)), vectorised over lanes, one
-per subset T, in chunks of SUBSET_CHUNK lanes; each gate's value
-is dropped after its last consumer, so memory stays at the live gates times
-SUBSET_CHUNK times t+1 words, plus one word per x-gate and lane.
+per subset T, in chunks of L = min(SUBSET_CHUNK, 2^k) lanes.  A schedule,
+compiled once per trial from the gate DAG, keeps of each gate only the
+z-coefficients that reach the output's z^t, one row of L words each, and
+batches the gates by mul depth: the products of one level are one kernel
+call and the sums above them one gather.  A row is reused once the batch of
+its gate's last reader is done.  Memory is the peak number of live rows
+(one per x-gate, and one per kept coefficient of each gate still to be
+read) times L words, plus one call's temporaries: a call gathers at most
+SUBSET_CHUNK * (t+1)^2 words per operand, one full product of two
+(t+1)-coefficient values over SUBSET_CHUNK lanes, and the kernel holds a
+few arrays of that size.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .algebra import _clmul_reduce_arrays
-from .digraph import Instance
+from .digraph import Instance, bits
 from .trees import MAX_ORDER, TreeCandidate
 
 # Gate-count ceiling: one x-gate, and an add and a mul per child, per pair,
@@ -87,17 +96,21 @@ class Circuit:
         return [i for i, g in enumerate(self.gates) if g[0] == "x"]
 
     def validate(self) -> None:
-        """Structural monotonicity/topology check."""
+        """ValueError unless the circuit is monotone and topological: x-gates
+        on a host vertex and a tree vertex in range with a nonnegative z
+        power, operands earlier in gate order, the output a gate."""
         for i, g in enumerate(self.gates):
             kind = g[0]
             if kind == "x":
-                assert g[3] >= 0, "negative z power"
+                ok = 0 <= g[1] < self.host_n and 0 <= g[2] < self.tree_order and g[3] >= 0
             elif kind == "add":
-                assert all(0 <= c < i for c in g[1]), "add gate references forward"
+                ok = all(0 <= c < i for c in g[1])
             else:
-                assert kind == "mul", f"unknown gate kind {kind}"
-                assert 0 <= g[1] < i and 0 <= g[2] < i, "mul gate references forward"
-        assert 0 <= self.output < len(self.gates)
+                ok = kind == "mul" and 0 <= g[1] < i and 0 <= g[2] < i
+            if not ok:
+                raise ValueError(f"malformed gate {i}: {g!r}")
+        if not 0 <= self.output < len(self.gates):
+            raise ValueError(f"output {self.output} is not a gate")
 
 
 def _rooted_structure(tree: TreeCandidate):
@@ -203,78 +216,135 @@ def expand_symbolic(
 # ---------------------------------------------------------------------------
 # randomized evaluation by algebraic fingerprints
 
-#: lanes, one per subset T of [k], evaluated together; a gate's value holds
-#: at most SUBSET_CHUNK * (t+1) field words
+#: lanes, one per subset T of [k], evaluated together
 SUBSET_CHUNK = 1 << 10
 
 
-def _operands(gate: tuple) -> tuple:
-    return gate[1] if gate[0] == "add" else gate[1:3] if gate[0] == "mul" else ()
+def _sources_per_call(zcap: int, lanes: int) -> int:
+    """Sources one step may gather, row pairs for products and rows for sums:
+    SUBSET_CHUNK * (zcap+1)^2 words a side, one full product of two
+    (zcap+1)-coefficient values over SUBSET_CHUNK lanes."""
+    return SUBSET_CHUNK * (zcap + 1) ** 2 // lanes
 
 
-def _last_readers(circuit: Circuit) -> dict[int, int]:
-    """Each gate the output depends on -> the last such gate reading it.
+def _schedule(circuit: Circuit, zcap: int, lanes: int) -> tuple:
+    """Compile the evaluation of the output's z^zcap coefficient from the
+    gate DAG alone; ValueError when the circuit is malformed.
 
-    Placements of a subtree that no placement of its parent uses are absent.
+    Values live in a row store, one row of lanes words per needed
+    z-coefficient of a gate.  Returns (x_count, x_gates, rows, steps, out).
+    Rows 0, 1, ... hold the x-gates: row i the x_gates[i][0]-th x-gate of
+    the circuit (in gate order, of x_count), on host vertex x_gates[i][1].
+    A step (a, b, starts, dst) gathers rows b, multiplies them row by row
+    with rows a (None for an add step: no product), XORs each run of
+    results from one of starts to the next (None: runs of one) and writes
+    the sums to rows dst.  out is the row of the output's z^zcap
+    coefficient, None when that coefficient is 0; rows is the store's height.
+
+    A gate keeps only the z-coefficients that reach the output's z^zcap:
+    going up, the degrees it can hold up to zcap; going down, those a reader
+    needs, so a product past z^zcap is never formed.  Gates are batched by
+    (mul depth, add nesting): the products of one mul level are one kernel
+    call and the sums above them one gather, each split into calls of at
+    most ``_sources_per_call`` source rows, and no coefficient needs more
+    than zcap+1 of them.  A row is reused once the batch of its gate's last
+    reader is done.
     """
-    last = {circuit.output: circuit.output}
-    for gid in range(circuit.output, -1, -1):
-        if gid in last:
-            for c in _operands(circuit.gates[gid]):
-                last.setdefault(c, gid)
-    return last
-
-
-def _add(parts: list) -> Optional[tuple]:
-    """Sum of (lo, arr) values, arr[d] holding the z^(lo+d) coefficients."""
-    parts = [p for p in parts if p is not None]
-    if not parts:
-        return None
-    lo = min(p[0] for p in parts)
-    hi = max(p[0] + len(p[1]) for p in parts)
-    out = np.zeros((hi - lo,) + parts[0][1].shape[1:], dtype=np.uint64)
-    for plo, arr in parts:
-        out[plo - lo : plo - lo + len(arr)] ^= arr
-    return lo, out
-
-
-def _mul(a: tuple, b: tuple, zcap: int) -> Optional[tuple]:
-    """Product of (lo, arr) values in GF(2^64)[z]/(z^(zcap+1))."""
-    lo = a[0] + b[0]
-    if lo > zcap:
-        return None
-    pa, pb = a[1][: zcap - lo + 1], b[1][: zcap - lo + 1]
-    prod = _clmul_reduce_arrays(pa[:, None], pb[None, :])
-    out = np.zeros((min(len(pa) + len(pb) - 1, zcap - lo + 1),) + pa.shape[1:], dtype=np.uint64)
-    for i in range(len(pa)):
-        m = min(len(pb), len(out) - i)
-        out[i : i + m] ^= prod[i, :m]
-    return lo, out
-
-
-def _evaluate(circuit: Circuit, zcap: int, x_vals: np.ndarray, last: dict) -> Optional[np.ndarray]:
-    """The output's z^zcap coefficient in every lane, the i-th x-gate set to
-    x_vals[i]; each gate's value is dropped after its last reader."""
-    x_rows = {gid: i for i, gid in enumerate(circuit.x_gate_ids())}
-    vals: dict[int, Optional[tuple]] = {}
-    for gid, gate in enumerate(circuit.gates):
-        if gid not in last:
-            continue
-        if gate[0] == "x":
-            val = (gate[3], x_vals[x_rows[gid]][None])
-        elif gate[0] == "add":
-            val = _add([vals[c] for c in gate[1]])
+    circuit.validate()
+    gates = circuit.gates
+    # bit d of deg[g]: g's value can have a z^d term, d <= zcap; of need[g]:
+    # some reader of g needs that term
+    deg: list[int] = []
+    for g in gates:
+        m = 0
+        if g[0] == "x":
+            m = 1 << g[3] if g[3] <= zcap else 0
+        elif g[0] == "add":
+            for c in g[1]:
+                m |= deg[c]
         else:
-            a, b = vals[gate[1]], vals[gate[2]]
-            val = None if a is None or b is None else _mul(a, b, zcap)
-        vals[gid] = val
-        for c in _operands(gate):
-            if last[c] == gid:
-                vals.pop(c, None)
-    out = vals[circuit.output]
-    if out is None or not out[0] <= zcap < out[0] + len(out[1]):
-        return None
-    return out[1][zcap - out[0]]
+            for p in bits(deg[g[1]]):
+                m |= deg[g[2]] << p
+        deg.append(m & (2 << zcap) - 1)
+    need = [0] * len(gates)
+    need[circuit.output] = deg[circuit.output] & 1 << zcap
+    for gid in range(circuit.output, -1, -1):
+        want, g = need[gid], gates[gid]
+        if want and g[0] == "add":
+            for c in g[1]:
+                need[c] |= want & deg[c]
+        elif want and g[0] == "mul":
+            a, b = g[1:]
+            need[a] |= sum(1 << p for p in bits(deg[a]) if deg[b] << p & want)
+            need[b] |= sum(1 << q for q in bits(deg[b]) if deg[a] << q & want)
+    live = [gid for gid, want in enumerate(need) if want]
+
+    # batch (mul depth, add nesting): a mul waits for its operands' mul
+    # levels, an add for its summands
+    batch: dict[int, tuple[int, int]] = {}
+    last: dict[int, tuple[int, int]] = {}  # the batch of each gate's last reader
+    for gid in live:
+        g = gates[gid]
+        if g[0] == "x":
+            batch[gid] = (0, 0)
+            continue
+        if g[0] == "mul":
+            read = g[1:]
+            batch[gid] = (max(batch[g[1]][0], batch[g[2]][0]) + 1, 0)
+        else:
+            read = [c for c in g[1] if need[c] & need[gid]]
+            depth, nest = max(batch[c] for c in read)
+            batch[gid] = (depth, nest + 1)
+        for c in read:
+            last[c] = max(last.get(c, batch[gid]), batch[gid])
+    done: dict[tuple[int, int], list[int]] = {}
+    for gid, at in last.items():
+        done.setdefault(at, []).append(gid)
+
+    row: dict[tuple[int, int], int] = {}  # (gate, z-degree) -> its row
+    free: list[int] = []
+    fresh = itertools.count()
+    steps: list[tuple] = []
+    cap = _sources_per_call(zcap, lanes)
+    # batch (0, 0) comes first: x-gate rows are 0, 1, ... in gate order
+    for at, members in itertools.groupby(sorted(live, key=batch.get), key=batch.get):
+        part: list[tuple[int, list]] = []  # (row, its source rows or row pairs)
+        size = 0
+        for gid in members:
+            g = gates[gid]
+            for d in bits(need[gid]):
+                row[gid, d] = free.pop() if free else next(fresh)
+                if g[0] == "x":
+                    continue
+                if g[0] == "add":
+                    srcs = [row[c, d] for c in g[1] if need[c] >> d & 1]
+                else:
+                    a, b = g[1:]
+                    srcs = [(row[a, p], row[b, d - p]) for p in bits(need[a] & (2 << d) - 1)
+                            if need[b] >> d - p & 1]
+                if part and size + len(srcs) > cap:
+                    steps.append(_step(part, at[1] > 0))
+                    part, size = [], 0
+                part.append((row[gid, d], srcs))
+                size += len(srcs)
+        if part:
+            steps.append(_step(part, at[1] > 0))
+        for gid in done.get(at, ()):
+            free.extend(row[gid, d] for d in bits(need[gid]))
+
+    x_ids = circuit.x_gate_ids()
+    x_gates = [(i, gates[gid][1]) for i, gid in enumerate(x_ids) if need[gid]]
+    out = row.get((circuit.output, zcap))
+    return len(x_ids), x_gates, next(fresh), steps, out
+
+
+def _step(part: list[tuple[int, list]], add: bool) -> tuple:
+    """A ``_schedule`` step from (row, its sources) pairs, in row order."""
+    dst = np.array([r for r, _ in part], dtype=np.intp)
+    src = np.array([s for _, srcs in part for s in srcs], dtype=np.intp)
+    counts = [len(srcs) for _, srcs in part]
+    starts = None if len(src) == len(part) else np.cumsum([0] + counts[:-1])
+    return (None, src, starts, dst) if add else (src[:, 0], src[:, 1], starts, dst)
 
 
 def eval_trial(circuit: Circuit, t: int, k: int, seed: int) -> int:
@@ -283,27 +353,35 @@ def eval_trial(circuit: Circuit, t: int, k: int, seed: int) -> int:
     if a multilinear z^t monomial of degree k exists.
 
     a (host_n x k) and then r (one per x-gate, in gate order) are drawn from
-    ``np.random.default_rng((seed, 0))``.
+    ``np.random.default_rng((seed, 0))``.  A malformed circuit raises
+    ValueError before anything is drawn.
     """
-    last = _last_readers(circuit)
-    x_w = np.array([circuit.gates[g][1] for g in circuit.x_gate_ids()], dtype=np.intp)
+    lanes = min(SUBSET_CHUNK, 1 << k)
+    x_count, x_gates, rows, steps, out = _schedule(circuit, t, lanes)
+    if out is None:
+        return 0
     seed %= 1 << 63  # seed sequences need nonnegative entropy
     rng = np.random.default_rng((seed, 0))
     a = rng.integers(0, 1 << 64, size=(circuit.host_n, k), dtype=np.uint64)
-    r = rng.integers(0, 1 << 64, size=len(x_w), dtype=np.uint64)
-    # ra[i, j] = r_i * a_{w_i, j}: x-gate i's value at y = 1_T is the XOR of
-    # ra[i, j] over j in T
-    ra = _clmul_reduce_arrays(r[:, None], a[x_w])
-    step = min(SUBSET_CHUNK, 1 << k)
+    r = rng.integers(0, 1 << 64, size=x_count, dtype=np.uint64)
+    pos, host = np.array(x_gates, dtype=np.intp).T
+    # ra[i, j] = r * a_{w, j} for x row i, the pos-th x-gate, on host w: its
+    # value at y = 1_T is the XOR of ra[i, j] over j in T
+    ra = _clmul_reduce_arrays(r[pos][:, None], a[host])
+    store = np.empty((rows, lanes), dtype=np.uint64)
+    x_rows = store[: len(x_gates)]
     acc = 0
-    for m0 in range(0, 1 << k, step):
-        masks = np.arange(m0, m0 + step)
-        x_vals = np.zeros((len(x_w), step), dtype=np.uint64)
+    for m0 in range(0, 1 << k, lanes):
+        masks = np.arange(m0, m0 + lanes)
+        x_rows.fill(0)
         for j in range(k):
-            x_vals ^= np.where((masks >> j) & 1 == 1, ra[:, j, None], np.uint64(0))
-        out = _evaluate(circuit, t, x_vals, last)
-        if out is not None:
-            acc ^= int(np.bitwise_xor.reduce(out))
+            np.bitwise_xor(x_rows, ra[:, j, None], out=x_rows, where=(masks >> j) & 1 == 1)
+        for a_rows, b_rows, starts, dst in steps:
+            vals = store[b_rows]
+            if a_rows is not None:
+                vals = _clmul_reduce_arrays(store[a_rows], vals)
+            store[dst] = vals if starts is None else np.bitwise_xor.reduceat(vals, starts)
+        acc ^= int(np.bitwise_xor.reduce(store[out]))
     return acc
 
 

@@ -318,6 +318,40 @@ def _reference_cases():
         ("mul", 2, 5),
     ]
     yield Circuit(gates=gates, output=6, host_n=4, tree_order=2), 1, 2
+    # trees of order 4 and 5 on hosts of order 5 with 15 arcs and ploughs
+    # everywhere, at a z-degree below the terminal count
+    rng = random.Random(78)
+    pairs = [(u, v) for u in range(5) for v in range(5) if u != v]
+    for _ in range(6):
+        ploughs = {v: rng.randint(1, 2) for v in range(5)}
+        host = make_instance(5, rng.sample(pairs, 15), set(), ploughs)
+        cand = rng.choice([c for c in _all_orientations(5) if c.order >= 4])
+        terminals = set(rng.sample(range(5), k=rng.randint(2, 3)))
+        t = rng.randint(1, len(terminals) - 1)
+        yield build_circuit(host, cand, terminals), t, rng.choice((cand.order - 1, cand.order))
+    # one mul level holding z^2 x0x1 (degree 2 only), z x0x2 + z^2 x0x3
+    # (degrees 1 and 2), x2^2 + z x2x3 (degrees 0 and 1) and z^3 x0x4, past
+    # z^t for t <= 2; the output multiplies their sum by x5 + z x6
+    gates = [
+        ("x", 0, 0, 1),
+        ("x", 1, 1, 1),
+        ("x", 2, 1, 0),
+        ("x", 3, 1, 1),
+        ("add", (2, 3)),
+        ("x", 4, 1, 2),
+        ("mul", 0, 1),
+        ("mul", 0, 4),
+        ("mul", 0, 5),
+        ("mul", 2, 4),
+        ("add", (6, 7, 8, 9)),
+        ("x", 5, 2, 0),
+        ("x", 6, 2, 1),
+        ("add", (11, 12)),
+        ("mul", 10, 13),
+    ]
+    mixed = Circuit(gates=gates, output=14, host_n=7, tree_order=3)
+    for t in (1, 2):
+        yield mixed, t, 3
 
 
 def test_engine_matches_reference_algebra_evaluation():
@@ -339,6 +373,70 @@ def test_subset_chunks_agree_with_one_chunk(monkeypatch):
     monkeypatch.setattr(tpe, "SUBSET_CHUNK", 2)
     assert any(k >= 2 for _, _, k in cases)
     assert [eval_trial(circ, t, k, seed) for circ, t, k in cases for seed in (1, 9)] == whole
+
+
+def test_one_row_per_kernel_call_agrees_with_whole_levels(monkeypatch):
+    """Splitting every batch into one call per coefficient row leaves every value unchanged."""
+    cases = list(_reference_cases())
+    rows_per_call = []
+    kernel = tpe._clmul_reduce_arrays
+
+    def counted(a, b):
+        rows_per_call.append(len(a))
+        return kernel(a, b)
+
+    monkeypatch.setattr(tpe, "_clmul_reduce_arrays", counted)
+    whole = [eval_trial(circ, t, k, seed) for circ, t, k in cases for seed in (1, 9)]
+    whole_calls = len(rows_per_call)
+    monkeypatch.setattr(tpe, "_sources_per_call", lambda zcap, lanes: 1)
+    rows_per_call.clear()
+    assert [eval_trial(circ, t, k, seed) for circ, t, k in cases for seed in (1, 9)] == whole
+    assert len(rows_per_call) > whole_calls
+
+
+def _two_x_product(w, u):
+    """x_{w,u} * x_{1,1} on a host of order 2 and a tree of order 2."""
+    gates = [("x", w, u, 0), ("x", 1, 1, 0), ("mul", 0, 1)]
+    return Circuit(gates=gates, output=2, host_n=2, tree_order=2)
+
+
+@pytest.mark.parametrize("w, u", [(-1, 0), (5, 0), (0, -1), (0, 2)])
+def test_gate_vertices_outside_their_ranges_are_rejected(monkeypatch, w, u):
+    """A negative host vertex used to read another host's row and return 0,
+    a false "no embedding"; one past the host raised numpy's IndexError."""
+    circ = _two_x_product(w, u)
+    with pytest.raises(ValueError, match="malformed gate 0"):
+        circ.validate()
+    monkeypatch.setattr(np.random, "default_rng", lambda *_: pytest.fail("drew randomness"))
+    with pytest.raises(ValueError, match="malformed gate 0"):
+        eval_trial(circ, t=0, k=2, seed=1)
+
+
+def test_gate_vertices_inside_their_ranges_are_evaluated():
+    circ = _two_x_product(0, 0)
+    circ.validate()
+    assert any(eval_trial(circ, t=0, k=2, seed=s) for s in range(5))
+
+
+@pytest.mark.parametrize(
+    "gates, output",
+    [
+        ([("x", 0, 0, -1)], 0),
+        ([("x", 0, 0, 0), ("add", (0, 1))], 1),
+        ([("x", 0, 0, 0), ("mul", 0, 2)], 1),
+        ([("x", 0, 0, 0), ("sub", 0, 0)], 1),
+    ],
+)
+def test_malformed_gates_are_rejected(gates, output):
+    circ = Circuit(gates=gates, output=output, host_n=2, tree_order=2)
+    with pytest.raises(ValueError, match="malformed gate"):
+        eval_trial(circ, t=0, k=1, seed=1)
+
+
+def test_output_outside_the_gates_is_rejected():
+    circ = Circuit(gates=[("x", 0, 0, 0)], output=1, host_n=2, tree_order=2)
+    with pytest.raises(ValueError, match="output 1 is not a gate"):
+        eval_trial(circ, t=0, k=1, seed=1)
 
 
 def _direct_polynomial(host, tree, terminals, max_vars, max_zdeg):
