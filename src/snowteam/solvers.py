@@ -53,9 +53,11 @@ facility subset on its own, so its optimum still counts original facilities.
 Every restricted decision runs through one routine, ``_decide``: the
 precheck, the closure, the candidates within the plough budget, the filter
 and one detection per surviving candidate, stopping at the first YES.
-``solve_all_st`` (so each ``st`` promotion), ``solve_stu`` and each
-``min-st`` promotion call it; it is the only place that counts candidates
-and detections.  Detection seeds are spaced by ``_SEED_STRIDE``.  The i-th
+``solve_all_st``, ``solve_stu`` and each ``st`` and ``min-st`` promotion
+call it; it is the only place that counts candidates and detections.  A
+promotion of a condensation that passed the precheck is its own
+condensation, so ``st`` promotions skip ``solve_all_st``'s SCC pass and
+precheck and pay only the one in ``_decide``.  Detection seeds are spaced by ``_SEED_STRIDE``.  The i-th
 base promotion (from 1) gets ``params.seed + _SEED_STRIDE * 1000 * i``, and
 the detection counted j-th (from 0) in its report runs with that seed plus
 ``_SEED_STRIDE * j``; a ``min-st`` report counts across its promotions.
@@ -326,6 +328,13 @@ def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     return _decision(host, host.total_ploughs(), len(host.facilities()), params.seed)
 
 
+def _promoted_decision(sub: Instance, seed: int) -> SolveReport:
+    """``solve_all_st`` on a promotion of a condensation that passed the
+    precheck: the promotion is restricted and acyclic, so it is its own
+    condensation, and ``_decide`` runs its one precheck."""
+    return _decision(sub, sub.total_ploughs(), len(sub.facilities()), seed)
+
+
 def _promotions(inst: Instance, seed: int):
     """Restricted sub-instances from promoting base subsets to facilities,
     each with its detection seed."""
@@ -362,11 +371,11 @@ class _Workers:
         self.jobs = jobs
         self.pool: Optional[ProcessPoolExecutor] = None
 
-    def map(self, fn, subs, sub_params):
+    def map(self, fn, subs, seeds):
         workers = min(self.jobs, len(subs), _usable_cpus())
         if self.pool is None and workers > 1:
             self.pool = ProcessPoolExecutor(max_workers=workers)
-        return (map if self.pool is None else self.pool.map)(fn, subs, sub_params)
+        return (map if self.pool is None else self.pool.map)(fn, subs, seeds)
 
     def __enter__(self) -> "_Workers":
         return self
@@ -399,10 +408,9 @@ def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveRe
         return SolveReport(answer=True)
     eta_max = _check_scale(len(host.facilities() | host.bases()), host.n)
     report = SolveReport(answer=False)
-    subs, seeds = zip(*_promotions(host, params.seed))
     # promotions of the condensation stay on the pipeline, however few vertices
-    sub_params = [replace(params, seed=seed, jobs=1, exact_threshold=0) for seed in seeds]
-    for sub in workers.map(solve_all_st, subs, sub_params):
+    subs, seeds = zip(*_promotions(host, params.seed))
+    for sub in workers.map(_promoted_decision, subs, seeds):
         report.candidates_tested += sub.candidates_tested
         report.detections_run += sub.detections_run
         if sub.answer:

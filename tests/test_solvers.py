@@ -150,7 +150,7 @@ def test_base_reachability_rules_out_every_promotion(monkeypatch):
     inst = make_instance(3, [(2, 0), (1, 0)], {0, 1}, {2: 2})
     assert not solve_st_exact(inst)[0]
     decided = []
-    monkeypatch.setattr(solvers, "solve_all_st", lambda *args: decided.append(args))
+    monkeypatch.setattr(solvers, "_promoted_decision", lambda *args: decided.append(args))
     for solve in (solve_st, solve_min_st):
         rep = solve(inst, PARAMS)
         assert not rep.answer and rep.candidates_tested == 0 and rep.failure_bound == 0.0
