@@ -1,13 +1,15 @@
 """Pinned fingerprints: ``eval_trial`` values of built circuits against a committed file.
 
-The corpus is every circuit the restricted solver builds on the bench
-catalogue's ``st-no`` instances as given, with the condensation step turned
-off (``solve_st`` with SolveParams(seed=3), each circuit taken at the
-detection call with its seed), 20 circuits on seeded
-random hosts with random terminal sets, four larger ones (orders 6 to 11,
-dozens of products per mul level; the order-11 tree at k = 11 spans two
-``SUBSET_CHUNK`` chunks of lanes, and at small t many products vanish past
-z^t), and one circuit whose every branch is pruned (its values are 0).  Each circuit is evaluated at every z-degree
+The corpus is 49 circuits.  The first 24 are the circuits whose
+detections ``solve_st`` with SolveParams(seed=3) runs on the bench
+catalogue's ``st-no`` instances, left uncondensed; each is rebuilt from the
+instance's closure, a candidate code and the instance's facilities, and
+keyed by (catalogue instance, candidate code, detection seed).  Then come 20
+circuits on seeded random hosts with random terminal sets, four larger ones
+(orders 6 to 11, dozens of products per mul level; the order-11 tree at
+k = 11 spans two ``SUBSET_CHUNK`` chunks of lanes, and at small t many
+products vanish past z^t), and one circuit whose every branch is pruned
+(its values are 0).  Each circuit is evaluated at every z-degree
 t from 0 to its terminal count, for k equal to the tree order and one below
 it, so most values are nonzero field elements.  The values depend on the
 circuit's x-gate order and on numpy's ``default_rng`` stream.  A change to
@@ -22,8 +24,7 @@ import random
 import sys
 from pathlib import Path
 
-from snowteam import solvers
-from snowteam.digraph import make_instance
+from snowteam.digraph import make_instance, transitive_closure
 from snowteam.tpe import build_circuit, eval_trial
 from snowteam.trees import candidate_from_code, candidate_stream
 
@@ -32,33 +33,51 @@ PINNED = HERE / "pinned_fingerprints.json"
 CATALOGUE = HERE.parent / "bench" / "catalogue.json"
 
 
+# (st-no catalogue index, candidate code, seed) of every detection solve_st
+# runs on the uncondensed st-no instances: the candidates that pass the filter,
+# in enumeration order, the j-th with seed 3 + _SEED_STRIDE * (1000 + j)
+ST_NO_DETECTIONS = [
+    (0, "0 1 1 / uu", 104729003),
+    (0, "0 1 2 1 / uuu", 104833732),
+    (0, "0 1 2 1 2 / duuu", 104938461),
+    (1, "0 1 1 / uu", 104729003),
+    (1, "0 1 2 1 / uuu", 104833732),
+    (1, "0 1 2 1 2 / uuuu", 104938461),
+    (2, "0 1 2 1 / uuu", 104729003),
+    (2, "0 1 2 1 / ddu", 104833732),
+    (2, "0 1 2 1 2 / duuu", 104938461),
+    (2, "0 1 2 1 2 / dduu", 105043190),
+    (2, "0 1 2 3 1 2 / dduuu", 105147919),
+    (2, "0 1 2 3 1 2 / ddduu", 105252648),
+    (3, "0 1 2 1 / ddu", 104729003),
+    (3, "0 1 2 1 2 / dduu", 104833732),
+    (3, "0 1 2 3 1 2 / ddduu", 104938461),
+    (4, "0 1 1 / uu", 104729003),
+    (4, "0 1 1 / du", 104833732),
+    (4, "0 1 2 1 / uuu", 104938461),
+    (4, "0 1 2 1 2 / uuuu", 105043190),
+    (6, "0 1 1 / uu", 104729003),
+    (6, "0 1 1 / du", 104833732),
+    (6, "0 1 1 1 / duu", 104938461),
+    (6, "0 1 2 1 / uuu", 105043190),
+    (6, "0 1 2 1 2 / uuuu", 105147919),
+]
+
+
 def _st_no_circuits():
-    """(name, circuit, seed, terminal count) for every detection of solve_st on st-no."""
-    calls = []
-    detect = solvers.detect_zt_multilinear
-
-    def record(circuit, t, k, seed=1):
-        calls.append((circuit, seed, t))
-        return detect(circuit, t, k, seed)
-
-    solvers.detect_zt_multilinear = record
-    condense = solvers.condense
-    solvers.condense = lambda inst: inst  # circuits on the uncontracted closures
-    try:
-        for i, spec in enumerate(json.loads(CATALOGUE.read_text())["st-no"]):
-            inst = make_instance(
-                spec["n"],
-                [tuple(a) for a in spec["arcs"]],
-                set(spec["facilities"]),
-                {v: c for v, c in enumerate(spec["ploughs"]) if c},
-            )
-            start = len(calls)
-            solvers.solve_st(inst, solvers.SolveParams(seed=3))
-            for j, (circuit, seed, t) in enumerate(calls[start:]):
-                yield f"st-no[{i}] detection {j}", circuit, seed, t
-    finally:
-        solvers.detect_zt_multilinear = detect
-        solvers.condense = condense
+    """(name, circuit, seed, terminal count) for every ``ST_NO_DETECTIONS`` row."""
+    specs = json.loads(CATALOGUE.read_text())["st-no"]
+    for i, code, seed in ST_NO_DETECTIONS:
+        spec = specs[i]
+        inst = make_instance(
+            spec["n"],
+            [tuple(a) for a in spec["arcs"]],
+            set(spec["facilities"]),
+            {v: c for v, c in enumerate(spec["ploughs"]) if c},
+        )
+        fac = inst.facilities()
+        circuit = build_circuit(transitive_closure(inst), candidate_from_code(code), fac)
+        yield f"st-no[{i}] {code} seed {seed}", circuit, seed, len(fac)
 
 
 def _random_circuits():
