@@ -90,14 +90,13 @@ from .digraph import (
     bits,
     condense,
     facilities_connected,
-    neighbours,
     reach,
     transitive_closure,
     verify_st_solution,
     walks_from_lists,
 )
 from .exact import solve_st_exact, solve_variant_exact
-from .tpe import build_circuit, detect_zt_multilinear
+from .tpe import arc_consistent, build_circuit, detect_zt_multilinear
 from .trees import TreeCandidate, candidate_stream
 
 _SEED_STRIDE = 104_729  # distinct detection seeds within one pipeline call
@@ -200,19 +199,9 @@ def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozense
     """Cheap necessary conditions for an embedding; never prunes a true YES.
 
     Per-vertex capacity/degree compatibility is tightened to arc consistency
-    (a placement needs compatible placements across every tree arc), then a
-    matching must saturate the tree side and another one the terminal set.
-    Host vertex sets are int bitmasks: bit w stands for host vertex w.
-
-    On a tree two passes reach the arc-consistency fixpoint (Freuder, JACM
-    1982).  Arc i joins vertex i+1 to its smaller-id parent (the
-    ``TreeCandidate`` layout).  Pass one, arcs m-1 down to 0, restricts each
-    parent by its child, which its subtree has restricted already, so an
-    empty domain empties the root's.  Pass two, arcs 0 up to m-1, restricts
-    each child by its parent, final by then; a child keeps every placement
-    adjacent to one of its parent's, so no parent placement loses its
-    support and no domain empties.  Every arc ends consistent both ways and
-    each step drops only placements the fixpoint drops too.
+    (``tpe.arc_consistent``), then a matching must saturate the tree side and
+    another one the terminal set.  Host vertex sets are int bitmasks: bit w
+    stands for host vertex w.
     """
     eta = cand.order
     if eta > host.n or len(terminals) > eta:
@@ -222,8 +211,8 @@ def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozense
     for u, v in cand.arcs:
         tout[u] += 1
         tin[v] += 1
-    out_adj, in_adj, out_mask, in_mask = host.out_adj, host.in_adj, host.out_mask, host.in_mask
-    compat = [
+    out_adj, in_adj = host.out_adj, host.in_adj
+    fits = [
         sum(
             1 << w
             for w in range(host.n)
@@ -231,19 +220,7 @@ def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozense
         )
         for d, to, ti in zip(cand.demand, tout, tin)
     ]
-
-    def restrict(i: int, v: int) -> None:
-        # keep v's placements with a neighbour among the other end's across
-        # tree arc i = (a, b): an out-neighbour for a, an in-neighbour for b
-        a, b = cand.arcs[i]
-        compat[v] &= neighbours(compat[b], in_mask) if v == a else neighbours(compat[a], out_mask)
-
-    for i in reversed(range(eta - 1)):
-        restrict(i, sum(cand.arcs[i]) - (i + 1))  # the parent of vertex i+1
-    if not compat[0]:
-        return False
-    for i in range(eta - 1):
-        restrict(i, i + 1)
+    compat = arc_consistent(host, cand, fits)  # all empty, and no matching, once compat[0] is
     if not _kuhn_saturates(eta, [bits(c) for c in compat]):
         return False
     term_list = sorted(terminals)

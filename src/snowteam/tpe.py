@@ -13,9 +13,11 @@ Gates.  Three kinds: the leaf ("x", w, u, e) is z^e * x_{w,u} for host
 vertex w and tree vertex u, e = 1 exactly when w is a terminal; ("add", ids)
 is a sum, the empty one being 0; ("mul", a, b) is a product.
 
-Fingerprints.  The circuit has one x-gate per pair (w, u) where w can pay
-u's plough demand and every child of u has a placement adjacent to w, and
-its z^t coefficient is
+Fingerprints.  The circuit has one x-gate per pair (w, u) that arc
+consistency (``arc_consistent``) keeps from the host vertices w that pay
+tree vertex u's plough demand.  That leaves Q unchanged: a map that respects
+arcs and capacities supports each of its placements across every tree arc,
+so arc consistency drops none of them.  The circuit's z^t coefficient is
 
     Q_t = sum over phi of prod_u x_{phi(u),u},
 
@@ -68,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import _clmul_reduce_arrays
-from .digraph import Instance, bits
+from .digraph import Instance, bits, neighbours
 from .trees import MAX_ORDER, TreeCandidate
 
 # Gate-count ceiling: one x-gate, and an add and a mul per child, per pair,
@@ -113,31 +115,57 @@ class Circuit:
             raise ValueError(f"output {self.output} is not a gate")
 
 
-def _rooted_structure(tree: TreeCandidate):
-    """Return (order of vertices deepest-first, in_children, out_children),
-    the tree rooted at vertex 0, from the ``TreeCandidate`` layout: arc i
-    joins vertex i+1 to its parent, and the order is descending (free_code, id)."""
-    in_children: list[list[int]] = [[] for _ in range(tree.order)]
-    out_children: list[list[int]] = [[] for _ in range(tree.order)]
-    for v, (a, b) in enumerate(tree.arcs, start=1):
-        if a == v:
-            in_children[b].append(v)
-        else:
-            out_children[a].append(v)
-    order = sorted(range(tree.order), key=lambda v: (tree.free_code[v], v), reverse=True)
-    return order, in_children, out_children
+def arc_consistent(host: Instance, tree: TreeCandidate, dom: list[int]) -> list[int]:
+    """The arc-consistency fixpoint of the domains dom, one host vertex
+    bitmask per tree vertex (bit w: the vertex may sit on host vertex w): a
+    placement stays while every tree arc at its vertex has a placement at the
+    other end joined to it by a host arc of the same direction.  Every domain
+    is empty once vertex 0's is.
+
+    On a tree two passes reach the fixpoint (Freuder, JACM 1982).  Arc i
+    joins vertex i+1 to its smaller-id parent (the ``TreeCandidate``
+    layout).  Pass one, arcs m-1 down to 0, restricts each parent by its
+    child, which its subtree has restricted already, so an empty domain
+    empties the root's.  Pass two, arcs 0 up to m-1, restricts each child by
+    its parent, final by then; a child keeps every placement adjacent to one
+    of its parent's, so no parent placement loses its support and no domain
+    empties.  Every arc ends consistent both ways and each step drops only
+    placements the fixpoint drops too.
+    """
+    dom = list(dom)
+    out_mask, in_mask = host.out_mask, host.in_mask
+
+    def restrict(i: int, v: int) -> None:
+        # keep v's placements with a neighbour among the other end's across
+        # tree arc i = (a, b): an out-neighbour for a, an in-neighbour for b
+        a, b = tree.arcs[i]
+        dom[v] &= neighbours(dom[b], in_mask) if v == a else neighbours(dom[a], out_mask)
+
+    for i in reversed(range(tree.order - 1)):
+        restrict(i, sum(tree.arcs[i]) - (i + 1))  # the parent of vertex i+1
+    if not dom[0]:
+        return [0] * tree.order
+    for i in range(tree.order - 1):
+        restrict(i, i + 1)
+    return dom
 
 
 def build_circuit(host: Instance, tree: TreeCandidate, terminals: frozenset[int]) -> Circuit:
     """Shared-DAG circuit for Q(X, z): tree rooted at vertex 0, z on the terminals.
 
-    A pair (u, w) gets gates only when w pays u's demand and every child of
-    u has a placement adjacent to w, so pruned pairs leave no gates behind.
+    The pairs (u, w) with gates are the ``arc_consistent`` placements of the
+    domains {w : w pays u's demand}, made bottom-up (children have larger
+    ids), so every gate lies on a path to the output.
     """
     if not all(0 <= t < host.n for t in terminals):
         raise ValueError("terminals outside host vertex range")
     n, eta = host.n, tree.order
-    order, in_children, out_children = _rooted_structure(tree)
+    pays = [sum(1 << w for w in range(n) if d <= host.ploughs[w]) for d in tree.demand]
+    dom = arc_consistent(host, tree, pays)
+    # (child, the host step from the parent's placement to the child's)
+    children: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(eta)]
+    for v, (a, b) in enumerate(tree.arcs, start=1):
+        children[a + b - v].append((v, host.in_mask if a == v else host.out_mask))
 
     gates: list[tuple] = []
 
@@ -149,23 +177,14 @@ def build_circuit(host: Instance, tree: TreeCandidate, terminals: frozenset[int]
         return ids[0] if len(ids) == 1 else append(("add", tuple(ids)))
 
     qid: dict[tuple[int, int], int] = {}
-    for u in order:
-        for w in range(n):
-            if tree.demand[u] > host.ploughs[w]:
-                continue
-            branches = [
-                [qid[v, wp] for wp in adj[w] if (v, wp) in qid]
-                for children, adj in ((in_children, host.in_adj), (out_children, host.out_adj))
-                for v in children[u]
-            ]
-            if not all(branches):
-                continue
+    for u in reversed(range(eta)):
+        for w in bits(dom[u]):
             acc = append(("x", w, u, int(w in terminals)))
-            for ids in branches:
-                acc = append(("mul", acc, add_gate(ids)))
+            for c, step in children[u]:
+                acc = append(("mul", acc, add_gate([qid[c, y] for y in bits(dom[c] & step[w])])))
             qid[u, w] = acc
 
-    output = add_gate([qid[0, w] for w in range(n) if (0, w) in qid])
+    output = add_gate([qid[0, w] for w in bits(dom[0])])
     bound = n * (3 * eta - 2) + 1
     assert len(gates) <= bound <= 3 * eta * n <= CIRCUIT_SIZE_C * n**3
     circ = Circuit(gates=gates, output=output, host_n=n, tree_order=eta, prepruning_bound=bound)

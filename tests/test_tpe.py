@@ -48,9 +48,11 @@ def test_x_gate_exponents_and_pruned_pairs():
     circ = build_circuit(*toy1_tpe())
     # (host, tree vertex, z exponent), deepest tree vertex first: z on the
     # terminals 0 and 2; tree vertex 0 needs a plough, so host vertices 1 and
-    # 2 (no plough) get no x-gate for it
+    # 2 (no plough) get no x-gate for it, and tree vertex 1 gets none on host
+    # vertex 0, which no placement of vertex 0 has an arc to: that gate
+    # would never be read
     xs = [circ.gates[g][1:] for g in circ.x_gate_ids()]
-    assert xs == [(0, 1, 1), (1, 1, 0), (2, 1, 1), (0, 0, 1)]
+    assert xs == [(1, 1, 0), (2, 1, 1), (0, 0, 1)]
 
 
 def test_toy1_circuit_expansion():
@@ -128,6 +130,22 @@ def test_every_sum_feeds_a_product():
         read = {g[2] for g in circ.gates if g[0] == "mul"}
         adds = {i for i, g in enumerate(circ.gates) if g[0] == "add"}
         assert adds - {circ.output} <= read
+
+
+def test_every_gate_reaches_the_output():
+    """Placements are arc consistent both ways, so no gate is left unread."""
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        host = _random_host(rng, n, 10)
+        cand = rng.choice(_all_orientations(min(4, n)))
+        circ = build_circuit(host, cand, _terminals(host))
+        read = {circ.output}
+        for i in reversed(range(len(circ.gates))):
+            g = circ.gates[i]
+            if i in read and g[0] != "x":
+                read.update(g[1] if g[0] == "add" else g[1:])
+        assert read == set(range(len(circ.gates))), (host, cand)
 
 
 def _hand_circuit_two_x(var_a, var_b):
