@@ -29,12 +29,13 @@ from .gadgets import build_gadget, gen_fig3, parse_set_cover, serialize_gadget, 
 from .solvers import (
     SolveParams,
     SolveReport,
+    _miss,
     solve_max_st,
     solve_min_st,
     solve_st,
     solve_stu,
 )
-from .tpe import solve_tpe
+from .tpe import decide_tpe
 from .trees import candidate_from_code, candidate_stream, enumerate_free_trees, orient_tree
 
 EXIT_YES = 0
@@ -140,11 +141,12 @@ def _cmd_solve(args) -> int:
         cand = candidate_from_code(tree_code)
         terminals = host.facilities() | host.bases()
         if args.exact:
-            answer = solve_tpe_exact(host, cand, terminals) is not None
+            rep = SolveReport(answer=solve_tpe_exact(host, cand, terminals) is not None)
         else:
-            answer = solve_tpe(host, cand, terminals, seed=args.seed)
-        rep = SolveReport(answer=answer)
-        return _report_output(args, "tpe", rep, "yes" if answer else "no")
+            answer, ran = decide_tpe(host, cand, terminals, seed=args.seed)
+            miss = _miss(cand.order) if ran and not answer else 0.0
+            rep = SolveReport(answer=answer, detections_run=ran, failure_bound=miss)
+        return _report_output(args, "tpe", rep, "yes" if rep.answer else "no")
     inst = parse_instance(text)
     if args.problem == "st":
         rep = solve_st(inst, params)

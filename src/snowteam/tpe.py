@@ -128,9 +128,9 @@ def arc_consistent(host: Instance, tree: TreeCandidate, dom: list[int]) -> list[
     child, which its subtree has restricted already, so an empty domain
     empties the root's.  Pass two, arcs 0 up to m-1, restricts each child by
     its parent, final by then; a child keeps every placement adjacent to one
-    of its parent's, so no parent placement loses its support and no domain
-    empties.  Every arc ends consistent both ways and each step drops only
-    placements the fixpoint drops too.
+    of its parent's, so no parent placement loses its support, and a domain
+    empties only when its parent's is empty.  Every arc ends consistent both
+    ways and each step drops only placements the fixpoint drops too.
     """
     dom = list(dom)
     out_mask, in_mask = host.out_mask, host.in_mask
@@ -143,8 +143,6 @@ def arc_consistent(host: Instance, tree: TreeCandidate, dom: list[int]) -> list[
 
     for i in reversed(range(tree.order - 1)):
         restrict(i, sum(tree.arcs[i]) - (i + 1))  # the parent of vertex i+1
-    if not dom[0]:
-        return [0] * tree.order
     for i in range(tree.order - 1):
         restrict(i, i + 1)
     return dom
@@ -417,7 +415,18 @@ def detect_zt_multilinear(circuit: Circuit, t: int, k: int, seed: int = 1) -> bo
 def solve_tpe(
     host: Instance, tree: TreeCandidate, terminals: frozenset[int], seed: int = 1
 ) -> bool:
-    """Randomized embedding decision: z-degree |terminals|, k = tree order.
+    """Randomized embedding decision: ``decide_tpe``'s answer."""
+    return decide_tpe(host, tree, terminals, seed)[0]
+
+
+def decide_tpe(
+    host: Instance, tree: TreeCandidate, terminals: frozenset[int], seed: int = 1
+) -> tuple[bool, int]:
+    """(answer, detections run) of the randomized embedding decision:
+    z-degree |terminals|, k = tree order.  A tree larger than the host or
+    smaller than the terminal set is a certain NO with no detection; else
+    one detection decides, and its NO misses with probability at most
+    2k/2^64.
 
     A tree above ``trees.MAX_ORDER`` raises ValueError before any work: the
     detection walks 2^k subsets.
@@ -428,5 +437,6 @@ def solve_tpe(
     if not all(0 <= t < host.n for t in terminals):
         raise ValueError("terminals outside host vertex range")
     if eta > host.n or len(terminals) > eta:
-        return False
-    return detect_zt_multilinear(build_circuit(host, tree, terminals), len(terminals), eta, seed)
+        return False, 0
+    circuit = build_circuit(host, tree, terminals)
+    return detect_zt_multilinear(circuit, len(terminals), eta, seed), 1

@@ -57,8 +57,8 @@ class FreeTree:
 class TreeCandidate:
     """Directed tree with plough-demand weights.
 
-    Layout invariant (``tpe`` and the filter ``solvers._candidate_feasible``
-    rely on it): arc i joins vertex i+1 to its parent, which has a smaller
+    Layout invariant (``tpe.arc_consistent`` and ``tpe.build_circuit`` rely
+    on it): arc i joins vertex i+1 to its parent, which has a smaller
     id; ``orientation[i]`` says whether it points parent -> child, and
     ``free_code[v]`` is v's depth below vertex 0.
     """
@@ -158,6 +158,8 @@ def plough_demand(arcs, order: Optional[int] = None) -> tuple[int, ...]:
         order = max((max(u, v) for u, v in arcs), default=0) + 1
     if len(arcs) != order - 1:
         raise ValueError("a tree on n vertices has n-1 arcs")
+    if not all(0 <= v < order for arc in arcs for v in arc):
+        raise ValueError(f"arc endpoint outside the vertices 0..{order - 1}")
     if len(set(frozenset(a) for a in arcs)) != len(arcs):
         raise ValueError("repeated underlying edge")
     adj: list[list[int]] = [[] for _ in range(order)]

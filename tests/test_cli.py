@@ -82,6 +82,24 @@ def test_solve_tpe(tmp_path):
     assert run_cli(["solve", "--problem", "tpe", "--input", str(g), "--exact"]) == 1
 
 
+def test_solve_tpe_json_no_carries_the_miss_bound_of_its_detection(tmp_path, capsys):
+    # an out-star needs two ploughs at its root and the path has one: NO
+    f = tmp_path / "star.tpe"
+    f.write_text(TOY1 + "tree 0 1 1 / dd\n")
+    solve = ["solve", "--problem", "tpe", "--input", str(f), "--json"]
+    for extra, detections, bound in (([], 1, 2 * 3 / 2**64), (["--exact"], 0, 0.0)):
+        assert run_cli(solve + extra) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert (out["answer"], out["detections_run"], out["failure_bound"]) == (
+            "no", detections, bound
+        ), extra
+    # a tree larger than the host is a certain NO: no detection runs
+    f.write_text(TOY1 + "tree 0 1 2 3 / ddd\n")
+    assert run_cli(solve) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["detections_run"], out["failure_bound"]) == (0, 0.0)
+
+
 def test_tpe_parse_errors_name_the_file_line(tmp_path, capsys):
     # the tree line comes first; the self-loop is the file's seventh line
     f = tmp_path / "loop.tpe"
@@ -110,13 +128,18 @@ def test_tpe_tree_line_depths_are_ascii_decimal(tmp_path, capsys, depth):
     assert capsys.readouterr().err == f"error: bad depth sequence in '0 {depth} / d'\n"
 
 
-def test_verify_command(toy1_file, tmp_path):
+def test_verify_command(toy1_file, tmp_path, capsys):
     good = tmp_path / "good.walks"
     good.write_text("0 1 2\n")
     bad = tmp_path / "bad.walks"
     bad.write_text("0 1\n")
     assert run_cli(["verify", "--input", toy1_file, "--walks", str(good)]) == 0
     assert run_cli(["verify", "--input", toy1_file, "--walks", str(bad)]) == 1
+    capsys.readouterr()
+    for walk in ("0 5", "0 -1"):
+        bad.write_text(walk + "\n")
+        assert run_cli(["verify", "--input", toy1_file, "--walks", str(bad)]) == 1
+        assert capsys.readouterr().out == "walk 0 uses an unknown vertex\n", walk
 
 
 def test_gadget_solve_pipeline(tmp_path):
@@ -230,6 +253,17 @@ def test_usage_errors(tmp_path, toy1_file, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
     assert run_cli(["gen", "--family", "random", "--n", "2", "--arcs", "1", "--ploughs", "3"]) == 2
     assert "capacity" in capsys.readouterr().err
+    random_gen = ["gen", "--family", "random", "--n", "3"]
+    for extra, message in (
+        ([], "needs --n and --arcs"),
+        (["--arcs", "9"], "arc count must be in [0, 6]"),
+        (["--arcs", "2", "--facilities", "1.5"], "facility probability"),
+        (["--arcs", "2", "--ploughs", "-1"], "plough count must be nonnegative"),
+    ):
+        assert run_cli(random_gen + extra) == 2
+        assert message in capsys.readouterr().err, extra
+    assert run_cli(["solve", "--problem", "stu", "--input", toy1_file, "--k", "-1"]) == 2
+    assert "k must be nonnegative" in capsys.readouterr().err
     assert run_cli(["trees", "--order", "4", "--dedupe"]) == 2
     assert "--oriented" in capsys.readouterr().err
     solve = ["solve", "--problem", "st", "--input", toy1_file]

@@ -162,12 +162,19 @@ def test_plough_demand_examples():
 
 
 def test_plough_demand_rejects_non_trees():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n-1 arcs"):
         plough_demand([(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n-1 arcs"):
         plough_demand([(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n-1 arcs"):
         plough_demand([(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="repeated underlying edge"):
+        plough_demand([(0, 1), (1, 0), (2, 3)])
+    with pytest.raises(ValueError, match="not connected"):
+        plough_demand([(0, 1), (1, 2), (2, 0)], order=4)
+    for arcs in ([(0, 1), (1, -1)], [(0, 1), (1, 5)]):
+        with pytest.raises(ValueError, match="outside"):
+            plough_demand(arcs, order=3)
 
 
 def _strip_paths(cand: TreeCandidate):
