@@ -204,8 +204,6 @@ def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozense
     stands for host vertex w.
     """
     eta = cand.order
-    if eta > host.n or len(terminals) > eta:
-        return False
     tout = [0] * eta
     tin = [0] * eta
     for u, v in cand.arcs:
@@ -220,7 +218,9 @@ def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozense
         )
         for d, to, ti in zip(cand.demand, tout, tin)
     ]
-    compat = arc_consistent(host, cand, fits)  # all empty, and no matching, once compat[0] is
+    compat = arc_consistent(host, cand, fits)
+    if not compat[0]:
+        return False
     if not _kuhn_saturates(eta, [bits(c) for c in compat]):
         return False
     term_list = sorted(terminals)

@@ -128,9 +128,9 @@ def arc_consistent(host: Instance, tree: TreeCandidate, dom: list[int]) -> list[
     child, which its subtree has restricted already, so an empty domain
     empties the root's.  Pass two, arcs 0 up to m-1, restricts each child by
     its parent, final by then; a child keeps every placement adjacent to one
-    of its parent's, so no parent placement loses its support, and a domain
-    empties only when its parent's is empty.  Every arc ends consistent both
-    ways and each step drops only placements the fixpoint drops too.
+    of its parent's, so no parent placement loses its support and no domain
+    empties.  Every arc ends consistent both ways and each step drops only
+    placements the fixpoint drops too.
     """
     dom = list(dom)
     out_mask, in_mask = host.out_mask, host.in_mask
@@ -143,6 +143,8 @@ def arc_consistent(host: Instance, tree: TreeCandidate, dom: list[int]) -> list[
 
     for i in reversed(range(tree.order - 1)):
         restrict(i, sum(tree.arcs[i]) - (i + 1))  # the parent of vertex i+1
+    if not dom[0]:
+        return [0] * tree.order
     for i in range(tree.order - 1):
         restrict(i, i + 1)
     return dom
