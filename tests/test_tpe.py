@@ -46,7 +46,7 @@ def toy1_tpe():
 
 def test_x_gate_exponents_and_pruned_pairs():
     circ = build_circuit(*toy1_tpe())
-    # (host, tree vertex, z exponent), deepest tree vertex first: z on the
+    # (host, tree vertex, z exponent), children before parents: z on the
     # terminals 0 and 2; tree vertex 0 needs a plough, so host vertices 1 and
     # 2 (no plough) get no x-gate for it, and tree vertex 1 gets none on host
     # vertex 0, which no placement of vertex 0 has an arc to: that gate
