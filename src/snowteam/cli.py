@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -41,14 +40,6 @@ from .trees import candidate_from_code, candidate_stream, enumerate_free_trees, 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("SNOWTEAM_SEED", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"SNOWTEAM_SEED must be an integer, got {raw!r}") from None
 
 
 def gen_random(n: int, arcs: int, facility_prob: float, seed: int, ploughs: int = 1) -> Instance:
@@ -237,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--problem", required=True, choices=["st", "min-st", "max-st", "stu", "tpe"])
     solve.add_argument("--input", required=True)
     solve.add_argument("--k", type=int, default=None, help="plough count for stu")
-    solve.add_argument("--seed", type=int, default=_default_seed())
+    solve.add_argument("--seed", type=int, default=1)
     solve.add_argument("--exact", action="store_true", help="route to the exact engine")
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--jobs", type=int, default=1)
@@ -271,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--arcs", type=int, default=None)
     gen.add_argument("--facilities", type=float, default=0.5, help="facility probability")
     gen.add_argument("--ploughs", type=int, default=1)
-    gen.add_argument("--seed", type=int, default=_default_seed())
+    gen.add_argument("--seed", type=int, default=1)
     gen.add_argument("--output", default=None)
     gen.set_defaults(func=_cmd_gen)
 

@@ -284,7 +284,8 @@ def check_circuit_size() -> tuple[bool, str]:
             for tree in enumerate_free_trees(eta):
                 cand = next(iter(orient_tree(tree)))
                 circ = build_circuit(host, cand, terminals)
-                if not (len(circ.gates) <= circ.prepruning_bound <= CIRCUIT_SIZE_C * n**3):
+                bound = n * (3 * eta - 2) + 1
+                if not len(circ.gates) <= bound <= CIRCUIT_SIZE_C * n**3:
                     return False, f"gate bound violated at n={n} eta={eta}"
                 biggest = max(biggest, len(circ.gates))
     return True, f"all circuits within {CIRCUIT_SIZE_C}*n^3 gates (largest {biggest})"

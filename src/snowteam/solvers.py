@@ -53,14 +53,17 @@ facility subset on its own, so its optimum still counts original facilities.
 Every restricted decision runs through one routine, ``_decide``: the
 precheck, the closure, the candidates within the plough budget, the filter
 and one detection per surviving candidate, stopping at the first YES.
-``solve_all_st``, ``solve_stu`` and each ``st`` and ``min-st`` promotion
-call it; it is the only place that counts candidates and detections.  A
+``solve_stu`` and each ``st`` and ``min-st`` promotion call it; it is the
+only place that counts candidates and detections.  ``solve_all_st`` is
+``st`` on a restricted instance, which is its own single promotion.  A
 promotion of a condensation that passed the precheck is its own
-condensation, so ``st`` promotions skip ``solve_all_st``'s SCC pass and
-precheck and pay only the one in ``_decide``.  Detection seeds are spaced by ``_SEED_STRIDE``.  The i-th
-base promotion (from 1) gets ``params.seed + _SEED_STRIDE * 1000 * i``, and
-the detection counted j-th (from 0) in its report runs with that seed plus
-``_SEED_STRIDE * j``; a ``min-st`` report counts across its promotions.
+condensation, so ``st`` promotions skip a second SCC pass and precheck and
+pay only the one in ``_decide``.  Detection seeds are spaced by
+``_SEED_STRIDE``.  The i-th base promotion (from 1) gets
+``params.seed + _SEED_STRIDE * 1000 * i``, so ``solve_all_st`` starts from
+``params.seed + _SEED_STRIDE * 1000``, and the detection counted j-th
+(from 0) in its report runs with that seed plus ``_SEED_STRIDE * j``; a
+``min-st`` report counts across its promotions.
 ``max-st`` runs the kept-th facility subset of each size through ``st`` with
 ``params.seed + _SEED_STRIDE * 31 * (kept + size)``.
 
@@ -96,7 +99,7 @@ from .digraph import (
     walks_from_lists,
 )
 from .exact import solve_st_exact, solve_variant_exact
-from .tpe import arc_consistent, build_circuit, detect_zt_multilinear
+from .tpe import build_circuit, detect_zt_multilinear, placements
 from .trees import TreeCandidate, candidate_stream
 
 _SEED_STRIDE = 104_729  # distinct detection seeds within one pipeline call
@@ -198,27 +201,12 @@ def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
 def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozenset[int]) -> bool:
     """Cheap necessary conditions for an embedding; never prunes a true YES.
 
-    Per-vertex capacity/degree compatibility is tightened to arc consistency
-    (``tpe.arc_consistent``), then a matching must saturate the tree side and
-    another one the terminal set.  Host vertex sets are int bitmasks: bit w
-    stands for host vertex w.
+    Every tree vertex needs a placement (``tpe.placements``), then a
+    matching must saturate the tree side and another one the terminal set.
+    Host vertex sets are int bitmasks: bit w stands for host vertex w.
     """
     eta = cand.order
-    tout = [0] * eta
-    tin = [0] * eta
-    for u, v in cand.arcs:
-        tout[u] += 1
-        tin[v] += 1
-    out_adj, in_adj = host.out_adj, host.in_adj
-    fits = [
-        sum(
-            1 << w
-            for w in range(host.n)
-            if d <= host.ploughs[w] and to <= len(out_adj[w]) and ti <= len(in_adj[w])
-        )
-        for d, to, ti in zip(cand.demand, tout, tin)
-    ]
-    compat = arc_consistent(host, cand, fits)
+    compat = placements(host, cand)
     if not compat[0]:
         return False
     if not _kuhn_saturates(eta, [bits(c) for c in compat]):
@@ -293,20 +281,15 @@ def _decision(host: Instance, budget: int, l_param: int, seed: int) -> SolveRepo
 
 @_timed
 def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
-    """Decision for restricted instances (every plough base is a facility)."""
+    """Decision for restricted instances (every plough base is a facility):
+    ``solve_st``, the instance being its own single promotion."""
     if not inst.bases() <= inst.facilities():
         raise ValueError("restricted instance required: plough bases must be facilities")
-    if inst.n <= params.exact_threshold:
-        ans, witness = solve_st_exact(inst)
-        return SolveReport(answer=ans, witness=witness)
-    host = _condensed(inst)
-    if host is None:
-        return SolveReport(answer=False)
-    return _decision(host, host.total_ploughs(), len(host.facilities()), params.seed)
+    return _solve_st(inst, params, _Workers(1))
 
 
 def _promoted_decision(sub: Instance, seed: int) -> SolveReport:
-    """``solve_all_st`` on a promotion of a condensation that passed the
+    """The decision of a promotion of a condensation that passed the
     precheck: the promotion is restricted and acyclic, so it is its own
     condensation, and ``_decide`` runs its one precheck."""
     return _decision(sub, sub.total_ploughs(), len(sub.facilities()), seed)

@@ -13,16 +13,21 @@ Gates.  Three kinds: the leaf ("x", w, u, e) is z^e * x_{w,u} for host
 vertex w and tree vertex u, e = 1 exactly when w is a terminal; ("add", ids)
 is a sum, the empty one being 0; ("mul", a, b) is a product.
 
-Fingerprints.  The circuit has one x-gate per pair (w, u) that arc
-consistency (``arc_consistent``) keeps from the host vertices w that pay
-tree vertex u's plough demand.  That leaves Q unchanged: a map that respects
-arcs and capacities supports each of its placements across every tree arc,
-so arc consistency drops none of them.  The circuit's z^t coefficient is
+Fingerprints.  The circuit's x-gates are the pairs (w, u) of
+``placements``: host vertex w pays tree vertex u's plough demand, has at
+least u's out- and in-degree, and survives arc consistency.  Arc
+consistency drops no placement of a map that respects arcs and capacities,
+since such a map supports each of its placements across every tree arc.
+The degree test drops only placements of maps that are not injective: a
+host vertex with fewer out- (in-) neighbours than u has tree out- (in-)
+arcs can hold u only if two of u's neighbours share a host vertex.  The
+circuit's z^t coefficient is
 
     Q_t = sum over phi of prod_u x_{phi(u),u},
 
 phi running over the maps of the tree into the host that respect arcs and
-capacities and hit t terminals (with multiplicity), each exactly once.  A
+capacities, place every vertex within ``placements`` (every injective one
+does) and hit t terminals (with multiplicity), each exactly once.  A
 trial draws a in GF(2^64)^{n x k}, k = eta, and one r per x-gate, uniformly
 and independently, and substitutes
 
@@ -39,6 +44,8 @@ T of [k] of Q_t evaluated at y = 1_T.  The trial's value is therefore
 
 No false positives: when phi is not injective, two rows of A_phi coincide
 and det(A_phi) = 0 as a polynomial, so F = 0 unless an embedding exists.
+For the same reason the degree test leaves F unchanged: the maps it drops
+are not injective, and their terms vanish.
 
 Proven miss bound: let phi be injective.  Its r-monomial determines phi,
 so no other term of F shares it, and its coefficient det(A_phi) is a
@@ -92,7 +99,6 @@ class Circuit:
     output: int
     host_n: int
     tree_order: int
-    prepruning_bound: int = 0
 
     def x_gate_ids(self) -> list[int]:
         return [i for i, g in enumerate(self.gates) if g[0] == "x"]
@@ -115,12 +121,14 @@ class Circuit:
             raise ValueError(f"output {self.output} is not a gate")
 
 
-def arc_consistent(host: Instance, tree: TreeCandidate, dom: list[int]) -> list[int]:
-    """The arc-consistency fixpoint of the domains dom, one host vertex
-    bitmask per tree vertex (bit w: the vertex may sit on host vertex w): a
-    placement stays while every tree arc at its vertex has a placement at the
-    other end joined to it by a host arc of the same direction.  Every domain
-    is empty once vertex 0's is.
+def placements(host: Instance, tree: TreeCandidate) -> list[int]:
+    """The host vertices each tree vertex may sit on, one bitmask per tree
+    vertex (bit w: host vertex w): the arc-consistency fixpoint of the
+    domains {w : w pays u's demand and has at least u's out- and
+    in-degree}.  A placement stays while every tree arc at its vertex has a
+    placement at the other end joined to it by a host arc of the same
+    direction.  Every domain is empty once vertex 0's is, and every
+    embedding keeps its placements (module docstring).
 
     On a tree two passes reach the fixpoint (Freuder, JACM 1982).  Arc i
     joins vertex i+1 to its smaller-id parent (the ``TreeCandidate``
@@ -132,7 +140,20 @@ def arc_consistent(host: Instance, tree: TreeCandidate, dom: list[int]) -> list[
     empties.  Every arc ends consistent both ways and each step drops only
     placements the fixpoint drops too.
     """
-    dom = list(dom)
+    tout = [0] * tree.order
+    tin = [0] * tree.order
+    for a, b in tree.arcs:
+        tout[a] += 1
+        tin[b] += 1
+    out_adj, in_adj, ploughs = host.out_adj, host.in_adj, host.ploughs
+    dom = [
+        sum(
+            1 << w
+            for w in range(host.n)
+            if d <= ploughs[w] and to <= len(out_adj[w]) and ti <= len(in_adj[w])
+        )
+        for d, to, ti in zip(tree.demand, tout, tin)
+    ]
     out_mask, in_mask = host.out_mask, host.in_mask
 
     def restrict(i: int, v: int) -> None:
@@ -153,15 +174,13 @@ def arc_consistent(host: Instance, tree: TreeCandidate, dom: list[int]) -> list[
 def build_circuit(host: Instance, tree: TreeCandidate, terminals: frozenset[int]) -> Circuit:
     """Shared-DAG circuit for Q(X, z): tree rooted at vertex 0, z on the terminals.
 
-    The pairs (u, w) with gates are the ``arc_consistent`` placements of the
-    domains {w : w pays u's demand}, made bottom-up (children have larger
-    ids), so every gate lies on a path to the output.
+    The pairs (u, w) with gates are the ``placements``, made bottom-up
+    (children have larger ids), so every gate lies on a path to the output.
     """
     if not all(0 <= t < host.n for t in terminals):
         raise ValueError("terminals outside host vertex range")
     n, eta = host.n, tree.order
-    pays = [sum(1 << w for w in range(n) if d <= host.ploughs[w]) for d in tree.demand]
-    dom = arc_consistent(host, tree, pays)
+    dom = placements(host, tree)
     # (child, the host step from the parent's placement to the child's)
     children: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(eta)]
     for v, (a, b) in enumerate(tree.arcs, start=1):
@@ -185,9 +204,8 @@ def build_circuit(host: Instance, tree: TreeCandidate, terminals: frozenset[int]
             qid[u, w] = acc
 
     output = add_gate([qid[0, w] for w in bits(dom[0])])
-    bound = n * (3 * eta - 2) + 1
-    assert len(gates) <= bound <= 3 * eta * n <= CIRCUIT_SIZE_C * n**3
-    circ = Circuit(gates=gates, output=output, host_n=n, tree_order=eta, prepruning_bound=bound)
+    assert len(gates) <= n * (3 * eta - 2) + 1 <= 3 * eta * n <= CIRCUIT_SIZE_C * n**3
+    circ = Circuit(gates=gates, output=output, host_n=n, tree_order=eta)
     circ.validate()
     return circ
 

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
+from .digraph import reach
+
 MAX_ORDER = 16
 
 #: number of free trees on 1..9 vertices (used as a quick self-check)
@@ -57,7 +59,7 @@ class FreeTree:
 class TreeCandidate:
     """Directed tree with plough-demand weights.
 
-    Layout invariant (``tpe.arc_consistent`` and ``tpe.build_circuit`` rely
+    Layout invariant (``tpe.placements`` and ``tpe.build_circuit`` rely
     on it): arc i joins vertex i+1 to its parent, which has a smaller
     id; ``orientation[i]`` says whether it points parent -> child, and
     ``free_code[v]`` is v's depth below vertex 0.
@@ -162,25 +164,16 @@ def plough_demand(arcs, order: Optional[int] = None) -> tuple[int, ...]:
         raise ValueError(f"arc endpoint outside the vertices 0..{order - 1}")
     if len(set(frozenset(a) for a in arcs)) != len(arcs):
         raise ValueError("repeated underlying edge")
-    adj: list[list[int]] = [[] for _ in range(order)]
-    for u, v in arcs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != order:
-        raise ValueError("underlying graph is not connected")
+    both = [0] * order  # bit v of both[u]: u and v share an arc
     out = [0] * order
     inc = [0] * order
     for u, v in arcs:
+        both[u] |= 1 << v
+        both[v] |= 1 << u
         out[u] += 1
         inc[v] += 1
+    if reach(1, both) != (1 << order) - 1:
+        raise ValueError("underlying graph is not connected")
     return tuple(max(0, o - i) for o, i in zip(out, inc))
 
 

@@ -295,8 +295,13 @@ def test_usage_errors(tmp_path, toy1_file, capsys, monkeypatch):
     )
     assert run_cli(["solve", "--problem", "st", "--input", str(over)]) == 2
     assert "use the exact path" in capsys.readouterr().err
+    # SNOWTEAM_SEED is no setting: it changes no command's exit code or output
+    commands = (["trees", "--order", "3"], solve)
+    plain = []
+    for argv in commands:
+        assert run_cli(argv) == 0
+        plain.append(capsys.readouterr().out)
     monkeypatch.setenv("SNOWTEAM_SEED", "abc")
-    assert run_cli(solve) == 2
-    assert "SNOWTEAM_SEED" in capsys.readouterr().err
-    monkeypatch.delenv("SNOWTEAM_SEED")
-    assert run_cli(solve) == 0
+    for argv, out in zip(commands, plain):
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == out

@@ -1,16 +1,18 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from snowteam import tpe
-from snowteam.digraph import make_instance, transitive_closure
+from snowteam.digraph import bits, make_instance, transitive_closure
 from snowteam.tpe import (
     Circuit,
     build_circuit,
     detect_zt_multilinear,
     eval_trial,
     expand_symbolic,
+    placements,
     solve_tpe,
     CIRCUIT_SIZE_C,
 )
@@ -110,7 +112,7 @@ def test_gate_count_bound():
             for tree in enumerate_free_trees(eta):
                 cand = next(iter(orient_tree(tree)))
                 circ = build_circuit(host, cand, _terminals(host))
-                assert len(circ.gates) <= circ.prepruning_bound <= CIRCUIT_SIZE_C * n**3
+                assert len(circ.gates) <= n * (3 * eta - 2) + 1 <= CIRCUIT_SIZE_C * n**3
 
 
 def test_circuit_is_monotone_and_topological():
@@ -447,8 +449,35 @@ def test_output_outside_the_gates_is_rejected():
         eval_trial(circ, t=0, k=1, seed=1)
 
 
+def test_placements_keep_every_injective_embedding_and_are_the_x_gates():
+    """Brute force over every injective map of every candidate of order <= 4
+    into seeded random hosts: an embedding (arcs and capacities respected)
+    keeps each of its placements, and the circuit has exactly one x-gate per
+    placement."""
+    rng = random.Random(2210)
+    embeddings = 0
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, k=rng.randint(n - 1, min(3 * n, len(pairs))))
+        host = make_instance(n, arcs, set(), {v: rng.randint(0, min(2, n - 1)) for v in range(n)})
+        for cand in _all_orientations(min(4, n)):
+            dom = placements(host, cand)
+            for phi in itertools.permutations(range(n), cand.order):
+                if all((phi[a], phi[b]) in host.arcs for a, b in cand.arcs) and all(
+                    d <= host.ploughs[w] for d, w in zip(cand.demand, phi)
+                ):
+                    embeddings += 1
+                    assert all(dom[u] >> w & 1 for u, w in enumerate(phi)), (cand, phi)
+            circ = build_circuit(host, cand, frozenset())
+            xs = sorted(circ.gates[g][1:3] for g in circ.x_gate_ids())
+            assert xs == sorted((w, u) for u in range(cand.order) for w in bits(dom[u]))
+    assert embeddings > 1000
+
+
 def _direct_polynomial(host, tree, terminals, max_vars, max_zdeg):
-    """Unshared recursive expansion of the defining product-of-sums formulas."""
+    """Unshared recursive expansion of the defining product-of-sums formulas,
+    with the degree test of ``tpe.placements``."""
     und = {v: [] for v in range(tree.order)}
     arcset = set(tree.arcs)
     for u, v in tree.arcs:
@@ -474,6 +503,10 @@ def _direct_polynomial(host, tree, terminals, max_vars, max_zdeg):
 
     def q(u, w, parent):
         if tree.demand[u] > host.ploughs[w]:
+            return {}
+        if sum(a == u for a, _ in tree.arcs) > len(host.out_adj[w]):
+            return {}  # only maps that are not injective place u on w
+        if sum(b == u for _, b in tree.arcs) > len(host.in_adj[w]):
             return {}
         ze = 1 if w in terminals else 0
         acc = {((w,), ze): 1}
