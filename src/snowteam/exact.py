@@ -256,8 +256,16 @@ def solve_tpe_exact(
 def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):
     """Exact optimum for 'min-st' / 'max-st', or the 'stu' decision for k ploughs."""
     if variant == "min-st":
-        ranges = [range(b + 1) for b in inst.ploughs]
+        # extra ploughs never hurt (a plough may keep a zero-length walk), so
+        # a NO on the full vector is final and a YES bounds the optimum
         best: Optional[int] = None
+        try:
+            if not solve_st_exact(inst)[0]:
+                return None
+            best = inst.total_ploughs()
+        except LimitsExceeded:
+            pass  # its sub-vectors may still be within the limits
+        ranges = [range(b + 1) for b in inst.ploughs]
         for combo in itertools.product(*ranges):
             total = sum(combo)
             if best is not None and total >= best:

@@ -58,14 +58,9 @@ only place that counts candidates and detections.  ``solve_all_st`` is
 ``st`` on a restricted instance, which is its own single promotion.  A
 promotion of a condensation that passed the precheck is its own
 condensation, so ``st`` promotions skip a second SCC pass and precheck and
-pay only the one in ``_decide``.  Detection seeds are spaced by
-``_SEED_STRIDE``.  The i-th base promotion (from 1) gets
-``params.seed + _SEED_STRIDE * 1000 * i``, so ``solve_all_st`` starts from
-``params.seed + _SEED_STRIDE * 1000``, and the detection counted j-th
-(from 0) in its report runs with that seed plus ``_SEED_STRIDE * j``; a
-``min-st`` report counts across its promotions.
-``max-st`` runs the kept-th facility subset of each size through ``st`` with
-``params.seed + _SEED_STRIDE * 31 * (kept + size)``.
+pay only the one in ``_decide``.  Every detection of a call runs with
+``params.seed``: each bound below is a union bound over single detections,
+so it needs no independence between them.
 
 All detections are one-sided, so YES answers are certain.  A NO answer is
 wrong only if the detection of the first embeddable candidate in search
@@ -102,13 +97,15 @@ from .exact import solve_st_exact, solve_variant_exact
 from .tpe import build_circuit, detect_zt_multilinear, placements
 from .trees import TreeCandidate, candidate_stream
 
-_SEED_STRIDE = 104_729  # distinct detection seeds within one pipeline call
-
 
 @dataclass(frozen=True)
 class SolveParams:
+    """Options of one solve call: ``seed`` seeds every detection of the call,
+    ``exact_threshold`` routes a call on n <= exact_threshold vertices to the
+    exact engine, and ``jobs`` caps the worker processes."""
+
     seed: int = 1
-    exact_threshold: int = 0  # route to the exact engine when n <= threshold
+    exact_threshold: int = 0
     jobs: int = 1
 
     def __post_init__(self):
@@ -242,8 +239,8 @@ def _decide(
     every facility of host, or None.  host has at least two facilities.
 
     Candidates come in enumeration order, or sorted by the key ``order``.
-    Counts every candidate drawn and every detection run into ``report``;
-    the detection counted j-th so far uses seed ``seed + _SEED_STRIDE * j``.
+    Counts every candidate drawn and every detection run, all with ``seed``,
+    into ``report``.
     Past the precheck, it sets ``report.failure_bound`` to the chance that
     one of its detections misses, which the caller scales to its answer.
     """
@@ -261,9 +258,8 @@ def _decide(
         if not _candidate_feasible(closure, cand, fac):
             continue
         circuit = build_circuit(closure, cand, fac)
-        det_seed = seed + _SEED_STRIDE * report.detections_run
         report.detections_run += 1
-        if detect_zt_multilinear(circuit, t=len(fac), k=cand.order, seed=det_seed):
+        if detect_zt_multilinear(circuit, t=len(fac), k=cand.order, seed=seed):
             return cand
     return None
 
@@ -295,23 +291,19 @@ def _promoted_decision(sub: Instance, seed: int) -> SolveReport:
     return _decision(sub, sub.total_ploughs(), len(sub.facilities()), seed)
 
 
-def _promotions(inst: Instance, seed: int):
-    """Restricted sub-instances from promoting base subsets to facilities,
-    each with its detection seed."""
+def _promotions(inst: Instance):
+    """Restricted sub-instances from promoting base subsets to facilities."""
     fac, bases = inst.facilities(), inst.bases()
     extra = sorted(bases - fac)
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(extra, size) for size in range(len(extra) + 1)
-    )
-    for i, subset in enumerate(subsets, 1):
-        promoted = fac | set(subset)
-        keep = set(subset) | (fac & bases)
-        sub = replace(
-            inst,
-            facility=tuple(v in promoted for v in range(inst.n)),
-            ploughs=tuple(inst.ploughs[v] if v in keep else 0 for v in range(inst.n)),
-        )
-        yield sub, seed + _SEED_STRIDE * 1000 * i
+    for size in range(len(extra) + 1):
+        for subset in itertools.combinations(extra, size):
+            promoted = fac | set(subset)
+            keep = set(subset) | (fac & bases)
+            yield replace(
+                inst,
+                facility=tuple(v in promoted for v in range(inst.n)),
+                ploughs=tuple(inst.ploughs[v] if v in keep else 0 for v in range(inst.n)),
+            )
 
 
 def _usable_cpus() -> int:
@@ -331,11 +323,11 @@ class _Workers:
         self.jobs = jobs
         self.pool: Optional[ProcessPoolExecutor] = None
 
-    def map(self, fn, subs, seeds):
+    def map(self, fn, subs):
         workers = min(self.jobs, len(subs), _usable_cpus())
         if self.pool is None and workers > 1:
             self.pool = ProcessPoolExecutor(max_workers=workers)
-        return (map if self.pool is None else self.pool.map)(fn, subs, seeds)
+        return (map if self.pool is None else self.pool.map)(fn, subs)
 
     def __enter__(self) -> "_Workers":
         return self
@@ -369,8 +361,8 @@ def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveRe
     eta_max = _check_scale(len(host.facilities() | host.bases()), host.n)
     report = SolveReport(answer=False)
     # promotions of the condensation stay on the pipeline, however few vertices
-    subs, seeds = zip(*_promotions(host, params.seed))
-    for sub in workers.map(_promoted_decision, subs, seeds):
+    decide = functools.partial(_promoted_decision, seed=params.seed)
+    for sub in workers.map(decide, list(_promotions(host))):
         report.candidates_tested += sub.candidates_tested
         report.detections_run += sub.detections_run
         if sub.answer:
@@ -398,11 +390,11 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     report = SolveReport(answer=False)
     best: Optional[int] = None
     hits = 0
-    for sub, seed in _promotions(host, params.seed):
+    for sub in _promotions(host):
         kb = sub.total_ploughs()
         budget = kb if best is None else min(kb, best - 1)  # only lighter candidates
         hit = _decide(
-            sub, budget, len(sub.facilities()), seed, report,
+            sub, budget, len(sub.facilities()), params.seed, report,
             order=lambda c: (c.total_demand(), c.order, c.code_str()),  # lightest first
         )
         if hit is not None:
@@ -433,10 +425,9 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     with _Workers(params.jobs) as workers:  # one pool for every subset
         for size in range(len(fac), 1, -1):
             size_misses = 0.0
-            for kept, subset in enumerate(map(set, itertools.combinations(fac, size))):
+            for subset in map(set, itertools.combinations(fac, size)):
                 trimmed = replace(inst, facility=tuple(v in subset for v in range(inst.n)))
-                sub_params = replace(params, seed=params.seed + _SEED_STRIDE * 31 * (kept + size))
-                sub = _solve_st(trimmed, sub_params, workers)
+                sub = _solve_st(trimmed, params, workers)
                 report.candidates_tested += sub.candidates_tested
                 report.detections_run += sub.detections_run
                 if sub.answer:

@@ -191,6 +191,28 @@ def test_min_st_examples():
     assert solve_variant_exact(single, "min-st") == 0
 
 
+def test_min_st_no_on_the_full_vector_ends_the_search(monkeypatch):
+    # facilities 0 and 5 touch no arc: the full plough vector answers NO, so
+    # none of its 125 sub-vectors is searched
+    calls = []
+    real = exact.solve_st_exact
+
+    def spy(inst):
+        calls.append(inst.ploughs)
+        return real(inst)
+
+    monkeypatch.setattr(exact, "solve_st_exact", spy)
+    inst = make_instance(6, [(1, 2)], {0, 5}, {1: 4, 2: 4, 3: 4})
+    assert solve_variant_exact(inst, "min-st") is None
+    assert calls == [inst.ploughs]
+    # the full vector (k_B = 5 on a cyclic host) is beyond the exact limits,
+    # its sub-vectors are not
+    cyclic = make_instance(6, [(0, 1), (1, 0), (1, 2)], {0, 2}, {0: 5})
+    with pytest.raises(LimitsExceeded):
+        real(cyclic)
+    assert solve_variant_exact(cyclic, "min-st") == 1
+
+
 def test_max_st_examples():
     assert solve_variant_exact(toy1(), "max-st") == 2
     assert solve_variant_exact(toy2(), "max-st") == 1

@@ -34,9 +34,10 @@ CATALOGUE = HERE.parent / "bench" / "catalogue.json"
 
 
 # (st-no catalogue index, candidate code, seed) of every detection that
-# solve_st with SolveParams(seed=3) runs on the uncondensed st-no instances,
-# the j-th with seed 3 + _SEED_STRIDE * (1000 + j).  A fixed table, so a
-# change to candidate enumeration or the filter leaves these circuits alone.
+# solve_st runs on the uncondensed st-no instances.  The seeds are fixed
+# data, not the ones the solvers pass.  A fixed table, so a change to
+# candidate enumeration, the filter or the solvers' seeds leaves these
+# circuits alone.
 ST_NO_DETECTIONS = [
     (0, "0 1 1 / uu", 104729003),
     (0, "0 1 2 1 / uuu", 104833732),

@@ -270,6 +270,31 @@ def test_jobs_pool_capped_at_usable_cpus(monkeypatch):
         assert _report_fields(rep) == _report_fields(solve_st(inst, PARAMS))
 
 
+def test_every_detection_of_a_call_uses_its_seed(monkeypatch):
+    from snowteam import solvers
+
+    seeds = []
+    real = solvers.detect_zt_multilinear
+
+    def spy(circuit, t, k, seed):
+        seeds.append(seed)
+        return real(circuit, t=t, k=k, seed=seed)
+
+    monkeypatch.setattr(solvers, "detect_zt_multilinear", spy)
+    params = SolveParams(seed=5)
+    cases = [
+        (solve_st, _two_promotions()),
+        (solve_all_st, _catalogue("st-no")[1]),
+        (solve_min_st, gen_fig3(5)),
+        (lambda inst, p: solve_stu(inst, 4, p), gen_fig3(5)),
+        (solve_max_st, _catalogue("st-no")[2]),
+    ]
+    for solve, inst in cases:
+        seeds.clear()
+        rep = solve(inst, params)
+        assert rep.detections_run >= 1 and seeds == [params.seed] * rep.detections_run
+
+
 def test_every_solver_reports_its_wall_time():
     # pipeline, exact and one-facility paths; both instances are restricted
     restricted = make_instance(3, [(0, 1), (1, 2)], {0, 2}, {0: 1, 2: 1})
