@@ -25,16 +25,14 @@ class ParseError(ValueError):
 class Instance:
     """Digraph with facility flags and per-vertex plough counts.
 
-    Immutable; derived adjacency is precomputed.  Plough counts are capped
-    at n-1 per vertex (more ploughs at one vertex can never help).
+    Immutable; its derived data is two bitmask rows built from ``arcs``.  Plough
+    counts are capped at n-1 per vertex (more ploughs at one vertex can never help).
     """
 
     n: int
     arcs: frozenset[tuple[int, int]]
     facility: tuple[bool, ...]
     ploughs: tuple[int, ...]
-    out_adj: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    in_adj: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     # bit x of out_mask[w] / in_mask[w]: arc w -> x / x -> w
     out_mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
     in_mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
@@ -44,25 +42,21 @@ class Instance:
             raise ValueError("instance needs at least one vertex")
         if len(self.facility) != self.n or len(self.ploughs) != self.n:
             raise ValueError("facility/plough vectors must have length n")
+        outs, ins = [0] * self.n, [0] * self.n
         for u, v in self.arcs:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"arc ({u},{v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop ({u},{v})")
+            outs[u] |= 1 << v
+            ins[v] |= 1 << u
         for v, b in enumerate(self.ploughs):
             if b < 0:
                 raise ValueError(f"negative plough count at {v}")
             if b > self.n - 1:
                 raise ValueError(f"plough count {b} at {v} exceeds n-1")
-        outs: list[list[int]] = [[] for _ in range(self.n)]
-        ins: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.arcs):
-            outs[u].append(v)
-            ins[v].append(u)
-        object.__setattr__(self, "out_adj", tuple(tuple(x) for x in outs))
-        object.__setattr__(self, "in_adj", tuple(tuple(x) for x in ins))
-        object.__setattr__(self, "out_mask", tuple(sum(1 << x for x in xs) for xs in outs))
-        object.__setattr__(self, "in_mask", tuple(sum(1 << x for x in xs) for xs in ins))
+        object.__setattr__(self, "out_mask", tuple(outs))
+        object.__setattr__(self, "in_mask", tuple(ins))
 
     def facilities(self) -> frozenset[int]:
         return frozenset(v for v in range(self.n) if self.facility[v])
@@ -300,7 +294,7 @@ def condense(inst: Instance) -> Instance:
 
 def sources(inst: Instance) -> frozenset[int]:
     """Vertices with in-degree zero."""
-    return frozenset(v for v in range(inst.n) if not inst.in_adj[v])
+    return frozenset(v for v in range(inst.n) if not inst.in_mask[v])
 
 
 def facilities_connected(inst: Instance, cleared) -> bool:

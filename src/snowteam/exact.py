@@ -55,17 +55,14 @@ MAX_DAG_STATES = 2_000_000
 
 
 def _is_dag(inst: Instance) -> bool:
-    indeg = [len(inst.in_adj[v]) for v in range(inst.n)]
-    queue = deque(v for v in range(inst.n) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        v = queue.popleft()
-        seen += 1
-        for u in inst.out_adj[v]:
+    indeg = [m.bit_count() for m in inst.in_mask]  # Kahn's algorithm
+    order = [v for v in range(inst.n) if indeg[v] == 0]
+    for v in order:  # grows as vertices lose their last predecessor; a DAG gets all n
+        for u in bits(inst.out_mask[v]):
             indeg[u] -= 1
             if indeg[u] == 0:
-                queue.append(u)
-    return seen == inst.n
+                order.append(u)
+    return len(order) == inst.n
 
 
 def _initial_positions(inst: Instance) -> tuple[int, ...]:
@@ -115,7 +112,7 @@ def _bfs(
             if i > 0 and positions[i - 1] == v:
                 continue  # ploughs at the same vertex are interchangeable
             rest = positions[:i] + positions[i + 1 :]
-            for u in inst.out_adj[v]:
+            for u in bits(inst.out_mask[v]):
                 succs.append(
                     ((v, u), (tuple(sorted(rest + (u,))), unplaced, cleared | arc_bit[(v, u)]))
                 )
@@ -142,13 +139,13 @@ def _bfs_st(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
     return True, _replay_moves(inst, moves)
 
 
-def _maximal_paths(inst: Instance, start: int, cap: int) -> list[tuple[int, ...]]:
-    """All paths from start that end at an out-degree-0 vertex (DAG hosts only)."""
+def _maximal_paths(succ: list[list[int]], start: int, cap: int) -> list[tuple[int, ...]]:
+    """All paths from start along succ (DAG hosts only) that end at a vertex without successors."""
     out: list[tuple[int, ...]] = []
     stack = [(start,)]
     while stack:
         path = stack.pop()
-        nexts = inst.out_adj[path[-1]]
+        nexts = succ[path[-1]]
         if not nexts:
             out.append(path)
             if len(out) > cap:
@@ -165,11 +162,12 @@ def _dag_st(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
         return True, _replay_moves(inst, [])  # zero-length walks
     fac_mask, least_fac = sum(1 << f for f in fac), 1 << min(fac)
     starts = _initial_positions(inst)
+    succ = [bits(m) for m in inst.out_mask]
     # plough i is bit i of a free mask; one group per base: (its ploughs, its paths)
     groups, total_choices = [], 0
     via: dict = {f: {} for f in fac}  # facility -> {base ploughs: its paths through it}
     for b in sorted(set(starts)):
-        paths = _maximal_paths(inst, b, MAX_DAG_CHOICES)
+        paths = _maximal_paths(succ, b, MAX_DAG_CHOICES)
         total_choices += len(paths) * inst.ploughs[b]
         if total_choices > MAX_DAG_CHOICES:
             raise LimitsExceeded("too many maximal paths overall")
@@ -253,27 +251,33 @@ def solve_tpe_exact(
     return None
 
 
+def _sub_vectors(caps: tuple[int, ...], total: int):
+    """The vectors with entries 0..caps[i] that sum to total, if total <= sum(caps)."""
+    if total == 0:
+        yield (0,) * len(caps)
+        return
+    v = next(i for i, c in enumerate(caps) if c)  # caps[:v] are all 0
+    for c in range(max(0, total - sum(caps[v + 1 :])), min(caps[v], total) + 1):
+        for tail in _sub_vectors(caps[v + 1 :], total - c):
+            yield caps[:v] + (c,) + tail
+
+
 def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):
     """Exact optimum for 'min-st' / 'max-st', or the 'stu' decision for k ploughs."""
     if variant == "min-st":
         # extra ploughs never hurt (a plough may keep a zero-length walk), so
-        # a NO on the full vector is final and a YES bounds the optimum
-        best: Optional[int] = None
+        # YES is upward closed: a NO on the full vector is final, and the
+        # first YES among sub-vectors of increasing total is the optimum
         try:
             if not solve_st_exact(inst)[0]:
                 return None
-            best = inst.total_ploughs()
         except LimitsExceeded:
             pass  # its sub-vectors may still be within the limits
-        ranges = [range(b + 1) for b in inst.ploughs]
-        for combo in itertools.product(*ranges):
-            total = sum(combo)
-            if best is not None and total >= best:
-                continue
-            sub = replace(inst, ploughs=tuple(combo))
-            if solve_st_exact(sub)[0]:
-                best = total
-        return best
+        for total in range(inst.total_ploughs() + 1):
+            for ploughs in _sub_vectors(inst.ploughs, total):
+                if solve_st_exact(replace(inst, ploughs=ploughs))[0]:
+                    return total
+        return None
     if variant == "max-st":
         fac = sorted(inst.facilities())
         for size in range(len(fac), 1, -1):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import _clmul_reduce_arrays, gf_mul
 from .digraph import (
+    bits,
     condense,
     make_instance,
     sources,
@@ -301,9 +302,9 @@ def random_verifying_walks(rng, closed):
             for _ in range(closed.ploughs[b]):
                 w = [b]
                 for _ in range(rng.randint(0, closed.n)):
-                    if not closed.out_adj[w[-1]]:
+                    if not (nexts := bits(closed.out_mask[w[-1]])):
                         break
-                    w.append(rng.choice(closed.out_adj[w[-1]]))
+                    w.append(rng.choice(nexts))
                 walks.append(w)
         sol = walks_from_lists(walks)
         if verify_st_solution(closed, sol)[0]:

@@ -145,16 +145,15 @@ def placements(host: Instance, tree: TreeCandidate) -> list[int]:
     for a, b in tree.arcs:
         tout[a] += 1
         tin[b] += 1
-    out_adj, in_adj, ploughs = host.out_adj, host.in_adj, host.ploughs
+    out_mask, in_mask, ploughs = host.out_mask, host.in_mask, host.ploughs
     dom = [
         sum(
             1 << w
             for w in range(host.n)
-            if d <= ploughs[w] and to <= len(out_adj[w]) and ti <= len(in_adj[w])
+            if d <= ploughs[w] and to <= out_mask[w].bit_count() and ti <= in_mask[w].bit_count()
         )
         for d, to, ti in zip(tree.demand, tout, tin)
     ]
-    out_mask, in_mask = host.out_mask, host.in_mask
 
     def restrict(i: int, v: int) -> None:
         # keep v's placements with a neighbour among the other end's across

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -143,7 +144,36 @@ def test_serialize_round_trip_random():
         pl = {v: rng.randint(0, n - 1) for v in rng.sample(range(n), k=min(n, 2))}
         inst = make_instance(n, arcs, fac, pl)
         assert parse_instance(serialize_instance(inst)) == inst
-        assert all(list(us) == sorted(us) for us in inst.in_adj)
+
+
+def _heads(inst, u):
+    return sorted(v for a, v in inst.arcs if a == u)
+
+
+def _tails(inst, v):
+    return sorted(u for u, b in inst.arcs if b == v)
+
+
+def test_mask_rows_match_arcs():
+    # the rows are derived data: however an instance is made, bits() of a
+    # row lists the arcs' heads (out_mask) or tails (in_mask), ascending
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, k=rng.randint(0, len(pairs)))
+        inst = make_instance(n, arcs, {0}, {v: rng.randint(0, n - 1) for v in range(n)})
+        variants = [
+            inst,
+            replace(inst, arcs=frozenset(arcs[: len(arcs) // 2])),
+            replace(inst, ploughs=(0,) * n),
+            transitive_closure(inst),
+            condense(inst),
+        ]
+        for d in variants:
+            for u in range(d.n):
+                assert bits(d.out_mask[u]) == _heads(d, u)
+                assert bits(d.in_mask[u]) == _tails(d, u)
 
 
 @pytest.mark.parametrize(
@@ -202,7 +232,7 @@ def test_reach_matches_a_plain_search_on_randoms():
         seen = set(bits(seed))
         stack = list(seen)
         while stack:
-            for u in inst.out_adj[stack.pop()]:
+            for u in _heads(inst, stack.pop()):
                 if within >> u & 1 and u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -293,13 +323,13 @@ def test_transitive_closure_idempotent_random():
 
 def _reachable(inst, s):
     seen = set()
-    stack = [t for t in inst.out_adj[s]]
+    stack = _heads(inst, s)
     while stack:
         v = stack.pop()
         if v in seen:
             continue
         seen.add(v)
-        stack.extend(inst.out_adj[v])
+        stack.extend(_heads(inst, v))
     return seen
 
 
@@ -315,7 +345,7 @@ def test_shortcut_walks_valid_in_closure():
         v = rng.randrange(n)
         walk = [v]
         for _ in range(rng.randint(2, 6)):
-            nxt = inst.out_adj[walk[-1]]
+            nxt = _heads(inst, walk[-1])
             if not nxt:
                 break
             walk.append(rng.choice(nxt))

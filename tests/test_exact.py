@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from snowteam.exact import (
     LimitsExceeded,
     _bfs_st,
     _dag_st,
+    _sub_vectors,
     solve_st_exact,
     solve_variant_exact,
 )
@@ -142,7 +144,7 @@ def test_engines_agree_at_the_bfs_limits():
                 assert ok, reason
         yes += dag_ans
         stacked += max(pl.values()) > 1
-        sink_bases += any(not inst.out_adj[v] for v in pl)
+        sink_bases += any(all(u != v for u, _ in inst.arcs) for v in pl)
     assert yes >= 50 and 400 - yes >= 50
     assert stacked >= 100 and sink_bases >= 100
 
@@ -211,6 +213,32 @@ def test_min_st_no_on_the_full_vector_ends_the_search(monkeypatch):
     with pytest.raises(LimitsExceeded):
         real(cyclic)
     assert solve_variant_exact(cyclic, "min-st") == 1
+
+
+def test_min_st_searches_plough_totals_upwards(monkeypatch):
+    # 43 ploughs, 8**6 * 2 sub-vectors; the single plough at facility 0
+    # already answers YES, so the search stops at total 1
+    calls = []
+    real = exact.solve_st_exact
+
+    def spy(inst):
+        calls.append(inst.ploughs)
+        return real(inst)
+
+    monkeypatch.setattr(exact, "solve_st_exact", spy)
+    inst = make_instance(8, [(0, 7), (1, 2)], {0, 7}, {0: 1, **{v: 7 for v in range(1, 7)}})
+    assert solve_variant_exact(inst, "min-st") == 1
+    assert len(calls) <= 9
+
+
+def test_sub_vectors_are_the_capped_vectors_of_each_total():
+    rng = random.Random(5)
+    for _ in range(40):
+        caps = tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(rng.randint(1, 6)))
+        for total in range(sum(caps) + 1):
+            got = list(_sub_vectors(caps, total))
+            want = [c for c in itertools.product(*(range(b + 1) for b in caps)) if sum(c) == total]
+            assert sorted(got) == want
 
 
 def test_max_st_examples():

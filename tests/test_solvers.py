@@ -713,8 +713,10 @@ def _candidate_feasible_sets(host, cand, terminals):
     for u, v in cand.arcs:
         tout[u] += 1
         tin[v] += 1
-    hout = [len(host.out_adj[w]) for w in range(host.n)]
-    hin = [len(host.in_adj[w]) for w in range(host.n)]
+    succ = [{x for u, x in host.arcs if u == w} for w in range(host.n)]
+    pred = [{u for u, x in host.arcs if x == w} for w in range(host.n)]
+    hout = [len(s) for s in succ]
+    hin = [len(p) for p in pred]
     compat = [
         {
             w
@@ -727,11 +729,11 @@ def _candidate_feasible_sets(host, cand, terminals):
     while changed:
         changed = False
         for a, b in cand.arcs:
-            keep_a = {w for w in compat[a] if any(x in compat[b] for x in host.out_adj[w])}
+            keep_a = {w for w in compat[a] if succ[w] & compat[b]}
             if len(keep_a) != len(compat[a]):
                 compat[a] = keep_a
                 changed = True
-            keep_b = {w for w in compat[b] if any(x in compat[a] for x in host.in_adj[w])}
+            keep_b = {w for w in compat[b] if pred[w] & compat[a]}
             if len(keep_b) != len(compat[b]):
                 compat[b] = keep_b
                 changed = True

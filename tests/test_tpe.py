@@ -480,6 +480,8 @@ def _direct_polynomial(host, tree, terminals, max_vars, max_zdeg):
     with the degree test of ``tpe.placements``."""
     und = {v: [] for v in range(tree.order)}
     arcset = set(tree.arcs)
+    succ = [sorted(x for w, x in host.arcs if w == u) for u in range(host.n)]
+    pred = [sorted(w for w, x in host.arcs if x == u) for u in range(host.n)]
     for u, v in tree.arcs:
         und[u].append(v)
         und[v].append(u)
@@ -504,9 +506,9 @@ def _direct_polynomial(host, tree, terminals, max_vars, max_zdeg):
     def q(u, w, parent):
         if tree.demand[u] > host.ploughs[w]:
             return {}
-        if sum(a == u for a, _ in tree.arcs) > len(host.out_adj[w]):
+        if sum(a == u for a, _ in tree.arcs) > len(succ[w]):
             return {}  # only maps that are not injective place u on w
-        if sum(b == u for _, b in tree.arcs) > len(host.in_adj[w]):
+        if sum(b == u for _, b in tree.arcs) > len(pred[w]):
             return {}
         ze = 1 if w in terminals else 0
         acc = {((w,), ze): 1}
@@ -514,9 +516,9 @@ def _direct_polynomial(host, tree, terminals, max_vars, max_zdeg):
             if v == parent:
                 continue
             if (v, u) in arcset:
-                branch = poly_add([q(v, wp, u) for wp in host.in_adj[w]])
+                branch = poly_add([q(v, wp, u) for wp in pred[w]])
             else:
-                branch = poly_add([q(v, wp, u) for wp in host.out_adj[w]])
+                branch = poly_add([q(v, wp, u) for wp in succ[w]])
             acc = poly_mul(acc, branch)
         return acc
 
