@@ -315,7 +315,9 @@ def random_verifying_walks(rng, closed):
 def check_walk_normalization() -> tuple[bool, str]:
     """100 oracle witnesses and 100 random verifying walk systems on
     transitively closed restricted instances normalize to verifying
-    tree-like path systems of bounded order with the same starts."""
+    tree-like path systems of bounded order with the same starts, in normal
+    form: in the union tree every vertex that is no facility has in-degree
+    at least 2 and out-degree at most its in-degree."""
     rng = random.Random(31)
     walk_rng = random.Random(32)
     witnesses = drawn = rewritten = 0
@@ -357,10 +359,15 @@ def check_walk_normalization() -> tuple[bool, str]:
             touched = {v for w in out.walks if w.length >= 1 for v in w.vertices}
             if len(fac) >= 2 and len(touched) > 2 * len(fac) - 1:
                 return False, f"union tree order {len(touched)} exceeds bound"
+            arcs = [a for w in out.walks for a in w.arcs()]
+            for v in touched - fac:
+                ins = sum(b == v for _, b in arcs)
+                if ins < 2 or sum(a == v for a, _ in arcs) > ins:
+                    return False, f"vertex {v} is no facility and breaks the normal form"
             rewritten += out != sol
     return True, (
         f"100 witnesses and 100 random walk systems normalized ({rewritten} rewritten), "
-        "verified, bounded"
+        "verified, bounded, in normal form"
     )
 
 

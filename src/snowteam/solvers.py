@@ -8,6 +8,29 @@ plough capacities.  ``normalize_to_tree_like`` is the constructive proof
 of that 2|F|-1 bound.  The general decision enumerates which plough bases
 to promote to facilities; the other variants reuse the same machinery.
 
+Normal form.  A restricted decision enumerates and places only the trees
+that walk normalization can produce.  At the fixpoint of
+``normalize_to_tree_like`` a tree vertex that is no facility starts no
+walk, so out <= in and its demand is 0, and it has in-degree at least 2.
+So every tree vertex of in-degree at most 1 or positive demand is a
+facility: there are at most |F| of them, and an embedding puts those of
+in-degree at most 1 on facilities (those of positive demand pay it, so
+they sit on bases, inside F already).  ``_decide`` passes that count to
+``candidate_stream`` as its sources bound, and the facility set to
+``tpe.placements`` as its pin, in the filter and the circuit alike.  A YES
+keeps its normalized witness's union tree among the candidates and that
+tree's own embedding in the closure among the placements.  ``_decide``
+applies the rule exactly when every plough base of its host is a
+facility: ``st``, every promotion, ``min-st`` and ``max-st``.
+Normalization deletes vertices, never walks, so it keeps the walk count,
+and a tree's demand at a vertex is at most the number of walks starting
+there: a ``min-st`` budget that admits a solution admits its normal-form
+tree, and the optimum is unchanged.  ``stu`` is excluded: with a plough
+allowed anywhere, a vertex that is no facility may start a walk and have
+out > in, and the bound fails.  Its host, with ploughs on every vertex,
+meets the condition only when every vertex is a facility, where the rule
+removes nothing.
+
 Before any closure or candidate, every pipeline decision runs one
 certain-NO precheck, ``_base_reach_connects_facilities``.  Let R be the plough bases
 and every vertex reachable from one.  Each plough's walk starts at its base,
@@ -195,15 +218,18 @@ def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
     return all(try_assign(v, set()) for v in range(left_count))
 
 
-def _candidate_feasible(host: Instance, cand: TreeCandidate, terminals: frozenset[int]) -> bool:
-    """Cheap necessary conditions for an embedding; never prunes a true YES.
+def _candidate_feasible(
+    host: Instance, cand: TreeCandidate, terminals: frozenset[int], pin: Optional[int] = None
+) -> bool:
+    """Cheap necessary conditions for an embedding that respects pin; never
+    prunes a true YES.
 
-    Every tree vertex needs a placement (``tpe.placements``), then a
-    matching must saturate the tree side and another one the terminal set.
+    Every tree vertex needs a placement (``tpe.placements`` under pin), then
+    a matching must saturate the tree side and another one the terminal set.
     Host vertex sets are int bitmasks: bit w stands for host vertex w.
     """
     eta = cand.order
-    compat = placements(host, cand)
+    compat = placements(host, cand, pin)
     if not compat[0]:
         return False
     if not _kuhn_saturates(eta, [bits(c) for c in compat]):
@@ -239,8 +265,9 @@ def _decide(
     every facility of host, or None.  host has at least two facilities.
 
     Candidates come in enumeration order, or sorted by the key ``order``.
-    Counts every candidate drawn and every detection run, all with ``seed``,
-    into ``report``.
+    On a restricted host only normal-form trees are drawn and placed
+    (module docstring).  Counts every candidate drawn and every detection
+    run, all with ``seed``, into ``report``.
     Past the precheck, it sets ``report.failure_bound`` to the chance that
     one of its detections misses, which the caller scales to its answer.
     """
@@ -252,12 +279,15 @@ def _decide(
         return None  # every tree on two or more vertices needs a plough
     closure = transitive_closure(host)
     fac = host.facilities()
-    stream = candidate_stream(len(fac), eta_max, budget=budget)
+    sources, pin = None, None
+    if host.bases() <= fac:
+        sources, pin = len(fac), sum(1 << f for f in fac)
+    stream = candidate_stream(len(fac), eta_max, budget=budget, sources=sources)
     for cand in stream if order is None else sorted(stream, key=order):
         report.candidates_tested += 1
-        if not _candidate_feasible(closure, cand, fac):
+        if not _candidate_feasible(closure, cand, fac, pin):
             continue
-        circuit = build_circuit(closure, cand, fac)
+        circuit = build_circuit(closure, cand, fac, pin)
         report.detections_run += 1
         if detect_zt_multilinear(circuit, t=len(fac), k=cand.order, seed=seed):
             return cand

@@ -27,7 +27,8 @@ circuit's z^t coefficient is
 
 phi running over the maps of the tree into the host that respect arcs and
 capacities, place every vertex within ``placements`` (every injective one
-does) and hit t terminals (with multiplicity), each exactly once.  A
+does, and under a pin every injective one that respects it) and hit t
+terminals (with multiplicity), each exactly once.  A
 trial draws a in GF(2^64)^{n x k}, k = eta, and one r per x-gate, uniformly
 and independently, and substitutes
 
@@ -47,9 +48,10 @@ and det(A_phi) = 0 as a polynomial, so F = 0 unless an embedding exists.
 For the same reason the degree test leaves F unchanged: the maps it drops
 are not injective, and their terms vanish.
 
-Proven miss bound: let phi be injective.  Its r-monomial determines phi,
-so no other term of F shares it, and its coefficient det(A_phi) is a
-nonzero polynomial, since the rows are distinct sets of indeterminates.
+Proven miss bound: let phi be an injective embedding (under a pin, one
+that respects it).  Its r-monomial determines phi, so no other term of F
+shares it, and its coefficient det(A_phi) is a nonzero polynomial, since
+the rows are distinct sets of indeterminates.
 So F is a nonzero polynomial of total degree 2k in (r, a), and by
 Schwartz-Zippel one trial gives F = 0 with probability at most 2k/2^64.
 A detection is one trial.
@@ -121,7 +123,7 @@ class Circuit:
             raise ValueError(f"output {self.output} is not a gate")
 
 
-def placements(host: Instance, tree: TreeCandidate) -> list[int]:
+def placements(host: Instance, tree: TreeCandidate, pin: Optional[int] = None) -> list[int]:
     """The host vertices each tree vertex may sit on, one bitmask per tree
     vertex (bit w: host vertex w): the arc-consistency fixpoint of the
     domains {w : w pays u's demand and has at least u's out- and
@@ -129,6 +131,12 @@ def placements(host: Instance, tree: TreeCandidate) -> list[int]:
     placement at the other end joined to it by a host arc of the same
     direction.  Every domain is empty once vertex 0's is, and every
     embedding keeps its placements (module docstring).
+
+    pin, a host bitmask, confines every tree vertex of in-degree at most 1
+    to it from the start: the normal form of a restricted decision, whose
+    pin is the facility set (``solvers``).  It keeps the placements of every
+    embedding that maps those vertices into pin, and arc consistency then
+    drops the placements the rule leaves unsupported.  None confines nothing.
 
     On a tree two passes reach the fixpoint (Freuder, JACM 1982).  Arc i
     joins vertex i+1 to its smaller-id parent (the ``TreeCandidate``
@@ -154,6 +162,8 @@ def placements(host: Instance, tree: TreeCandidate) -> list[int]:
         )
         for d, to, ti in zip(tree.demand, tout, tin)
     ]
+    if pin is not None:
+        dom = [m & pin if ti <= 1 else m for m, ti in zip(dom, tin)]
 
     def restrict(i: int, v: int) -> None:
         # keep v's placements with a neighbour among the other end's across
@@ -170,16 +180,19 @@ def placements(host: Instance, tree: TreeCandidate) -> list[int]:
     return dom
 
 
-def build_circuit(host: Instance, tree: TreeCandidate, terminals: frozenset[int]) -> Circuit:
+def build_circuit(
+    host: Instance, tree: TreeCandidate, terminals: frozenset[int], pin: Optional[int] = None
+) -> Circuit:
     """Shared-DAG circuit for Q(X, z): tree rooted at vertex 0, z on the terminals.
 
-    The pairs (u, w) with gates are the ``placements``, made bottom-up
-    (children have larger ids), so every gate lies on a path to the output.
+    The pairs (u, w) with gates are the ``placements`` under pin, made
+    bottom-up (children have larger ids), so every gate lies on a path to
+    the output.
     """
     if not all(0 <= t < host.n for t in terminals):
         raise ValueError("terminals outside host vertex range")
     n, eta = host.n, tree.order
-    dom = placements(host, tree)
+    dom = placements(host, tree, pin)
     # (child, the host step from the parent's placement to the child's)
     children: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(eta)]
     for v, (a, b) in enumerate(tree.arcs, start=1):

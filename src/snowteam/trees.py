@@ -22,7 +22,11 @@ bit i set when edge i points parent -> child, and masks come out in
 increasing integer order.  The loop fixes edges depth first from the last
 preorder edge down to edge 0 and carries each vertex's out - in balance.
 Vertex v's demand is final once edge v-1 is set, so a budget cuts a branch
-as soon as the final demands exceed it.  With dedupe it keeps the least mask
+as soon as the final demands exceed it.  A sources bound cuts the same way:
+it caps the vertices of in-degree at most 1 or positive demand, the tree
+vertices that a normal-form solution (``solvers``) places on facilities.
+Leaves always count, so they are counted up front, and any other vertex
+once its last edge is set.  With dedupe it keeps the least mask
 of each directed-isomorphism class, recognised by two local rules on the
 mask that the layout makes exact, in the spirit of McKay's isomorph-free
 generation: no class key and no set of seen classes.
@@ -195,13 +199,17 @@ def _symmetries(tree: FreeTree) -> tuple[list[int], int]:
 
 
 def orient_tree(
-    tree: FreeTree, dedupe: bool = False, budget: Optional[int] = None
+    tree: FreeTree,
+    dedupe: bool = False,
+    budget: Optional[int] = None,
+    sources: Optional[int] = None,
 ) -> Iterator[TreeCandidate]:
     """Orientations of tree in increasing mask order, bit i set when edge i
     points parent -> child.  With budget, only those of total demand at most
-    budget; dedupe keeps the least mask of each directed-isomorphism class.
-    tree must come from ``enumerate_free_trees``: dedupe relies on its
-    canonical layout.
+    budget; with sources, only those with at most sources vertices of
+    in-degree at most 1 or positive demand; dedupe keeps the least mask of
+    each directed-isomorphism class.  tree must come from
+    ``enumerate_free_trees``: dedupe relies on its canonical layout.
 
     Masks are built depth first from the last preorder edge down to edge 0,
     trying up before down, which is increasing integer order.  Edge i joins
@@ -209,6 +217,12 @@ def orient_tree(
     in preorder, so once edge i is set the demand of vertex i+1 is final.  A
     branch is cut as soon as the final demands exceed the budget; the root's
     demand is final at the leaf.  Demands come from the carried balances.
+
+    Sources.  A vertex of degree d and balance b = out - in has in-degree
+    (d - b)/2, so it counts exactly when b >= min(1, d - 2).  A leaf always
+    counts: a tree with more leaves than sources yields nothing.  Every
+    other vertex is counted where the budget reads its final demand, and a
+    branch is cut as soon as the count exceeds sources.
 
     Dedupe.  Child c's block is edge c-1 and the edges below c: the bit
     range c-1 .. c+size(c)-2.  The tree's automorphisms are generated by
@@ -224,22 +238,34 @@ def orient_tree(
     (b) on a mirror, bits s..2s-2 <= bits 1..s-1 and, on a tie, bit 0 is
         clear (edge 0 points up), checked at the leaf.
 
-    Directed-isomorphic orientations have the same demand multiset, so the
-    budget removes whole classes: the output is the unbudgeted output
-    filtered by budget, in the same order.
+    Directed-isomorphic orientations have the same demand multiset and the
+    same in-degree multiset, so budget and sources remove whole classes: the
+    output is the unbounded output filtered by both, in the same order.
     """
     n = tree.order
     m = n - 1
     edges = tree.edges
     cap = m if budget is None else budget  # total demand never exceeds the arc count
+    deg = [0] * n
+    for p, c in edges:
+        deg[p] += 1
+        deg[c] += 1
+    leaves = sum(d <= 1 for d in deg)
+    room = n if sources is None else sources
+    if leaves > room:
+        return iter(())
+    # bal[v] >= low[v] exactly when a non-leaf v counts; a leaf, counted up
+    # front, never does
+    low = [min(1, d - 2) if d > 1 else d + 1 for d in deg]
     twin, half = _symmetries(tree) if dedupe else ([0] * m, 0)
     bal = [0] * n  # outdeg - indeg over the edges set so far
     arcs: list[tuple[int, int]] = [(0, 0)] * m
 
-    def extend(i: int, done: int, mask: int) -> Iterator[TreeCandidate]:
-        # edges i+1..m-1 are set; done is the final demand of vertices i+2..n-1
+    def extend(i: int, done: int, hits: int, mask: int) -> Iterator[TreeCandidate]:
+        # edges i+1..m-1 are set; done is the final demand of vertices
+        # i+2..n-1, hits the leaves plus the other counting vertices there
         if i < 0:
-            if done + max(bal[0], 0) > cap:
+            if done + max(bal[0], 0) > cap or hits + (bal[0] >= low[0]) > room:
                 return
             if half:  # (b)
                 lo = (mask >> 1) & ((1 << (half - 1)) - 1)
@@ -266,13 +292,14 @@ def orient_tree(
             bal[p] += step
             bal[c] -= step
             total = done + max(bal[c], 0)
-            if total <= cap:
+            counted = hits + (bal[c] >= low[c])
+            if total <= cap and counted <= room:
                 arcs[i] = (p, c) if is_down else (c, p)
-                yield from extend(i - 1, total, bits)
+                yield from extend(i - 1, total, counted, bits)
             bal[p] -= step
             bal[c] += step
 
-    return extend(m - 1, 0, 0)
+    return extend(m - 1, 0, leaves, 0)
 
 
 def candidate_from_code(code: str) -> TreeCandidate:
@@ -314,9 +341,11 @@ def candidate_stream(
     f_count: int,
     max_order: int,
     budget: Optional[int] = None,
+    sources: Optional[int] = None,
 ) -> Iterator[TreeCandidate]:
     """Candidates with f_count <= order <= max_order, total demand within
-    budget, one per directed-isomorphism class.
+    budget and at most sources vertices of in-degree at most 1 or positive
+    demand (``orient_tree``), one per directed-isomorphism class.
 
     Empty for f_count = 0: callers resolve the at-most-one-facility case
     before enumerating.  Deterministic order: by order, then free-tree code,
@@ -329,4 +358,4 @@ def candidate_stream(
         return
     for order in range(f_count, max_order + 1):
         for tree in enumerate_free_trees(order):
-            yield from orient_tree(tree, dedupe=True, budget=budget)
+            yield from orient_tree(tree, dedupe=True, budget=budget, sources=sources)

@@ -20,7 +20,8 @@ from pathlib import Path
 from snowteam.digraph import make_instance, transitive_closure, walks_from_lists
 from snowteam.exact import solve_st_exact
 from snowteam.selfcheck import random_verifying_walks
-from snowteam.solvers import normalize_to_tree_like
+from snowteam.solvers import _candidate_feasible, normalize_to_tree_like
+from snowteam.trees import candidate_stream
 
 PINNED = Path(__file__).resolve().parent / "pinned_normalizations.json"
 
@@ -87,6 +88,41 @@ def test_normalizations_match_the_pinned_file():
         if (got := _normalized(case)) != case["normalized"]
     }
     assert not diff, f"normalizations differ from {PINNED.name} (pinned, got): {diff}"
+
+
+def _tree_key(arcs) -> str:
+    """Directed-isomorphism invariant of a tree given by its arcs: the least
+    nested code over every root, a child's code tagged by its arc's
+    direction."""
+    nbrs: dict[int, list[tuple[int, str]]] = {}
+    for a, b in arcs:
+        nbrs.setdefault(a, []).append((b, "d"))
+        nbrs.setdefault(b, []).append((a, "u"))
+
+    def code(v, parent):
+        return "(" + "".join(sorted(d + code(c, v) for c, d in nbrs[v] if c != parent)) + ")"
+
+    return min(code(r, None) for r in nbrs)
+
+
+def test_normalized_witnesses_are_normal_form_candidates():
+    """Each normalized walk system's union tree is, up to directed
+    isomorphism, a candidate of the normal-form stream (sources = |F|,
+    orders up to 2|F|-1, demand within the ploughs), and the filter passes
+    that candidate on the closure under the facility pin."""
+    pinned = json.loads(PINNED.read_text())
+    for name, case in pinned.items():
+        inst = _instance(case)
+        fac = inst.facilities()
+        arcs = {(w[i], w[i + 1]) for w in case["normalized"] for i in range(len(w) - 1)}
+        key = _tree_key(arcs)
+        stream = candidate_stream(
+            len(fac), min(2 * len(fac) - 1, inst.n), inst.total_ploughs(), sources=len(fac)
+        )
+        cand = next((c for c in stream if c.order == len(arcs) + 1 and _tree_key(c.arcs) == key), None)
+        assert cand is not None, name
+        pin = sum(1 << f for f in fac)
+        assert _candidate_feasible(transitive_closure(inst), cand, fac, pin), name
 
 
 if __name__ == "__main__":

@@ -72,11 +72,12 @@ def test_all_st_examples():
 
 
 def test_all_st_no_after_real_detections():
-    # candidates pass the feasibility filters yet nothing embeds (certified by
-    # the exact oracle), so the NO answer rests on detections and carries a
-    # nonzero failure bound; the host is acyclic, so condensing leaves it alone
+    # a normal-form candidate passes the feasibility filters yet nothing
+    # embeds (certified by the exact oracle): the plough at 1 reaches 0 or 4,
+    # not both, so the NO answer rests on a detection and carries a nonzero
+    # failure bound; the host is acyclic, so condensing leaves it alone
     inst = make_instance(
-        5, [(0, 4), (1, 4), (2, 1), (3, 0), (3, 1), (3, 2), (3, 4)], {0, 1, 3}, {3: 1}
+        5, [(1, 2), (1, 4), (2, 0), (2, 4), (3, 4)], {0, 1, 3}, {1: 1, 3: 1}
     )
     assert not solve_st_exact(inst)[0]
     rep = solve_all_st(inst, PARAMS)

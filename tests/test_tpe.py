@@ -453,26 +453,39 @@ def test_placements_keep_every_injective_embedding_and_are_the_x_gates():
     """Brute force over every injective map of every candidate of order <= 4
     into seeded random hosts: an embedding (arcs and capacities respected)
     keeps each of its placements, and the circuit has exactly one x-gate per
-    placement."""
+    placement.  The same holds under a pin, a random terminal set, for the
+    embeddings that put every tree vertex of in-degree <= 1 on a terminal;
+    a pin of every host vertex changes no placement."""
     rng = random.Random(2210)
-    embeddings = 0
+    pin_rng = random.Random(2211)
+    embeddings = pinned = narrowed = 0
     for _ in range(20):
         n = rng.randint(2, 6)
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         arcs = rng.sample(pairs, k=rng.randint(n - 1, min(3 * n, len(pairs))))
         host = make_instance(n, arcs, set(), {v: rng.randint(0, min(2, n - 1)) for v in range(n)})
+        terminals = frozenset(pin_rng.sample(range(n), pin_rng.randint(1, n)))
+        pin = sum(1 << w for w in terminals)
         for cand in _all_orientations(min(4, n)):
             dom = placements(host, cand)
+            assert placements(host, cand, (1 << n) - 1) == dom
+            low = [u for u in range(cand.order) if sum(b == u for _, b in cand.arcs) <= 1]
+            kept = placements(host, cand, pin)
+            narrowed += kept != dom
             for phi in itertools.permutations(range(n), cand.order):
                 if all((phi[a], phi[b]) in host.arcs for a, b in cand.arcs) and all(
                     d <= host.ploughs[w] for d, w in zip(cand.demand, phi)
                 ):
                     embeddings += 1
                     assert all(dom[u] >> w & 1 for u, w in enumerate(phi)), (cand, phi)
-            circ = build_circuit(host, cand, frozenset())
-            xs = sorted(circ.gates[g][1:3] for g in circ.x_gate_ids())
-            assert xs == sorted((w, u) for u in range(cand.order) for w in bits(dom[u]))
-    assert embeddings > 1000
+                    if all(phi[u] in terminals for u in low):
+                        pinned += 1
+                        assert all(kept[u] >> w & 1 for u, w in enumerate(phi)), (cand, phi)
+            for pinning, want in ((None, dom), (pin, kept)):
+                circ = build_circuit(host, cand, frozenset(), pinning)
+                xs = sorted(circ.gates[g][1:3] for g in circ.x_gate_ids())
+                assert xs == sorted((w, u) for u in range(cand.order) for w in bits(want[u]))
+    assert embeddings > 1000 and pinned > 50 and narrowed > 100
 
 
 def _direct_polynomial(host, tree, terminals, max_vars, max_zdeg):

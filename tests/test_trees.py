@@ -123,6 +123,32 @@ def test_orientation_count(order):
         assert list(orient_tree(tree, budget=3)) == light
 
 
+def _sources(cand):
+    """Brute force: vertices of in-degree at most 1 or out-degree above it."""
+    ins = [sum(b == v for _, b in cand.arcs) for v in range(cand.order)]
+    outs = [sum(a == v for a, _ in cand.arcs) for v in range(cand.order)]
+    return sum(i <= 1 or o > i for i, o in zip(ins, outs))
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+def test_sources_bound_filters_the_unbounded_output(order):
+    for tree in enumerate_free_trees(order):
+        for dedupe, budget in itertools.product((False, True), (None, 1, 3)):
+            full = [(c, _sources(c)) for c in orient_tree(tree, dedupe, budget)]
+            for sources in range(order + 1):
+                want = [c for c, count in full if count <= sources]
+                assert list(orient_tree(tree, dedupe, budget, sources=sources)) == want
+
+
+def test_more_leaves_than_sources_yields_nothing():
+    star = next(t for t in enumerate_free_trees(5) if t.code == (0, 1, 1, 1, 1))
+    assert list(orient_tree(star, sources=3)) == []
+    # the four leaves count, and the center does once three arcs leave it
+    assert len(list(orient_tree(star, sources=4))) == 1 + 4 + 6
+    path = next(iter(enumerate_free_trees(2)))
+    assert list(orient_tree(path, sources=1)) == []
+
+
 def test_path3_orientation_classes():
     path = next(t for t in enumerate_free_trees(3))
     assert sum(1 for _ in orient_tree(path, dedupe=False)) == 4
@@ -270,7 +296,10 @@ def _reference_classes(order):
 
 
 def test_candidate_stream_matches_reference():
+    """Without sources, the stream is the reference's; with sources = f, the
+    reference filtered by the brute-force count."""
     classes = {order: _reference_classes(order) for order in range(1, 10)}
+    count = {row: _sources(TreeCandidate(*row)) for rows in classes.values() for row in rows}
     for f in range(1, 6):
         for max_order in range(f, 10):
             for budget in (None, 0, 1, 2, 3, 4, 5):
@@ -285,6 +314,13 @@ def test_candidate_stream_matches_reference():
                     for c in candidate_stream(f, max_order, budget=budget)
                 ]
                 assert got == want, (f, max_order, budget)
+                if budget not in (None, 1, 3):
+                    continue
+                bounded = [
+                    (c.order, c.arcs, c.demand, c.free_code, c.orientation)
+                    for c in candidate_stream(f, max_order, budget=budget, sources=f)
+                ]
+                assert bounded == [row for row in want if count[row] <= f], (f, max_order, budget)
 
 
 @pytest.mark.parametrize(
