@@ -20,11 +20,28 @@ Two engines for the clearing decision:
   is free, no solution is lost:
 
   - While some facility lies on no chosen path, on the paths through the
-    one with the fewest: in a solution it has a cleared arc, on a path
-    still to come.  No such path means NO.
+    one with the fewest options (its paths from bases with a free plough),
+    the least such facility on a tie: in a solution it has a cleared arc,
+    on a path still to come.  No such path means NO.
   - Once all are covered but split, on the paths that meet the component C
     holding the least facility and leave it: without one, every later arc
     lies inside C or outside it, so C stays a component short of a facility.
+
+  Paths that cover the most uncovered facilities are tried first.  What
+  depends on the arcs alone is built once per host (``_path_index``): the
+  acyclicity check, the successor lists and, on first lookup of a base,
+  its maximal paths with their vertex masks and the paths through each
+  vertex.  The optimum searches of ``solve_variant_exact`` change only
+  ploughs or facilities, so they share one index.  A search carries the
+  uncovered facilities down the recursion, and every facility's option
+  count packed in one integer: a count changes only when a base's last
+  free plough is spent, by one subtraction.  A chosen path merges the
+  components it meets and leaves the others as they were, none of which
+  holds every facility, so only the merged component is tested for
+  success.  A carried count is exactly the number of options its facility
+  has in that state, and ties fall to the least facility and then to the
+  earlier path (base order, then path order from the base), so each state
+  makes the choices the rules above name, in the order they name.
 
 Both engines implement the same semantics and are cross-checked in tests.
 """
@@ -32,6 +49,7 @@ Both engines implement the same semantics and are cross-checked in tests.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from collections import deque
 from dataclasses import replace
 from typing import Optional
@@ -52,17 +70,6 @@ MAX_KB = 4
 MAX_BFS_STATES = 3_000_000
 MAX_DAG_CHOICES = 200_000
 MAX_DAG_STATES = 2_000_000
-
-
-def _is_dag(inst: Instance) -> bool:
-    indeg = [m.bit_count() for m in inst.in_mask]  # Kahn's algorithm
-    order = [v for v in range(inst.n) if indeg[v] == 0]
-    for v in order:  # grows as vertices lose their last predecessor; a DAG gets all n
-        for u in bits(inst.out_mask[v]):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                order.append(u)
-    return len(order) == inst.n
 
 
 def _initial_positions(inst: Instance) -> tuple[int, ...]:
@@ -139,75 +146,135 @@ def _bfs_st(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
     return True, _replay_moves(inst, moves)
 
 
-def _maximal_paths(succ: list[list[int]], start: int, cap: int) -> list[tuple[int, ...]]:
-    """All paths from start along succ (DAG hosts only) that end at a vertex without successors."""
-    out: list[tuple[int, ...]] = []
-    stack = [(start,)]
+def _maximal_paths(
+    succ: list[list[int]], start: int, cap: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """All paths from start along succ (DAG hosts only) that end at a vertex
+    without successors, each with the mask of its vertices."""
+    out: list[tuple[tuple[int, ...], int]] = []
+    stack = [((start,), 1 << start)]
     while stack:
-        path = stack.pop()
+        path, mask = stack.pop()
         nexts = succ[path[-1]]
         if not nexts:
-            out.append(path)
+            out.append((path, mask))
             if len(out) > cap:
                 raise LimitsExceeded("too many maximal paths per plough")
             continue
         for u in nexts:
-            stack.append(path + (u,))
+            stack.append((path + (u,), mask | 1 << u))
     return out
 
 
-def _dag_st(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
+class _PathIndex(dict):
+    """An acyclic host's maximal paths per start vertex, built on first lookup.
+
+    An entry is (the number of paths, those of length >= 1 with their vertex
+    masks, each vertex -> those of them through it, and how many pass each
+    vertex v, packed in the field at bit width*v).  Only the arcs enter, so
+    one index serves every plough vector and facility set on the host.  A
+    field holds any count up to MAX_DAG_CHOICES, past which a search is
+    refused."""
+
+    def __init__(self, succ: list[list[int]]):
+        super().__init__()
+        self.succ = succ
+        self.width = MAX_DAG_CHOICES.bit_length() + 1
+
+    def __missing__(self, v: int) -> tuple[int, list, dict[int, list], int]:
+        paths = _maximal_paths(self.succ, v, MAX_DAG_CHOICES)
+        own = [c for c in paths if len(c[0]) > 1]
+        through: dict[int, list] = {}
+        for c in own:
+            for u in c[0]:
+                through.setdefault(u, []).append(c)
+        packed = sum(len(t) << self.width * u for u, t in through.items())
+        self[v] = entry = (len(paths), own, through, packed)
+        return entry
+
+
+def _path_index(inst: Instance) -> Optional[_PathIndex]:
+    """inst's path index, or None when inst has a cycle."""
+    succ = [bits(m) for m in inst.out_mask]
+    indeg = [m.bit_count() for m in inst.in_mask]  # Kahn's algorithm
+    order = [v for v in range(inst.n) if indeg[v] == 0]
+    for v in order:  # grows as vertices lose their last predecessor; a DAG gets all n
+        for u in succ[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                order.append(u)
+    return _PathIndex(succ) if len(order) == inst.n else None
+
+
+def _dag_st(
+    inst: Instance, paths: Optional[_PathIndex] = None
+) -> tuple[bool, Optional[SolutionWalks]]:
     fac = inst.facilities()
     if len(fac) <= 1:
         return True, _replay_moves(inst, [])  # zero-length walks
+    if paths is None:
+        paths = _path_index(inst)
     fac_mask, least_fac = sum(1 << f for f in fac), 1 << min(fac)
     starts = _initial_positions(inst)
-    succ = [bits(m) for m in inst.out_mask]
-    # plough i is bit i of a free mask; one group per base: (its ploughs, its paths)
-    groups, total_choices = [], 0
-    via: dict = {f: {} for f in fac}  # facility -> {base ploughs: its paths through it}
+    # plough i is bit i of a free mask, a base's ploughs consecutive bits;
+    # one group per base: (its ploughs, its paths, vertex -> its paths there)
+    groups, total_choices, first = [], 0, 0
+    # the options through each facility, its paths from bases with a free
+    # plough, packed as in the index: spending the last free plough of base
+    # ploughs m subtracts drops[m]
+    width, drops = paths.width, {}
+    field = (1 << width) - 1
     for b in sorted(set(starts)):
-        paths = _maximal_paths(succ, b, MAX_DAG_CHOICES)
-        total_choices += len(paths) * inst.ploughs[b]
+        n_paths, own, through, packed = paths[b]
+        total_choices += n_paths * inst.ploughs[b]
         if total_choices > MAX_DAG_CHOICES:
             raise LimitsExceeded("too many maximal paths overall")
-        ploughs = sum(1 << i for i, s in enumerate(starts) if s == b)
-        groups.append((ploughs, [(p, sum(1 << v for v in p)) for p in paths if len(p) > 1]))
-        for c in groups[-1][1]:
-            for f in bits(c[1] & fac_mask):
-                via[f].setdefault(ploughs, []).append(c)
+        ploughs = (1 << inst.ploughs[b]) - 1 << first
+        first += inst.ploughs[b]
+        groups.append((ploughs, own, through))
+        drops[ploughs] = packed
+    via: dict = {}  # facility -> {base ploughs: its paths through it}, on first use
     failed: set = set()
 
-    def recurse(free: int, comps: tuple[int, ...]) -> Optional[list]:
-        """comps: the cleared subgraph's component masks, sorted (canonical)."""
-        if any(fac_mask & ~c == 0 for c in comps):
-            return []
-        key = (free, comps)
-        if key in failed:
-            return None
-        uncovered = fac_mask & ~sum(comps)  # components are disjoint
+    def recurse(free: int, comps: tuple[int, ...], uncovered: int, count: int) -> Optional[list]:
+        """comps: the cleared subgraph's component masks, sorted (canonical),
+        none holding every facility; uncovered: the facilities outside them.
+        The caller has checked that (free, comps) has not failed before."""
         if uncovered:  # the most constrained facility; no options at all fails
-            best = min(bits(uncovered),
-                       key=lambda f: sum(len(t) for m, t in via[f].items() if free & m))
+            best = min(bits(uncovered), key=lambda f: count >> width * f & field)
+            if best not in via:
+                via[best] = {m: at[best] for m, _, at in groups if best in at}
             options = [(m, c) for m, t in via[best].items() if free & m for c in t]
+            options.sort(key=lambda o: -(o[1][1] & uncovered).bit_count())  # most newly covered first
         else:  # every facility covered: leave the component of the least one
             home = next(c for c in comps if c & least_fac)
-            options = [(m, c) for m, ps in groups if free & m
+            options = [(m, c) for m, ps, _ in groups if free & m
                        for c in ps if c[1] & home and c[1] & ~home]
-        options.sort(key=lambda o: -(o[1][1] & uncovered).bit_count())  # most newly covered first
         for m, (path, mask) in options:
-            plough = free & m & -(free & m)  # the lowest free plough at the base
-            kept = [c for c in comps if not c & mask]
-            merged = mask | sum(c for c in comps if c & mask)
-            rest = recurse(free ^ plough, tuple(sorted(kept + [merged])))
+            at_base = free & m
+            plough = at_base & -at_base  # the lowest free plough at the base
+            kept, merged = [], mask
+            for c in comps:
+                if c & mask:
+                    merged |= c
+                else:
+                    kept.append(c)
+            if not fac_mask & ~merged:  # only the merged component is new
+                return [(plough.bit_length() - 1, path)]
+            insort(kept, merged)
+            key = (free ^ plough, tuple(kept))
+            if key in failed:
+                continue
+            spent = drops[m] if plough == at_base else 0  # the base's last free plough
+            rest = recurse(*key, uncovered & ~mask, count - spent)
             if rest is not None:
                 return [(plough.bit_length() - 1, path)] + rest
-        failed.add(key)
+        failed.add((free, comps))
         if len(failed) > MAX_DAG_STATES:
             raise LimitsExceeded("acyclic-engine memo budget exhausted")
         return None
 
-    chosen = recurse((1 << len(starts)) - 1, ())
+    chosen = recurse((1 << len(starts)) - 1, (), fac_mask, sum(drops.values()))
     if chosen is None:
         return False, None
     walks = [(s,) for s in starts]  # ploughs that were not needed keep zero-length walks
@@ -216,17 +283,24 @@ def _dag_st(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
     return True, SolutionWalks(tuple(Walk(w) for w in walks))
 
 
-def solve_st_exact(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
-    """Ground-truth clearing decision with a verifying witness on YES."""
+def solve_st_exact(
+    inst: Instance, paths: Optional[_PathIndex] = None
+) -> tuple[bool, Optional[SolutionWalks]]:
+    """Ground-truth clearing decision with a verifying witness on YES.
+
+    paths: ``_path_index`` of an instance on the same arcs, when the caller
+    already holds one; built here if needed otherwise."""
     if inst.n <= MAX_N and len(inst.arcs) <= MAX_ARCS and inst.total_ploughs() <= MAX_KB:
         ans, witness = _bfs_st(inst)
-    elif _is_dag(inst):
-        ans, witness = _dag_st(inst)
     else:
-        raise LimitsExceeded(
-            f"instance (n={inst.n}, m={len(inst.arcs)}, k_B={inst.total_ploughs()}) "
-            "exceeds the exact-search limits and is not acyclic"
-        )
+        if paths is None:
+            paths = _path_index(inst)
+        if paths is None:
+            raise LimitsExceeded(
+                f"instance (n={inst.n}, m={len(inst.arcs)}, k_B={inst.total_ploughs()}) "
+                "exceeds the exact-search limits and is not acyclic"
+            )
+        ans, witness = _dag_st(inst, paths)
     if ans:
         ok, reason = verify_st_solution(inst, witness)
         assert ok, f"exact witness failed verification: {reason}"
@@ -263,19 +337,23 @@ def _sub_vectors(caps: tuple[int, ...], total: int):
 
 
 def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):
-    """Exact optimum for 'min-st' / 'max-st', or the 'stu' decision for k ploughs."""
+    """Exact optimum for 'min-st' / 'max-st', or the 'stu' decision for k ploughs.
+
+    The searches of 'min-st' and 'max-st' share one path index: only the
+    ploughs or the facilities change between them."""
+    paths = _path_index(inst) if variant in ("min-st", "max-st") else None
     if variant == "min-st":
         # extra ploughs never hurt (a plough may keep a zero-length walk), so
         # YES is upward closed: a NO on the full vector is final, and the
         # first YES among sub-vectors of increasing total is the optimum
         try:
-            if not solve_st_exact(inst)[0]:
+            if not solve_st_exact(inst, paths)[0]:
                 return None
         except LimitsExceeded:
             pass  # its sub-vectors may still be within the limits
         for total in range(inst.total_ploughs() + 1):
             for ploughs in _sub_vectors(inst.ploughs, total):
-                if solve_st_exact(replace(inst, ploughs=ploughs))[0]:
+                if solve_st_exact(replace(inst, ploughs=ploughs), paths)[0]:
                     return total
         return None
     if variant == "max-st":
@@ -283,7 +361,7 @@ def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):
         for size in range(len(fac), 1, -1):
             for kept in map(set, itertools.combinations(fac, size)):
                 trimmed = replace(inst, facility=tuple(v in kept for v in range(inst.n)))
-                if solve_st_exact(trimmed)[0]:
+                if solve_st_exact(trimmed, paths)[0]:
                     return size
         return min(1, len(fac))
     if variant == "stu":

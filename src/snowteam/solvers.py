@@ -17,7 +17,13 @@ facility: there are at most |F| of them, and an embedding puts those of
 in-degree at most 1 on facilities (those of positive demand pay it, so
 they sit on bases, inside F already).  ``_decide`` passes that count to
 ``candidate_stream`` as its sources bound, and the facility set to
-``tpe.placements`` as its pin, in the filter and the circuit alike.  A YES
+``tpe.placements`` as its pin, in the filter and the circuit alike.  Such a
+tree has at most |F| + b - 1 vertices for a plough budget b, so
+``_decide`` also stops the stream at that order.  Let a0, a1 and a2 count
+its vertices of in-degree 0, 1 and at least 2, on eta >= 2 vertices.  An
+in-degree-0 vertex has demand at least 1, so a0 <= b; the in-degrees sum
+to eta - 1, so a1 + 2*a2 <= a0 + a1 + a2 - 1 and a2 <= a0 - 1; the
+sources bound gives a0 + a1 <= |F|.  So eta <= |F| + b - 1.  A YES
 keeps its normalized witness's union tree among the candidates and that
 tree's own embedding in the closure among the placements.  ``_decide``
 applies the rule exactly when every plough base of its host is a
@@ -279,10 +285,10 @@ def _decide(
         return None  # every tree on two or more vertices needs a plough
     closure = transitive_closure(host)
     fac = host.facilities()
-    sources, pin = None, None
+    sources, pin, top = None, None, eta_max
     if host.bases() <= fac:
-        sources, pin = len(fac), sum(1 << f for f in fac)
-    stream = candidate_stream(len(fac), eta_max, budget=budget, sources=sources)
+        sources, pin, top = len(fac), sum(1 << f for f in fac), min(eta_max, len(fac) + budget - 1)
+    stream = candidate_stream(len(fac), top, budget=budget, sources=sources)
     for cand in stream if order is None else sorted(stream, key=order):
         report.candidates_tested += 1
         if not _candidate_feasible(closure, cand, fac, pin):

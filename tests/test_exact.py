@@ -1,5 +1,21 @@
+"""Exact engines: the two engines against each other, their limits, the
+variant searches, and the acyclic engine's search pinned to a committed file.
+
+``pinned_exact_witnesses.json`` holds ``solve_st_exact``'s answer and witness
+walks on the sample gadget at budgets 1-3 and on seeded random set-cover
+gadgets at k = optimum and optimum - 1.  The branching order picks the
+witness, so a change meant to keep the search must leave the file alone; a
+change meant to alter the order regenerates it by
+
+    PYTHONPATH=src python3 tests/test_exact.py --write
+"""
+
 import itertools
+import json
 import random
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +29,10 @@ from snowteam.exact import (
     solve_st_exact,
     solve_variant_exact,
 )
-from snowteam.gadgets import SetCoverInstance, build_gadget
+from snowteam.gadgets import SetCoverInstance, build_gadget, solve_set_cover_exact
 from snowteam.selfcheck import SAMPLE_COVER
+
+PINNED_WITNESSES = Path(__file__).resolve().parent / "pinned_exact_witnesses.json"
 
 
 def toy1():
@@ -199,9 +217,9 @@ def test_min_st_no_on_the_full_vector_ends_the_search(monkeypatch):
     calls = []
     real = exact.solve_st_exact
 
-    def spy(inst):
+    def spy(inst, paths=None):
         calls.append(inst.ploughs)
-        return real(inst)
+        return real(inst, paths)
 
     monkeypatch.setattr(exact, "solve_st_exact", spy)
     inst = make_instance(6, [(1, 2)], {0, 5}, {1: 4, 2: 4, 3: 4})
@@ -221,14 +239,47 @@ def test_min_st_searches_plough_totals_upwards(monkeypatch):
     calls = []
     real = exact.solve_st_exact
 
-    def spy(inst):
+    def spy(inst, paths=None):
         calls.append(inst.ploughs)
-        return real(inst)
+        return real(inst, paths)
 
     monkeypatch.setattr(exact, "solve_st_exact", spy)
     inst = make_instance(8, [(0, 7), (1, 2)], {0, 7}, {0: 1, **{v: 7 for v in range(1, 7)}})
     assert solve_variant_exact(inst, "min-st") == 1
     assert len(calls) <= 9
+
+
+def test_variant_searches_share_one_path_index(monkeypatch):
+    # n = 9 is past the BFS engine's limits: every search is acyclic, and
+    # each base's maximal paths are built once per call, not per search
+    built, indexes = [], []
+    real_paths, real_solve = exact._maximal_paths, exact.solve_st_exact
+
+    def paths_spy(succ, start, cap):
+        built.append(start)
+        return real_paths(succ, start, cap)
+
+    def solve_spy(inst, paths=None):
+        indexes.append(paths)
+        return real_solve(inst, paths)
+
+    monkeypatch.setattr(exact, "_maximal_paths", paths_spy)
+    monkeypatch.setattr(exact, "solve_st_exact", solve_spy)
+    zigzag = fig3(9)
+    assert solve_variant_exact(zigzag, "min-st") == 8
+    assert sorted(built) == [1, 3, 5, 7]
+    assert indexes[0] is not None and all(p is indexes[0] for p in indexes)
+    built.clear()
+    indexes.clear()
+    # no plough at 7 reaches facility 8: subsets of sizes 4 and 3 are searched
+    wider = replace(
+        zigzag,
+        facility=tuple(v in {0, 2, 4, 8} for v in range(9)),
+        ploughs=(0, 2, 0, 2, 0, 2, 0, 0, 0),
+    )
+    assert solve_variant_exact(wider, "max-st") == 3
+    assert sorted(built) == [1, 3, 5] and len(indexes) == 2
+    assert indexes[0] is not None and indexes[1] is indexes[0]
 
 
 def test_sub_vectors_are_the_capped_vectors_of_each_total():
@@ -262,3 +313,64 @@ def test_stu_placement_is_free():
     inst = make_instance(2, [(0, 1)], facilities={0, 1}, ploughs={})
     assert solve_variant_exact(inst, "stu", k=1)
     assert not solve_variant_exact(inst, "stu", k=0)
+
+
+def _pinned_gadgets():
+    """(name, set cover): the sample cover at budgets 1-3, then four seeded
+    random systems at k = optimum and optimum - 1 (when positive)."""
+    for k in (1, 2, 3):
+        yield f"sample k{k}", SetCoverInstance(SAMPLE_COVER.n_items, SAMPLE_COVER.sets, k)
+    rng = random.Random(20261020)
+    for i in range(4):
+        n = rng.randint(4, 6)
+        universe = set(range(1, n + 1))
+        while True:
+            sets = tuple(
+                tuple(sorted(rng.sample(sorted(universe), rng.randint(1, 3))))
+                for _ in range(rng.randint(4, 5))
+            )
+            if set().union(*sets) == universe:
+                break
+        opt = next(
+            k for k in range(1, len(sets) + 1)
+            if solve_set_cover_exact(SetCoverInstance(n, sets, k)) is not None
+        )
+        for k in (opt, opt - 1):
+            if k:
+                yield f"random{i} k{k}", SetCoverInstance(n, sets, k)
+
+
+def _exact_records() -> dict:
+    """name -> [answer, witness walks as vertex lists, or None]."""
+    out = {}
+    for name, sc in _pinned_gadgets():
+        ans, witness = solve_st_exact(build_gadget(sc).instance)
+        walks = None if witness is None else [list(w.vertices) for w in witness.walks]
+        out[name] = [ans, walks]
+    return out
+
+
+def test_exact_search_matches_the_pinned_witnesses():
+    pinned = json.loads(PINNED_WITNESSES.read_text())
+    got = _exact_records()
+    assert sorted(got) == sorted(pinned)
+    for name in pinned:
+        assert got[name] == pinned[name], name
+    answers = [ans for ans, _ in pinned.values()]
+    assert answers.count(True) >= 5 and answers.count(False) >= 4
+
+
+def test_dag_memo_size_of_the_budget1_sample_gadget(monkeypatch):
+    # the budget-1 sample gadget is a NO that fails exactly 167 memo states
+    inst = build_gadget(SetCoverInstance(SAMPLE_COVER.n_items, SAMPLE_COVER.sets, 1)).instance
+    monkeypatch.setattr(exact, "MAX_DAG_STATES", 166)
+    with pytest.raises(LimitsExceeded, match="memo budget"):
+        _dag_st(inst)
+    monkeypatch.setattr(exact, "MAX_DAG_STATES", 167)
+    assert _dag_st(inst) == (False, None)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    records = _exact_records()
+    rows = [f"{json.dumps(name)}: {json.dumps(record)}" for name, record in records.items()]
+    PINNED_WITNESSES.write_text("{\n" + ",\n".join(rows) + "\n}\n")

@@ -140,6 +140,25 @@ def test_sources_bound_filters_the_unbounded_output(order):
                 assert list(orient_tree(tree, dedupe, budget, sources=sources)) == want
 
 
+@pytest.mark.parametrize("f_count", range(2, 8))
+def test_sources_and_budget_bound_the_order(f_count):
+    # the stop _decide puts on a restricted stream: with sources = |F| and
+    # budget b no tree has more than |F| + b - 1 vertices.  A smaller budget
+    # yields a subset, so each order is checked at the largest budget (<= 6)
+    # the bound excludes it at
+    for order in range(f_count, 14):
+        budget = min(6, order - f_count)
+        for tree in enumerate_free_trees(order):
+            assert next(orient_tree(tree, budget=budget, sources=f_count), None) is None
+    # and the bound is met whenever it is at most 2|F| - 1
+    for budget in range(1, min(6, f_count) + 1):
+        bound = f_count + budget - 1
+        assert any(
+            next(orient_tree(tree, budget=budget, sources=f_count), None)
+            for tree in enumerate_free_trees(bound)
+        )
+
+
 def test_more_leaves_than_sources_yields_nothing():
     star = next(t for t in enumerate_free_trees(5) if t.code == (0, 1, 1, 1, 1))
     assert list(orient_tree(star, sources=3)) == []
