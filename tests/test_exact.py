@@ -3,9 +3,12 @@ variant searches, and the acyclic engine's search pinned to a committed file.
 
 ``pinned_exact_witnesses.json`` holds ``solve_st_exact``'s answer and witness
 walks on the sample gadget at budgets 1-3 and on seeded random set-cover
-gadgets at k = optimum and optimum - 1.  The branching order picks the
-witness, so a change meant to keep the search must leave the file alone; a
-change meant to alter the order regenerates it by
+gadgets at k = optimum and optimum - 1 (the acyclic engine), and on 40
+seeded hosts within the BFS limits, cyclic and acyclic, some with stacked
+ploughs (the breadth-first engine).  It also holds the BFS's move list for
+10 seeded ``stu`` cases.  The branching order and the BFS's successor order
+pick the witness, so a change meant to keep the searches must leave the
+file alone; a change meant to alter an order regenerates it by
 
     PYTHONPATH=src python3 tests/test_exact.py --write
 """
@@ -340,13 +343,51 @@ def _pinned_gadgets():
                 yield f"random{i} k{k}", SetCoverInstance(n, sets, k)
 
 
+def _pinned_bfs_hosts():
+    """(name, instance): 40 seeded st hosts within the BFS limits, every odd
+    one acyclic, with 2-3 facilities and 2-4 ploughs, often stacked."""
+    rng = random.Random(20261021)
+    for i in range(40):
+        n = rng.randint(5, 8)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        if i % 2:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            pairs = [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)]
+        arcs = rng.sample(pairs, k=rng.randint(n, min(13, len(pairs))))
+        fac = set(rng.sample(range(n), k=rng.randint(2, 3)))
+        pl: dict[int, int] = {}
+        for _ in range(rng.randint(2, 4)):
+            v = rng.choice(sorted(pl)) if pl and rng.random() < 0.4 else rng.randrange(n)
+            pl[v] = pl.get(v, 0) + 1
+        yield f"bfs{i}", make_instance(n, arcs, fac, pl)
+
+
+def _pinned_stu_hosts():
+    """(name, instance, k): 10 seeded stu cases, n 5-7 and k 1-4."""
+    rng = random.Random(20261022)
+    for i in range(10):
+        n = rng.randint(5, 7)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, k=rng.randint(n, min(11, len(pairs))))
+        fac = set(rng.sample(range(n), k=rng.randint(2, 4)))
+        k = rng.randint(1, 4)
+        yield f"stu{i} k{k}", make_instance(n, arcs, fac, {}), k
+
+
 def _exact_records() -> dict:
-    """name -> [answer, witness walks as vertex lists, or None]."""
+    """name -> [answer, witness walks as vertex lists, or None] for st, and
+    [answer, the BFS's moves as [tail or None, head] pairs, or None] for stu."""
     out = {}
-    for name, sc in _pinned_gadgets():
-        ans, witness = solve_st_exact(build_gadget(sc).instance)
+    hosts = [(name, build_gadget(sc).instance) for name, sc in _pinned_gadgets()]
+    for name, inst in hosts + list(_pinned_bfs_hosts()):
+        ans, witness = solve_st_exact(inst)
         walks = None if witness is None else [list(w.vertices) for w in witness.walks]
         out[name] = [ans, walks]
+    for name, inst, k in _pinned_stu_hosts():
+        assert inst.n <= exact.MAX_N and len(inst.arcs) <= exact.MAX_ARCS and k <= exact.MAX_KB
+        moves = exact._bfs(inst, (), k)
+        out[name] = [moves is not None, None if moves is None else [list(m) for m in moves]]
     return out
 
 
@@ -357,7 +398,7 @@ def test_exact_search_matches_the_pinned_witnesses():
     for name in pinned:
         assert got[name] == pinned[name], name
     answers = [ans for ans, _ in pinned.values()]
-    assert answers.count(True) >= 5 and answers.count(False) >= 4
+    assert answers.count(True) >= 25 and answers.count(False) >= 25
 
 
 def test_dag_memo_size_of_the_budget1_sample_gadget(monkeypatch):
