@@ -1,23 +1,35 @@
 """Brute-force ground-truth solvers for desk-scale instances.
 
-Two engines for the clearing decision:
+Two engines for the clearing decision.  Both keep the cleared subgraph as
+the sorted tuple of its components' vertex bitmasks (canonical), and both
+clear an arc or a path through ``_merge``: it joins the components the new
+vertices meet and keeps the others as they were.  None of those held every
+facility, or the search would have stopped there, so a move succeeds
+exactly when the merged component holds every facility.
 
-* A breadth-first search over (plough positions, unplaced ploughs, cleared
-  arcs) states, for instances within small explicit limits.  It serves st,
-  where every plough starts at its base, and stu, where each of k ploughs is
-  first placed anywhere for free.  Witness walks are move-count minimal.
-  Ploughs are interchangeable, so positions are kept sorted.
+* A breadth-first search over (sorted plough positions, unplaced ploughs,
+  components) states, for instances within small explicit limits.  It
+  serves st, where every plough starts at its base, and stu, where each of
+  k ploughs is first placed anywhere for free.  Witness walks are
+  move-count minimal.  Ploughs are interchangeable, so positions are kept
+  sorted.  Keying the states by cleared-arc sets instead finds the same
+  witness.  Successors come in a fixed order, and a successor's state and
+  its success depend only on the current state's components.  An arc-set
+  state whose components match those of one queued before it is expanded
+  later and finds no component state the earlier one has not found, so
+  each component state is first reached from a first-seen one, by the same
+  move.  Both searches therefore meet the component states in the same
+  order, through the same moves, and return the same fewest-move sequence.
 
 * A branching engine for acyclic instances of any size within memo limits,
   which makes the Set-Cover gadgets tractable.  On a DAG walks are paths,
   their union does not depend on their order, and extending a walk never
   breaks connectivity, so each plough stays put or takes a sink-maximal
-  path.  A state is the bitmask of free ploughs and the sorted tuple of the
-  cleared subgraph's component bitmasks (canonical).  Ploughs at one base
-  are interchangeable, so only the lowest free one there takes a path.
-  With two or more facilities, each state branches on the paths one of
-  which every solution below it must still choose; as the order of choices
-  is free, no solution is lost:
+  path.  A state is the bitmask of free ploughs and the components.
+  Ploughs at one base are interchangeable, so only the lowest free one
+  there takes a path.  With two or more facilities, each state branches on
+  the paths one of which every solution below it must still choose; as the
+  order of choices is free, no solution is lost:
 
   - While some facility lies on no chosen path, on the paths through the
     one with the fewest options (its paths from bases with a free plough),
@@ -35,13 +47,11 @@ Two engines for the clearing decision:
   ploughs or facilities, so they share one index.  A search carries the
   uncovered facilities down the recursion, and every facility's option
   count packed in one integer: a count changes only when a base's last
-  free plough is spent, by one subtraction.  A chosen path merges the
-  components it meets and leaves the others as they were, none of which
-  holds every facility, so only the merged component is tested for
-  success.  A carried count is exactly the number of options its facility
-  has in that state, and ties fall to the least facility and then to the
-  earlier path (base order, then path order from the base), so each state
-  makes the choices the rules above name, in the order they name.
+  free plough is spent, by one subtraction.  A carried count is exactly
+  the number of options its facility has in that state, and ties fall to
+  the least facility and then to the earlier path (base order, then path
+  order from the base), so each state makes the choices the rules above
+  name, in the order they name.
 
 Both engines implement the same semantics and are cross-checked in tests.
 """
@@ -54,7 +64,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Optional
 
-from .digraph import Instance, SolutionWalks, Walk, bits, facilities_connected, verify_st_solution
+from .digraph import Instance, SolutionWalks, Walk, bits, verify_st_solution
 from .trees import TreeCandidate
 
 
@@ -62,14 +72,35 @@ class LimitsExceeded(ValueError):
     pass
 
 
-# the BFS engine takes instances with at most MAX_N vertices, MAX_ARCS arcs
-# and MAX_KB ploughs; the other budgets bound the work of either engine
+# MAX_N, MAX_ARCS and MAX_KB pick the engine: the BFS answers an instance
+# with at most MAX_N vertices, MAX_ARCS arcs and MAX_KB ploughs, so its
+# witness is move-minimal, and the acyclic engine any other; a larger cyclic
+# instance is refused.  Raising MAX_ARCS would hand small acyclic hosts to
+# the BFS and change their witnesses.  The other budgets bound the work of
+# either engine.
 MAX_N = 8
 MAX_ARCS = 14
 MAX_KB = 4
 MAX_BFS_STATES = 3_000_000
 MAX_DAG_CHOICES = 200_000
 MAX_DAG_STATES = 2_000_000
+
+
+def _fits_bfs(inst: Instance, k: int) -> bool:
+    """Whether the BFS engine answers inst with k ploughs."""
+    return inst.n <= MAX_N and len(inst.arcs) <= MAX_ARCS and k <= MAX_KB
+
+
+def _merge(comps: tuple[int, ...], mask: int) -> tuple[int, list[int]]:
+    """The components once arcs joining the vertices of mask are cleared:
+    (mask with every component of comps it meets, the others in order)."""
+    merged, kept = mask, []
+    for c in comps:
+        if c & mask:
+            merged |= c
+        else:
+            kept.append(c)
+    return merged, kept
 
 
 def _initial_positions(inst: Instance) -> tuple[int, ...]:
@@ -88,31 +119,25 @@ def _replay_moves(inst: Instance, moves: list[tuple[int, int]]) -> SolutionWalks
 def _bfs(
     inst: Instance, positions: tuple[int, ...], unplaced: int
 ) -> Optional[list[tuple[Optional[int], int]]]:
-    """Fewest moves from (positions, unplaced, nothing cleared) to a state whose
-    cleared arcs connect the facilities, or None.  A move (v, u) takes a plough
-    along arc vu; (None, v) places one of the unplaced ploughs at v for free."""
-    arc_list = sorted(inst.arcs)
-    arc_bit = {a: 1 << i for i, a in enumerate(arc_list)}
-    accept_cache: dict[int, bool] = {}
-
-    def accepting(mask: int) -> bool:
-        if mask not in accept_cache:
-            cleared = [a for i, a in enumerate(arc_list) if (mask >> i) & 1]
-            accept_cache[mask] = facilities_connected(inst, cleared)
-        return accept_cache[mask]
-
-    start = (positions, unplaced, 0)
-    if accepting(0):
+    """Fewest moves from (positions, unplaced, nothing cleared) to a state
+    whose cleared subgraph has a component holding every facility, or None.
+    A move (v, u) takes a plough along arc vu; (None, v) places one of the
+    unplaced ploughs at v for free.  A state's cleared subgraph is its
+    sorted component masks; a placement leaves them as they are."""
+    fac = inst.facilities()
+    if len(fac) <= 1:
         return []
+    fac_mask = sum(1 << f for f in fac)
+    start = (positions, unplaced, ())
     pred: dict = {start: None}
     queue = deque([start])
     while queue:
         state = queue.popleft()
-        positions, unplaced, cleared = state
-        succs = []
+        positions, unplaced, comps = state
+        succs = []  # (move, state, the component it cleared into, or 0)
         if unplaced:
             succs += [
-                ((None, v), (tuple(sorted(positions + (v,))), unplaced - 1, cleared))
+                ((None, v), (tuple(sorted(positions + (v,))), unplaced - 1, comps), 0)
                 for v in range(inst.n)
             ]
         for i, v in enumerate(positions):
@@ -120,16 +145,16 @@ def _bfs(
                 continue  # ploughs at the same vertex are interchangeable
             rest = positions[:i] + positions[i + 1 :]
             for u in bits(inst.out_mask[v]):
-                succs.append(
-                    ((v, u), (tuple(sorted(rest + (u,))), unplaced, cleared | arc_bit[(v, u)]))
-                )
-        for move, nxt in succs:
+                merged, kept = _merge(comps, 1 << v | 1 << u)
+                insort(kept, merged)
+                succs.append(((v, u), (tuple(sorted(rest + (u,))), unplaced, tuple(kept)), merged))
+        for move, nxt, merged in succs:
             if nxt in pred:
                 continue
             pred[nxt] = (state, move)
             if len(pred) > MAX_BFS_STATES:
                 raise LimitsExceeded("BFS state budget exhausted")
-            if accepting(nxt[2]):
+            if not fac_mask & ~merged:
                 moves = []
                 while pred[nxt] is not None:
                     nxt, move = pred[nxt]
@@ -253,13 +278,8 @@ def _dag_st(
         for m, (path, mask) in options:
             at_base = free & m
             plough = at_base & -at_base  # the lowest free plough at the base
-            kept, merged = [], mask
-            for c in comps:
-                if c & mask:
-                    merged |= c
-                else:
-                    kept.append(c)
-            if not fac_mask & ~merged:  # only the merged component is new
+            merged, kept = _merge(comps, mask)
+            if not fac_mask & ~merged:
                 return [(plough.bit_length() - 1, path)]
             insort(kept, merged)
             key = (free ^ plough, tuple(kept))
@@ -290,7 +310,7 @@ def solve_st_exact(
 
     paths: ``_path_index`` of an instance on the same arcs, when the caller
     already holds one; built here if needed otherwise."""
-    if inst.n <= MAX_N and len(inst.arcs) <= MAX_ARCS and inst.total_ploughs() <= MAX_KB:
+    if _fits_bfs(inst, inst.total_ploughs()):
         ans, witness = _bfs_st(inst)
     else:
         if paths is None:
@@ -367,7 +387,7 @@ def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):
     if variant == "stu":
         if k is None or k < 0:
             raise ValueError("stu needs a plough count k >= 0")
-        if inst.n > MAX_N or len(inst.arcs) > MAX_ARCS or k > MAX_KB:
+        if not _fits_bfs(inst, k):
             raise LimitsExceeded("stu exact limits exceeded")
         return _bfs(inst, (), k) is not None
     raise ValueError(f"unknown variant {variant!r}")

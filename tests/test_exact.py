@@ -1,5 +1,5 @@
 """Exact engines: the two engines against each other, their limits, the
-variant searches, and the acyclic engine's search pinned to a committed file.
+variant searches, and both engines' searches pinned to a committed file.
 
 ``pinned_exact_witnesses.json`` holds ``solve_st_exact``'s answer and witness
 walks on the sample gadget at budgets 1-3 and on seeded random set-cover
@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from snowteam import exact
-from snowteam.digraph import make_instance, verify_st_solution
+from snowteam.digraph import make_instance, parse_instance, verify_st_solution
 from snowteam.exact import (
     LimitsExceeded,
     _bfs_st,
@@ -409,6 +409,24 @@ def test_dag_memo_size_of_the_budget1_sample_gadget(monkeypatch):
         _dag_st(inst)
     monkeypatch.setattr(exact, "MAX_DAG_STATES", 167)
     assert _dag_st(inst) == (False, None)
+
+
+def test_bfs_state_count_of_an_exhausted_no(monkeypatch):
+    # a NO that passes the base-reachability precheck: facilities 2, 4, 6 and
+    # 7 lie in one weak component of what the bases reach.  The BFS exhausts
+    # exactly 794 (positions, unplaced, components) states, where 18,780
+    # (positions, unplaced, cleared arcs) states exist
+    inst = parse_instance(
+        "st 8 13\n"
+        "v 0 0 2\nv 1 0 0\nv 2 1 0\nv 3 0 0\nv 4 1 0\nv 5 0 1\nv 6 1 0\nv 7 1 1\n"
+        "a 0 2\na 0 3\na 1 4\na 2 0\na 3 0\na 3 1\na 3 2\n"
+        "a 4 0\na 4 1\na 4 2\na 5 4\na 7 5\na 7 6\n"
+    )
+    monkeypatch.setattr(exact, "MAX_BFS_STATES", 793)
+    with pytest.raises(LimitsExceeded, match="BFS state budget"):
+        solve_st_exact(inst)
+    monkeypatch.setattr(exact, "MAX_BFS_STATES", 794)
+    assert solve_st_exact(inst) == (False, None)
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

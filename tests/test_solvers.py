@@ -433,6 +433,24 @@ def test_stu_all_facilities_matches_exact():
             assert got.answer == want, (inst, k)
 
 
+def test_stu_matches_exact_at_the_bfs_limits():
+    # n 7-8, 9-14 arcs with cycles allowed, 2-5 facilities and k 1-4: the
+    # largest stu instances the exact oracle takes
+    rng = random.Random(2027)
+    no = 0
+    for i in range(60):
+        n = rng.randint(7, 8)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, k=rng.randint(9, 14))
+        fac = set(rng.sample(range(n), k=rng.randint(2, 5)))
+        k = rng.randint(1, 4)
+        inst = make_instance(n, arcs, fac, {})
+        want = solve_variant_exact(inst, "stu", k=k)
+        assert solve_stu(inst, k, SolveParams(seed=i)).answer == want, (inst, k)
+        no += not want
+    assert no >= 10
+
+
 def test_pipeline_agrees_with_oracle_on_randoms():
     rng = random.Random(17)
     yes = no = 0
