@@ -54,6 +54,9 @@ exactly when the merged component holds every facility.
   name, in the order they name.
 
 Both engines implement the same semantics and are cross-checked in tests.
+Both take sorted plough positions: ``_search`` runs one on a fixed host for
+any plough vector, so exact ``min-st`` builds no instance per sub-vector;
+only a sub-vector's YES builds one, to verify its witness.
 """
 
 from __future__ import annotations
@@ -103,13 +106,14 @@ def _merge(comps: tuple[int, ...], mask: int) -> tuple[int, list[int]]:
     return merged, kept
 
 
-def _initial_positions(inst: Instance) -> tuple[int, ...]:
-    return tuple(sorted(v for v in range(inst.n) for _ in range(inst.ploughs[v])))
+def _positions(ploughs: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted start vertices of a plough vector, one per plough."""
+    return tuple(v for v, c in enumerate(ploughs) for _ in range(c))
 
 
-def _replay_moves(inst: Instance, moves: list[tuple[int, int]]) -> SolutionWalks:
+def _replay_moves(positions: tuple[int, ...], moves: list[tuple[int, int]]) -> SolutionWalks:
     """Attribute a move sequence to concrete ploughs (first plough at the tail moves)."""
-    walks = [[v] for v in _initial_positions(inst)]
+    walks = [[v] for v in positions]
     for u, v in moves:
         idx = next(i for i, w in enumerate(walks) if w[-1] == u)
         walks[idx].append(v)
@@ -162,13 +166,6 @@ def _bfs(
                 return moves[::-1]
             queue.append(nxt)
     return None
-
-
-def _bfs_st(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
-    moves = _bfs(inst, _initial_positions(inst), 0)
-    if moves is None:
-        return False, None
-    return True, _replay_moves(inst, moves)
 
 
 def _maximal_paths(
@@ -232,15 +229,14 @@ def _path_index(inst: Instance) -> Optional[_PathIndex]:
 
 
 def _dag_st(
-    inst: Instance, paths: Optional[_PathIndex] = None
-) -> tuple[bool, Optional[SolutionWalks]]:
+    inst: Instance, starts: tuple[int, ...], paths: _PathIndex
+) -> Optional[SolutionWalks]:
+    """A witness for ploughs at the sorted positions starts on acyclic
+    inst's arcs and facilities, or None; paths is inst's path index."""
     fac = inst.facilities()
     if len(fac) <= 1:
-        return True, _replay_moves(inst, [])  # zero-length walks
-    if paths is None:
-        paths = _path_index(inst)
+        return _replay_moves(starts, [])  # zero-length walks
     fac_mask, least_fac = sum(1 << f for f in fac), 1 << min(fac)
-    starts = _initial_positions(inst)
     # plough i is bit i of a free mask, a base's ploughs consecutive bits;
     # one group per base: (its ploughs, its paths, vertex -> its paths there)
     groups, total_choices, first = [], 0, 0
@@ -251,11 +247,12 @@ def _dag_st(
     field = (1 << width) - 1
     for b in sorted(set(starts)):
         n_paths, own, through, packed = paths[b]
-        total_choices += n_paths * inst.ploughs[b]
+        at_b = starts.count(b)
+        total_choices += n_paths * at_b
         if total_choices > MAX_DAG_CHOICES:
             raise LimitsExceeded("too many maximal paths overall")
-        ploughs = (1 << inst.ploughs[b]) - 1 << first
-        first += inst.ploughs[b]
+        ploughs = (1 << at_b) - 1 << first
+        first += at_b
         groups.append((ploughs, own, through))
         drops[ploughs] = packed
     via: dict = {}  # facility -> {base ploughs: its paths through it}, on first use
@@ -296,35 +293,44 @@ def _dag_st(
 
     chosen = recurse((1 << len(starts)) - 1, (), fac_mask, sum(drops.values()))
     if chosen is None:
-        return False, None
+        return None
     walks = [(s,) for s in starts]  # ploughs that were not needed keep zero-length walks
     for i, path in chosen:
         walks[i] = path
-    return True, SolutionWalks(tuple(Walk(w) for w in walks))
+    return SolutionWalks(tuple(Walk(w) for w in walks))
 
 
-def solve_st_exact(
-    inst: Instance, paths: Optional[_PathIndex] = None
+def _search(
+    inst: Instance, ploughs: tuple[int, ...], paths: Optional[_PathIndex]
 ) -> tuple[bool, Optional[SolutionWalks]]:
-    """Ground-truth clearing decision with a verifying witness on YES.
+    """The clearing decision on inst's arcs and facilities with the plough
+    vector ploughs, and a verified witness on YES.
 
-    paths: ``_path_index`` of an instance on the same arcs, when the caller
-    already holds one; built here if needed otherwise."""
-    if _fits_bfs(inst, inst.total_ploughs()):
-        ans, witness = _bfs_st(inst)
+    paths: inst's ``_path_index`` when the caller holds one, else None."""
+    starts = _positions(ploughs)
+    if _fits_bfs(inst, len(starts)):
+        moves = _bfs(inst, starts, 0)
+        witness = None if moves is None else _replay_moves(starts, moves)
     else:
         if paths is None:
             paths = _path_index(inst)
         if paths is None:
             raise LimitsExceeded(
-                f"instance (n={inst.n}, m={len(inst.arcs)}, k_B={inst.total_ploughs()}) "
+                f"instance (n={inst.n}, m={len(inst.arcs)}, k_B={len(starts)}) "
                 "exceeds the exact-search limits and is not acyclic"
             )
-        ans, witness = _dag_st(inst, paths)
-    if ans:
-        ok, reason = verify_st_solution(inst, witness)
+        witness = _dag_st(inst, starts, paths)
+    if witness is not None:
+        # the witness's own instance: only a sub-vector's YES builds one
+        owner = inst if ploughs == inst.ploughs else replace(inst, ploughs=ploughs)
+        ok, reason = verify_st_solution(owner, witness)
         assert ok, f"exact witness failed verification: {reason}"
-    return ans, witness
+    return witness is not None, witness
+
+
+def solve_st_exact(inst: Instance) -> tuple[bool, Optional[SolutionWalks]]:
+    """Ground-truth clearing decision with a verifying witness on YES."""
+    return _search(inst, inst.ploughs, None)
 
 
 def solve_tpe_exact(
@@ -367,13 +373,13 @@ def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):
         # YES is upward closed: a NO on the full vector is final, and the
         # first YES among sub-vectors of increasing total is the optimum
         try:
-            if not solve_st_exact(inst, paths)[0]:
+            if not _search(inst, inst.ploughs, paths)[0]:
                 return None
         except LimitsExceeded:
             pass  # its sub-vectors may still be within the limits
         for total in range(inst.total_ploughs() + 1):
             for ploughs in _sub_vectors(inst.ploughs, total):
-                if solve_st_exact(replace(inst, ploughs=ploughs), paths)[0]:
+                if _search(inst, ploughs, paths)[0]:
                     return total
         return None
     if variant == "max-st":
@@ -381,7 +387,7 @@ def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):
         for size in range(len(fac), 1, -1):
             for kept in map(set, itertools.combinations(fac, size)):
                 trimmed = replace(inst, facility=tuple(v in kept for v in range(inst.n)))
-                if solve_st_exact(trimmed, paths)[0]:
+                if _search(trimmed, inst.ploughs, paths)[0]:
                     return size
         return min(1, len(fac))
     if variant == "stu":

@@ -74,10 +74,11 @@ When every facility lies in one component C and there are at least two,
 the condensation has one facility and is trivially YES, while the instance
 is YES exactly when some base reaches C: a plough walks there and tours C,
 and without one no facility touches a cleared arc.  The precheck, run on the
-instance before condensing, has then found such a base, so ``st`` answers
-YES, ``min-st`` needs one plough (a facility must touch a cleared arc) and
-``stu`` answers YES exactly when k >= 1.  ``max-st`` condenses each
-facility subset on its own, so its optimum still counts original facilities.
+instance before condensing, has then found such a base, so exactly one
+plough is needed (a facility must touch a cleared arc).  ``_settled``
+returns that count, and ``st``, ``min-st`` and ``stu`` read their answers
+off it.  ``max-st`` condenses each facility subset on its own, so its
+optimum still counts original facilities.
 
 Every restricted decision runs through one routine, ``_decide``: the
 precheck, the closure, the candidates within the plough budget, the filter
@@ -199,12 +200,18 @@ def _base_reach_connects_facilities(inst: Instance) -> bool:
     return not fac & ~reach(fac & -fac, both, within)
 
 
-def _condensed(inst: Instance) -> Optional[Instance]:
-    """None when the precheck proves inst a NO, else the condensation that
-    decides it (module docstring); inst itself with at most one facility."""
+def _settled(inst: Instance) -> tuple[Optional[Instance], Optional[int]]:
+    """(host, need) for inst (module docstring).  host: the condensation
+    that decides inst when a search must, else None.  need, when host is
+    None: the fewest ploughs that clear inst, 0 with at most one facility and
+    1 when every facility lies in one strongly connected component, or None
+    when the precheck proves inst a NO."""
     if len(inst.facilities()) <= 1:
-        return inst
-    return condense(inst) if _base_reach_connects_facilities(inst) else None
+        return None, 0
+    if not _base_reach_connects_facilities(inst):
+        return None, None
+    host = condense(inst)
+    return (host, None) if len(host.facilities()) > 1 else (None, 1)
 
 
 def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
@@ -301,13 +308,12 @@ def _decide(
 
 
 def _decision(host: Instance, budget: int, l_param: int, seed: int) -> SolveReport:
-    """``_decide`` as a report: YES outright with at most one facility, and a
-    NO carries the miss bound only if a detection ran."""
-    report = SolveReport(answer=len(host.facilities()) <= 1)
-    if not report.answer:
-        report.answer = _decide(host, budget, l_param, seed, report) is not None
-        if report.answer or not report.detections_run:
-            report.failure_bound = 0.0
+    """``_decide`` as a report: a NO carries the miss bound only if a
+    detection ran."""
+    report = SolveReport(answer=False)
+    report.answer = _decide(host, budget, l_param, seed, report) is not None
+    if report.answer or not report.detections_run:
+        report.failure_bound = 0.0
     return report
 
 
@@ -389,11 +395,9 @@ def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveRe
     if inst.n <= params.exact_threshold:
         ans, witness = solve_st_exact(inst)
         return SolveReport(answer=ans, witness=witness)
-    host = _condensed(inst)
-    if host is None:
-        return SolveReport(answer=False)  # certain for every promotion (module docstring)
-    if len(host.facilities()) <= 1:
-        return SolveReport(answer=True)
+    host, need = _settled(inst)
+    if host is None:  # a precheck NO is certain for every promotion (module docstring)
+        return SolveReport(answer=need is not None)
     eta_max = _check_scale(len(host.facilities() | host.bases()), host.n)
     report = SolveReport(answer=False)
     # promotions of the condensation stay on the pipeline, however few vertices
@@ -415,13 +419,9 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     if inst.n <= params.exact_threshold:
         best = solve_variant_exact(inst, "min-st")
         return SolveReport(answer=best is not None, optimum=best)
-    if len(inst.facilities()) <= 1:
-        return SolveReport(answer=True, optimum=0)
-    host = _condensed(inst)
+    host, need = _settled(inst)
     if host is None:
-        return SolveReport(answer=False)
-    if len(host.facilities()) <= 1:
-        return SolveReport(answer=True, optimum=1)  # one plough tours the one component
+        return SolveReport(answer=need is not None, optimum=need)
     _check_scale(len(host.facilities() | host.bases()), host.n)
     report = SolveReport(answer=False)
     best: Optional[int] = None
@@ -490,11 +490,9 @@ def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> So
     if inst.n <= params.exact_threshold:
         return SolveReport(answer=solve_variant_exact(inst, "stu", k=k))
     # capacity n-1 everywhere is equivalent to unconstrained: demands never exceed it
-    host = _condensed(replace(inst, ploughs=tuple(inst.n - 1 for _ in range(inst.n))))
+    host, need = _settled(replace(inst, ploughs=tuple(inst.n - 1 for _ in range(inst.n))))
     if host is None:
-        return SolveReport(answer=False)
-    if len(host.facilities()) <= 1 < len(inst.facilities()):
-        return SolveReport(answer=k >= 1)  # one plough tours the one component
+        return SolveReport(answer=need is not None and k >= need)
     return _decision(host, k, len(host.facilities()) + k, params.seed)
 
 

@@ -13,6 +13,7 @@ file alone; a change meant to alter an order regenerates it by
     PYTHONPATH=src python3 tests/test_exact.py --write
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -23,11 +24,15 @@ from pathlib import Path
 import pytest
 
 from snowteam import exact
-from snowteam.digraph import make_instance, parse_instance, verify_st_solution
+from snowteam.digraph import Instance, make_instance, parse_instance, verify_st_solution
 from snowteam.exact import (
     LimitsExceeded,
-    _bfs_st,
+    _bfs,
     _dag_st,
+    _path_index,
+    _positions,
+    _replay_moves,
+    _search,
     _sub_vectors,
     solve_st_exact,
     solve_variant_exact,
@@ -36,6 +41,18 @@ from snowteam.gadgets import SetCoverInstance, build_gadget, solve_set_cover_exa
 from snowteam.selfcheck import SAMPLE_COVER
 
 PINNED_WITNESSES = Path(__file__).resolve().parent / "pinned_exact_witnesses.json"
+
+
+def bfs_walks(inst):
+    """The BFS engine's witness for inst's ploughs, at their positions, or None."""
+    starts = _positions(inst.ploughs)
+    moves = _bfs(inst, starts, 0)
+    return None if moves is None else _replay_moves(starts, moves)
+
+
+def dag_walks(inst):
+    """The acyclic engine's witness for inst's ploughs, at their positions, or None."""
+    return _dag_st(inst, _positions(inst.ploughs), _path_index(inst))
 
 
 def toy1():
@@ -127,8 +144,9 @@ def test_engines_agree_on_tiny_dags():
             if pl.get(v, 0) < n - 1:
                 pl[v] = pl.get(v, 0) + 1
         inst = make_instance(n, arcs, fac, pl)
-        bfs_ans, _ = _bfs_st(inst)
-        dag_ans, dag_wit = _dag_st(inst)
+        bfs_ans = bfs_walks(inst) is not None
+        dag_wit = dag_walks(inst)
+        dag_ans = dag_wit is not None
         assert bfs_ans == dag_ans, inst
         if dag_ans:
             ok, reason = verify_st_solution(inst, dag_wit)
@@ -156,8 +174,8 @@ def test_engines_agree_at_the_bfs_limits():
         inst = make_instance(n, arcs, fac, pl)
         assert inst.n <= exact.MAX_N and len(inst.arcs) <= exact.MAX_ARCS
         assert inst.total_ploughs() <= exact.MAX_KB
-        bfs_ans, bfs_wit = _bfs_st(inst)
-        dag_ans, dag_wit = _dag_st(inst)
+        bfs_wit, dag_wit = bfs_walks(inst), dag_walks(inst)
+        bfs_ans, dag_ans = bfs_wit is not None, dag_wit is not None
         assert bfs_ans == dag_ans, inst
         if dag_ans:
             for witness in (bfs_wit, dag_wit):
@@ -175,9 +193,9 @@ def test_dag_path_joins_two_components():
     # Both ploughs at 2 must then leave the component of 0 in turn: 2->3
     # joins it, and 2->4 carries it on to the component of 1.
     inst = make_instance(5, [(0, 3), (1, 4), (2, 3), (2, 4)], {0, 1}, {0: 1, 1: 1, 2: 2})
-    assert _bfs_st(inst)[0]
-    ans, witness = _dag_st(inst)
-    assert ans
+    assert bfs_walks(inst) is not None
+    witness = dag_walks(inst)
+    assert witness is not None
     ok, reason = verify_st_solution(inst, witness)
     assert ok, reason
 
@@ -196,13 +214,13 @@ def test_limits_refuse_large_cyclic():
 def test_dag_engine_limits(monkeypatch):
     # the budget-1 sample gadget is a NO that fails some hundred states
     inst = build_gadget(SetCoverInstance(SAMPLE_COVER.n_items, SAMPLE_COVER.sets, 1)).instance
-    assert not _dag_st(inst)[0]
+    assert dag_walks(inst) is None
     monkeypatch.setattr(exact, "MAX_DAG_STATES", 5)
     with pytest.raises(LimitsExceeded, match="memo budget"):
-        _dag_st(inst)
+        dag_walks(inst)
     monkeypatch.setattr(exact, "MAX_DAG_CHOICES", 5)  # checked before any state
     with pytest.raises(LimitsExceeded, match="maximal paths"):
-        _dag_st(inst)
+        dag_walks(inst)
 
 
 def test_min_st_examples():
@@ -218,13 +236,13 @@ def test_min_st_no_on_the_full_vector_ends_the_search(monkeypatch):
     # facilities 0 and 5 touch no arc: the full plough vector answers NO, so
     # none of its 125 sub-vectors is searched
     calls = []
-    real = exact.solve_st_exact
+    real = exact._search
 
-    def spy(inst, paths=None):
-        calls.append(inst.ploughs)
-        return real(inst, paths)
+    def spy(inst, ploughs, paths):
+        calls.append(ploughs)
+        return real(inst, ploughs, paths)
 
-    monkeypatch.setattr(exact, "solve_st_exact", spy)
+    monkeypatch.setattr(exact, "_search", spy)
     inst = make_instance(6, [(1, 2)], {0, 5}, {1: 4, 2: 4, 3: 4})
     assert solve_variant_exact(inst, "min-st") is None
     assert calls == [inst.ploughs]
@@ -232,7 +250,7 @@ def test_min_st_no_on_the_full_vector_ends_the_search(monkeypatch):
     # its sub-vectors are not
     cyclic = make_instance(6, [(0, 1), (1, 0), (1, 2)], {0, 2}, {0: 5})
     with pytest.raises(LimitsExceeded):
-        real(cyclic)
+        real(cyclic, cyclic.ploughs, None)
     assert solve_variant_exact(cyclic, "min-st") == 1
 
 
@@ -240,13 +258,13 @@ def test_min_st_searches_plough_totals_upwards(monkeypatch):
     # 43 ploughs, 8**6 * 2 sub-vectors; the single plough at facility 0
     # already answers YES, so the search stops at total 1
     calls = []
-    real = exact.solve_st_exact
+    real = exact._search
 
-    def spy(inst, paths=None):
-        calls.append(inst.ploughs)
-        return real(inst, paths)
+    def spy(inst, ploughs, paths):
+        calls.append(ploughs)
+        return real(inst, ploughs, paths)
 
-    monkeypatch.setattr(exact, "solve_st_exact", spy)
+    monkeypatch.setattr(exact, "_search", spy)
     inst = make_instance(8, [(0, 7), (1, 2)], {0, 7}, {0: 1, **{v: 7 for v in range(1, 7)}})
     assert solve_variant_exact(inst, "min-st") == 1
     assert len(calls) <= 9
@@ -256,18 +274,18 @@ def test_variant_searches_share_one_path_index(monkeypatch):
     # n = 9 is past the BFS engine's limits: every search is acyclic, and
     # each base's maximal paths are built once per call, not per search
     built, indexes = [], []
-    real_paths, real_solve = exact._maximal_paths, exact.solve_st_exact
+    real_paths, real_search = exact._maximal_paths, exact._search
 
     def paths_spy(succ, start, cap):
         built.append(start)
         return real_paths(succ, start, cap)
 
-    def solve_spy(inst, paths=None):
+    def search_spy(inst, ploughs, paths):
         indexes.append(paths)
-        return real_solve(inst, paths)
+        return real_search(inst, ploughs, paths)
 
     monkeypatch.setattr(exact, "_maximal_paths", paths_spy)
-    monkeypatch.setattr(exact, "solve_st_exact", solve_spy)
+    monkeypatch.setattr(exact, "_search", search_spy)
     zigzag = fig3(9)
     assert solve_variant_exact(zigzag, "min-st") == 8
     assert sorted(built) == [1, 3, 5, 7]
@@ -283,6 +301,85 @@ def test_variant_searches_share_one_path_index(monkeypatch):
     assert solve_variant_exact(wider, "max-st") == 3
     assert sorted(built) == [1, 3, 5] and len(indexes) == 2
     assert indexes[0] is not None and indexes[1] is indexes[0]
+
+
+def test_min_st_builds_no_instance_per_search(monkeypatch):
+    # 8,192 sub-vectors of the budget-2 sample gadget are searched on the
+    # one host; only the YES that ends the search builds an instance
+    inst = build_gadget(SetCoverInstance(SAMPLE_COVER.n_items, SAMPLE_COVER.sets, 2)).instance
+    built = []
+    real_init = Instance.__post_init__
+
+    def counting_init(self):
+        built.append(self.ploughs)
+        real_init(self)
+
+    monkeypatch.setattr(Instance, "__post_init__", counting_init)
+    assert solve_st_exact(inst)[0]
+    assert built == []
+    assert solve_variant_exact(inst, "min-st") == 13
+    assert len(built) <= 2
+
+
+def _sub_vector_hosts():
+    """(name, instance): seeded st hosts whose every plough sub-vector is
+    searched.  Twenty-four within the BFS limits with 2-4 ploughs, every odd
+    one acyclic; eight acyclic past them, four on 9-10 vertices with 3-6
+    ploughs and four with 5-6 ploughs (whose smaller sub-vectors fit the
+    BFS); and six with 5 ploughs and a 2-cycle, whose sub-vectors of total 5
+    are refused."""
+    rng = random.Random(20261023)
+    for i in range(38):
+        acyclic = i % 2 if i < 24 else i < 32
+        n = rng.randint(9, 10) if 24 <= i < 28 else rng.randint(5, 8)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        if acyclic:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            pairs = [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)]
+        arcs = rng.sample(pairs, k=rng.randint(n, min(13, len(pairs))))
+        if not acyclic:
+            arcs.append(arcs[0][::-1])
+        fac = set(rng.sample(range(n), k=rng.randint(2, 3)))
+        kb = rng.randint(*(2, 4) if i < 24 else (3, 6) if i < 28 else (5, 6) if i < 32 else (5, 5))
+        pl: dict[int, int] = {}
+        while sum(pl.values()) < kb:
+            v = rng.choice(sorted(pl)) if pl and rng.random() < 0.4 else rng.randrange(n)
+            pl[v] = min(pl.get(v, 0) + 1, n - 1)
+        yield f"sub{i}", make_instance(n, arcs, fac, pl)
+
+
+def _answer_record(search):
+    """[answer, witness walks as vertex lists, or None] of search(), or
+    "limits" when it raises LimitsExceeded."""
+    try:
+        ans, witness = search()
+    except LimitsExceeded:
+        return "limits"
+    return [ans, None if witness is None else [list(w.vertices) for w in witness.walks]]
+
+
+# sha256 of the JSON list of the records, as solve_st_exact gave them on one
+# instance built per sub-vector, before the engines took plough vectors
+SUB_VECTOR_RECORDS_SHA256 = "03002329004a3acb30083ecf570dfeec1603aeb6c73e4b9e59ce49215aaf797f"
+
+
+def test_searches_on_one_host_match_rebuilt_instances():
+    records, kinds = [], set()
+    for name, inst in _sub_vector_hosts():
+        paths = _path_index(inst)
+        kinds.add((paths is not None, inst.n <= exact.MAX_N, inst.total_ploughs() <= exact.MAX_KB))
+        for v in itertools.product(*(range(c + 1) for c in inst.ploughs)):
+            want = _answer_record(lambda: solve_st_exact(replace(inst, ploughs=v)))
+            assert _answer_record(lambda: _search(inst, v, paths)) == want, (name, v)
+            records.append(want)
+    # (acyclic, n within MAX_N, k_B within MAX_KB): all but cyclic on too many vertices
+    assert len(kinds) == 6
+    assert records.count("limits") == 6
+    answers = [r[0] for r in records if r != "limits"]
+    assert answers.count(True) >= 60 and answers.count(False) >= 200
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == SUB_VECTOR_RECORDS_SHA256
 
 
 def test_sub_vectors_are_the_capped_vectors_of_each_total():
@@ -406,9 +503,9 @@ def test_dag_memo_size_of_the_budget1_sample_gadget(monkeypatch):
     inst = build_gadget(SetCoverInstance(SAMPLE_COVER.n_items, SAMPLE_COVER.sets, 1)).instance
     monkeypatch.setattr(exact, "MAX_DAG_STATES", 166)
     with pytest.raises(LimitsExceeded, match="memo budget"):
-        _dag_st(inst)
+        dag_walks(inst)
     monkeypatch.setattr(exact, "MAX_DAG_STATES", 167)
-    assert _dag_st(inst) == (False, None)
+    assert dag_walks(inst) is None
 
 
 def test_bfs_state_count_of_an_exhausted_no(monkeypatch):
