@@ -352,14 +352,33 @@ def solve_tpe_exact(
 
 
 def _sub_vectors(caps: tuple[int, ...], total: int):
-    """The vectors with entries 0..caps[i] that sum to total, if total <= sum(caps)."""
-    if total == 0:
-        yield (0,) * len(caps)
+    """The vectors with entries 0..caps[i] that sum to total, in lexicographic
+    order; none if total > sum(caps).
+
+    Iterative: the first vector fills the last entries up to their caps; each
+    next one raises the last entry that is below its cap and has something
+    after it to take from, and refills the entries after it the same way."""
+    if total > sum(caps):
         return
-    v = next(i for i, c in enumerate(caps) if c)  # caps[:v] are all 0
-    for c in range(max(0, total - sum(caps[v + 1 :])), min(caps[v], total) + 1):
-        for tail in _sub_vectors(caps[v + 1 :], total - c):
-            yield caps[:v] + (c,) + tail
+    vec = [0] * len(caps)
+
+    def fill(start: int, rest: int) -> None:
+        for j in reversed(range(start, len(caps))):
+            vec[j] = min(caps[j], rest)
+            rest -= vec[j]
+
+    fill(0, total)
+    while True:
+        yield tuple(vec)
+        after = 0  # the sum of the entries after i
+        for i in reversed(range(len(caps))):
+            if after and vec[i] < caps[i]:
+                break
+            after += vec[i]
+        else:
+            return
+        vec[i] += 1
+        fill(i + 1, after - 1)
 
 
 def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):

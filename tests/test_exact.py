@@ -392,6 +392,32 @@ def test_sub_vectors_are_the_capped_vectors_of_each_total():
             assert sorted(got) == want
 
 
+def _recursive_sub_vectors(caps, total):
+    """The recursive enumeration ``_sub_vectors`` replaced, kept as the
+    reference for its order: the first nonzero cap's entry ascending, then
+    the rest the same way."""
+    if total == 0:
+        yield (0,) * len(caps)
+        return
+    v = next(i for i, c in enumerate(caps) if c)
+    for c in range(max(0, total - sum(caps[v + 1 :])), min(caps[v], total) + 1):
+        for tail in _recursive_sub_vectors(caps[v + 1 :], total - c):
+            yield caps[:v] + (c,) + tail
+
+
+def test_sub_vectors_come_in_the_recursive_order():
+    rng = random.Random(29)
+    # the budget-2 sample gadget: 52 caps summing to 13, 8,192 vectors in all
+    gadget = build_gadget(SetCoverInstance(SAMPLE_COVER.n_items, SAMPLE_COVER.sets, 2))
+    cases = [(), (0, 0), (3,), (0, 2, 0, 1), gadget.instance.ploughs]
+    cases += [tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(rng.randint(1, 8))) for _ in range(30)]
+    for caps in cases:
+        for total in range(sum(caps) + 1):
+            got = list(_sub_vectors(caps, total))
+            assert got == list(_recursive_sub_vectors(caps, total)), (caps, total)
+        assert list(_sub_vectors(caps, sum(caps) + 1)) == []
+
+
 def test_max_st_examples():
     assert solve_variant_exact(toy1(), "max-st") == 2
     assert solve_variant_exact(toy2(), "max-st") == 1
