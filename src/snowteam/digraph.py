@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class ParseError(ValueError):
@@ -25,8 +26,9 @@ class ParseError(ValueError):
 class Instance:
     """Digraph with facility flags and per-vertex plough counts.
 
-    Immutable; its derived data is two bitmask rows built from ``arcs``.  Plough
-    counts are capped at n-1 per vertex (more ploughs at one vertex can never help).
+    Immutable; its derived data is two bitmask rows built from ``arcs`` and,
+    on first use, the ``thresholds`` rows.  Plough counts are capped at n-1
+    per vertex (more ploughs at one vertex can never help).
     """
 
     n: int
@@ -58,6 +60,21 @@ class Instance:
         object.__setattr__(self, "out_mask", tuple(outs))
         object.__setattr__(self, "in_mask", tuple(ins))
 
+    @cached_property
+    def thresholds(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """(pays, outs, ins), each n+1 bitmasks: pays[d], outs[j] and ins[j]
+        hold the vertices with at least d ploughs, j out-neighbours and j
+        in-neighbours.  Row n is empty in all three (a count is at most n-1).
+        Built on first use, not with the instance."""
+        return tuple(
+            _at_least(counts, self.n)
+            for counts in (
+                self.ploughs,
+                [m.bit_count() for m in self.out_mask],
+                [m.bit_count() for m in self.in_mask],
+            )
+        )
+
     def facilities(self) -> frozenset[int]:
         return frozenset(v for v in range(self.n) if self.facility[v])
 
@@ -66,6 +83,16 @@ class Instance:
 
     def total_ploughs(self) -> int:
         return sum(self.ploughs)
+
+
+def _at_least(counts, n: int) -> tuple[int, ...]:
+    """Row j, for j = 0..n: the bitmask of positions whose count is at least j."""
+    rows = [0] * (n + 1)
+    for w, c in enumerate(counts):
+        rows[c] |= 1 << w
+    for j in reversed(range(n)):
+        rows[j] |= rows[j + 1]
+    return tuple(rows)
 
 
 def make_instance(n, arcs, facilities, ploughs) -> Instance:

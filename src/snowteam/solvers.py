@@ -37,6 +37,17 @@ out > in, and the bound fails.  Its host, with ploughs on every vertex,
 meets the condition only when every vertex is a facility, where the rule
 removes nothing.
 
+The onto-F pin.  ``_decide`` also confines every vertex of a candidate on
+exactly |F| vertices to F, ``tpe.placements``' onto, on every path: ``st``
+promotions, ``min-st``, ``max-st`` subsets and ``stu``.  A detection sees
+only injective maps that hit all |F| terminals (the terms of the others
+vanish, ``tpe``), and with eta = |F| such a map sends the |F| tree vertices
+to |F| distinct facilities: it is a bijection onto F.  So the pin keeps the
+placements of every embedding a detection could find.  Placements only
+shrink, so no false positive appears, and the 2*eta/2^64 miss bound holds
+as before.  The rule rests on t = |F| and k = eta, so ``build_circuit`` and
+``_candidate_feasible`` apply it only when asked.
+
 Before any closure or candidate, every pipeline decision runs one
 certain-NO precheck, ``_base_reach_connects_facilities``.  Let R be the plough bases
 and every vertex reachable from one.  Each plough's walk starts at its base,
@@ -232,17 +243,22 @@ def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
 
 
 def _candidate_feasible(
-    host: Instance, cand: TreeCandidate, terminals: frozenset[int], pin: Optional[int] = None
+    host: Instance,
+    cand: TreeCandidate,
+    terminals: frozenset[int],
+    pin: Optional[int] = None,
+    onto: Optional[int] = None,
 ) -> bool:
-    """Cheap necessary conditions for an embedding that respects pin; never
-    prunes a true YES.
+    """Cheap necessary conditions for an embedding that respects pin and
+    onto; never prunes a true YES.
 
-    Every tree vertex needs a placement (``tpe.placements`` under pin), then
+    Every tree vertex needs a placement (``tpe.placements`` under pin and
+    onto), then
     a matching must saturate the tree side and another one the terminal set.
     Host vertex sets are int bitmasks: bit w stands for host vertex w.
     """
     eta = cand.order
-    compat = placements(host, cand, pin)
+    compat = placements(host, cand, pin, onto)
     if not compat[0]:
         return False
     if not _kuhn_saturates(eta, [bits(c) for c in compat]):
@@ -292,15 +308,17 @@ def _decide(
         return None  # every tree on two or more vertices needs a plough
     closure = transitive_closure(host)
     fac = host.facilities()
+    fac_mask = sum(1 << f for f in fac)
     sources, pin, top = None, None, eta_max
     if host.bases() <= fac:
-        sources, pin, top = len(fac), sum(1 << f for f in fac), min(eta_max, len(fac) + budget - 1)
+        sources, pin, top = len(fac), fac_mask, min(eta_max, len(fac) + budget - 1)
     stream = candidate_stream(len(fac), top, budget=budget, sources=sources)
     for cand in stream if order is None else sorted(stream, key=order):
         report.candidates_tested += 1
-        if not _candidate_feasible(closure, cand, fac, pin):
+        onto = fac_mask if cand.order == len(fac) else None
+        if not _candidate_feasible(closure, cand, fac, pin, onto):
             continue
-        circuit = build_circuit(closure, cand, fac, pin)
+        circuit = build_circuit(closure, cand, fac, pin, onto)
         report.detections_run += 1
         if detect_zt_multilinear(circuit, t=len(fac), k=cand.order, seed=seed):
             return cand

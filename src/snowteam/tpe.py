@@ -123,20 +123,31 @@ class Circuit:
             raise ValueError(f"output {self.output} is not a gate")
 
 
-def placements(host: Instance, tree: TreeCandidate, pin: Optional[int] = None) -> list[int]:
+def placements(
+    host: Instance, tree: TreeCandidate, pin: Optional[int] = None, onto: Optional[int] = None
+) -> list[int]:
     """The host vertices each tree vertex may sit on, one bitmask per tree
     vertex (bit w: host vertex w): the arc-consistency fixpoint of the
-    domains {w : w pays u's demand and has at least u's out- and
-    in-degree}.  A placement stays while every tree arc at its vertex has a
-    placement at the other end joined to it by a host arc of the same
+    starting domains.  A placement stays while every tree arc at its vertex
+    has a placement at the other end joined to it by a host arc of the same
     direction.  Every domain is empty once vertex 0's is, and every
     embedding keeps its placements (module docstring).
+
+    The starting domain of a tree vertex u with demand d, out-degree to and
+    in-degree ti is {w : w pays d and has at least to out- and ti
+    in-neighbours}, the threshold rows ``pays[d] & outs[to] & ins[ti]`` of
+    ``Instance.thresholds``, built once per host.  A count above n - 1 reads
+    row n, which is empty.
 
     pin, a host bitmask, confines every tree vertex of in-degree at most 1
     to it from the start: the normal form of a restricted decision, whose
     pin is the facility set (``solvers``).  It keeps the placements of every
-    embedding that maps those vertices into pin, and arc consistency then
-    drops the placements the rule leaves unsupported.  None confines nothing.
+    embedding that maps those vertices into pin.  onto, a host bitmask,
+    confines every tree vertex to it: the onto-F pin of a tree on exactly
+    |F| vertices, whose injective embeddings that cover F map onto F
+    (``solvers``).  It keeps the placements of every embedding into onto.
+    Arc consistency then drops the placements either rule leaves
+    unsupported.  None confines nothing.
 
     On a tree two passes reach the fixpoint (Freuder, JACM 1982).  Arc i
     joins vertex i+1 to its smaller-id parent (the ``TreeCandidate``
@@ -148,22 +159,20 @@ def placements(host: Instance, tree: TreeCandidate, pin: Optional[int] = None) -
     empties.  Every arc ends consistent both ways and each step drops only
     placements the fixpoint drops too.
     """
+    n = host.n
     tout = [0] * tree.order
     tin = [0] * tree.order
     for a, b in tree.arcs:
         tout[a] += 1
         tin[b] += 1
-    out_mask, in_mask, ploughs = host.out_mask, host.in_mask, host.ploughs
+    out_mask, in_mask = host.out_mask, host.in_mask
+    pays, outs, ins = host.thresholds
+    high = (1 << n) - 1 if onto is None else onto
+    low = high if pin is None else high & pin
     dom = [
-        sum(
-            1 << w
-            for w in range(host.n)
-            if d <= ploughs[w] and to <= out_mask[w].bit_count() and ti <= in_mask[w].bit_count()
-        )
+        pays[min(d, n)] & outs[min(to, n)] & ins[min(ti, n)] & (low if ti <= 1 else high)
         for d, to, ti in zip(tree.demand, tout, tin)
     ]
-    if pin is not None:
-        dom = [m & pin if ti <= 1 else m for m, ti in zip(dom, tin)]
 
     def restrict(i: int, v: int) -> None:
         # keep v's placements with a neighbour among the other end's across
@@ -181,18 +190,22 @@ def placements(host: Instance, tree: TreeCandidate, pin: Optional[int] = None) -
 
 
 def build_circuit(
-    host: Instance, tree: TreeCandidate, terminals: frozenset[int], pin: Optional[int] = None
+    host: Instance,
+    tree: TreeCandidate,
+    terminals: frozenset[int],
+    pin: Optional[int] = None,
+    onto: Optional[int] = None,
 ) -> Circuit:
     """Shared-DAG circuit for Q(X, z): tree rooted at vertex 0, z on the terminals.
 
-    The pairs (u, w) with gates are the ``placements`` under pin, made
-    bottom-up (children have larger ids), so every gate lies on a path to
-    the output.
+    The pairs (u, w) with gates are the ``placements`` under pin and onto,
+    made bottom-up (children have larger ids), so every gate lies on a path
+    to the output.
     """
     if not all(0 <= t < host.n for t in terminals):
         raise ValueError("terminals outside host vertex range")
     n, eta = host.n, tree.order
-    dom = placements(host, tree, pin)
+    dom = placements(host, tree, pin, onto)
     # (child, the host step from the parent's placement to the child's)
     children: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(eta)]
     for v, (a, b) in enumerate(tree.arcs, start=1):

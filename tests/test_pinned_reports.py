@@ -4,11 +4,13 @@ Each report is reduced to (answer, optimum, failure_bound, candidates_tested,
 detections_run, witness is None) for st, min-st, max-st and stu at k 0 and
 k 1 on the bench catalogue instances, a seeded gen_random set (ploughs on
 facilities), a seeded set with ploughs on any vertex (several base
-promotions), and three instances where a min-st
+promotions), and five instances where a min-st
 promotion passes the base-reachability precheck after the last promotion
 that runs a detection (its larger tree order sets the min-st bound).  The
 first of those has a cycle; on its condensation its min-st needs no such
-detection and carries bound 0.  The reports do not depend on the seed, so
+detection and carries bound 0.  In the second and third the onto-F pin
+decides every NO promotion, so their min-st bound is 0 too; the last two
+still run a NO detection and carry one.  The reports do not depend on the seed, so
 SolveParams(seed=3) and SolveParams(seed=11) are both checked against the
 one file.  A change meant to keep answers, optima, bounds and counts must
 leave this file alone; a change meant to alter them regenerates it, with
@@ -45,12 +47,15 @@ BOUND_CASES = (
     (6, [(0, 5), (1, 3), (2, 0), (2, 4), (4, 5), (5, 2), (5, 3)], {1, 5, 2}, {1: 2, 4: 1, 5: 1}),
     (6, [(0, 4), (1, 0), (1, 2), (3, 0), (3, 1), (5, 0)], {5, 2}, {4: 1, 5: 1, 3: 2}),
     (6, [(0, 2), (1, 5), (4, 0), (4, 5), (5, 3)], {4, 1, 2}, {4: 1, 3: 1, 2: 1, 1: 1}),
+    (6, [(0, 5), (2, 1), (4, 0), (4, 2), (4, 3)], {0, 2}, {1: 2, 4: 1, 0: 1}),
+    (7, [(1, 2), (1, 5), (1, 6), (2, 0), (3, 0), (3, 2), (3, 5), (3, 6), (5, 4)], {2, 5},
+     {0: 1, 5: 1, 3: 1, 6: 1}),
 )
 
 
 def _instances():
     """(name, instance): the 21 catalogue instances, 24 gen_random ones, 30
-    with ploughs anywhere, then the three bound cases."""
+    with ploughs anywhere, then the five bound cases."""
     catalogue = json.loads(CATALOGUE.read_text())
     for family in ("st-no", "st-prune", "max-st"):
         for i, spec in enumerate(catalogue[family]):

@@ -71,19 +71,42 @@ def test_all_st_examples():
     assert solve_all_st(single, PARAMS).answer
 
 
+# restricted acyclic NOs whose one candidate that passes the filter has more
+# vertices than facilities, so the onto-F pin leaves it to a detection
+DETECTED_NOS = (
+    make_instance(6, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (4, 5)], {0, 2, 4}, {0: 1, 2: 2}),
+    make_instance(6, [(0, 2), (0, 4), (1, 2), (1, 3), (2, 5), (3, 4)], {1, 2, 3}, {1: 1, 3: 1}),
+    make_instance(
+        6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 3), (3, 4)], {0, 1, 2, 3}, {0: 1, 2: 1, 3: 1}
+    ),
+)
+
+
 def test_all_st_no_after_real_detections():
-    # a normal-form candidate passes the feasibility filters yet nothing
-    # embeds (certified by the exact oracle): the plough at 1 reaches 0 or 4,
-    # not both, so the NO answer rests on a detection and carries a nonzero
-    # failure bound; the host is acyclic, so condensing leaves it alone
+    # a normal-form candidate on four vertices, the paths 1 -> 2 -> x and
+    # 3 -> x, passes the feasibility filters yet nothing embeds (certified by
+    # the exact oracle): the plough at 1 reaches 2 or 3, not both, so the NO
+    # answer rests on a detection and carries a nonzero failure bound; the
+    # host is acyclic, so condensing leaves it alone
+    inst = DETECTED_NOS[1]
+    assert not solve_st_exact(inst)[0]
+    rep = solve_all_st(inst, PARAMS)
+    assert not rep.answer
+    assert rep.detections_run >= 1
+    assert 0 < rep.failure_bound < 1e-3
+
+
+def test_all_st_no_decided_by_the_onto_pin():
+    # the plough at 1 reaches 0 or 4, not both; the one candidate that passes
+    # the normal-form filter has |F| = 3 vertices, and confined to F no
+    # placement of it survives, so the NO is certain
     inst = make_instance(
         5, [(1, 2), (1, 4), (2, 0), (2, 4), (3, 4)], {0, 1, 3}, {1: 1, 3: 1}
     )
     assert not solve_st_exact(inst)[0]
     rep = solve_all_st(inst, PARAMS)
     assert not rep.answer
-    assert rep.detections_run >= 1
-    assert 0 < rep.failure_bound < 1e-3
+    assert rep.detections_run == 0 and rep.failure_bound == 0.0
 
 
 def test_all_st_cyclic_no_decided_on_the_condensation():
@@ -285,10 +308,10 @@ def test_every_detection_of_a_call_uses_its_seed(monkeypatch):
     params = SolveParams(seed=5)
     cases = [
         (solve_st, _two_promotions()),
-        (solve_all_st, _catalogue("st-no")[1]),
+        (solve_all_st, DETECTED_NOS[1]),
         (solve_min_st, gen_fig3(5)),
         (lambda inst, p: solve_stu(inst, 4, p), gen_fig3(5)),
-        (solve_max_st, _catalogue("st-no")[2]),
+        (solve_max_st, MAX_ST_NO_BEFORE_YES),
     ]
     for solve, inst in cases:
         seeds.clear()
@@ -342,6 +365,16 @@ def test_min_st_examples():
     assert not infeasible.answer and infeasible.optimum is None
 
 
+# an acyclic host whose size-4 decision and two size-3 subsets are NOs that
+# run detections before a size-3 YES
+MAX_ST_NO_BEFORE_YES = make_instance(
+    7,
+    [(0, 1), (0, 4), (1, 2), (1, 4), (1, 5), (1, 6), (2, 6), (3, 5), (4, 5)],
+    {0, 2, 3, 4},
+    {0: 1, 2: 1, 3: 1},
+)
+
+
 def test_max_st_examples():
     assert solve_max_st(toy1(), PARAMS).optimum == 2
     assert solve_max_st(toy2(), PARAMS).optimum == 1
@@ -350,10 +383,16 @@ def test_max_st_examples():
     # NO sub-decisions at the optimum's own size do not count toward the
     # bound: a size-3 subset runs a detection before the YES, yet the bound is
     # the one size-4 decision's
-    inst = make_instance(5, [(0, 1), (0, 4), (2, 4), (3, 0)], {0, 1, 2, 3}, {2: 1, 3: 1, 4: 1})
+    inst = MAX_ST_NO_BEFORE_YES
     rep = solve_max_st(inst, SolveParams())
     assert rep.optimum == 3
     assert 0 < rep.failure_bound == solve_st(inst, SolveParams()).failure_bound < 1e-3
+    # the size-4 decision of this DAG is left to the onto-F pin: no detection
+    inst = make_instance(5, [(0, 1), (0, 4), (2, 4), (3, 0)], {0, 1, 2, 3}, {2: 1, 3: 1, 4: 1})
+    rep = solve_max_st(inst, SolveParams())
+    assert rep.optimum == 3
+    full = solve_st(inst, SolveParams())
+    assert full.detections_run == 0 and rep.failure_bound == full.failure_bound == 0.0
     # the cycle 2-4 contracts; the size-4 decision then needs no detection
     inst = make_instance(5, [(0, 1), (2, 3), (2, 4), (4, 0), (4, 2)], {0, 2, 3, 4}, {1: 1, 3: 1, 4: 1})
     rep = solve_max_st(inst, SolveParams())
@@ -364,13 +403,25 @@ def test_max_st_examples():
 def test_max_st_bound_after_many_no_sub_decisions():
     """Each NO sub-decision adds only 2*eta_max/2^64, so many of them stay
     far below 1e-3."""
-    # st-no[4]'s NO sub-decisions pass the base-reachability precheck and
-    # run detections; st-no[5]'s are decided by the precheck alone
-    inst = _catalogue("st-no")[4]
+    # five NO sub-decisions of this DAG, the 36th of ``_restricted_dags``,
+    # pass the base-reachability precheck and run detections
+    inst = make_instance(
+        13,
+        [(0, 1), (0, 3), (0, 4), (0, 7), (0, 8), (0, 10), (1, 8), (1, 12), (2, 6), (2, 9),
+         (2, 11), (3, 4), (3, 5), (4, 6), (4, 8), (4, 9), (4, 10), (5, 8), (5, 9), (5, 12),
+         (6, 9), (6, 10), (6, 11), (7, 10), (7, 11), (9, 10), (9, 11), (10, 11), (11, 12)],
+        {0, 5, 6, 7, 9, 11},
+        {0: 1, 9: 2},
+    )
     rep = solve_max_st(inst, SolveParams())
-    assert rep.optimum == 2
+    assert rep.optimum == 4
     assert rep.detections_run > 1
     assert 0 < rep.failure_bound < 1e-3
+    # st-no[4]'s NO sub-decisions pass the precheck, and the onto-F pin
+    # decides them: only the YES subset runs a detection
+    rep = solve_max_st(_catalogue("st-no")[4], SolveParams())
+    assert rep.optimum == 2
+    assert rep.detections_run == 1 and rep.failure_bound == 0.0
 
 
 def test_default_single_trial_matches_oracle():
@@ -385,9 +436,9 @@ def test_default_single_trial_matches_oracle():
             continue
         insts.append(inst)
     # none of these small random NOs reaches a detection (the
-    # base-reachability precheck or the filter decides them); the
-    # catalogue's st-no classes do
-    insts += _catalogue("st-no")
+    # base-reachability precheck or the filter decides them), and since the
+    # onto-F pin neither do the catalogue's st-no classes; DETECTED_NOS do
+    insts += _catalogue("st-no") + list(DETECTED_NOS)
     no_with_detections = 0
     for checked, inst in enumerate(insts):
         rep = solve_st(inst, SolveParams(seed=checked))
@@ -395,7 +446,65 @@ def test_default_single_trial_matches_oracle():
         if not rep.answer and rep.detections_run:
             assert 0 < rep.failure_bound <= 2 * 7 / 2**64
             no_with_detections += 1
-    assert no_with_detections >= 1
+    assert no_with_detections >= len(DETECTED_NOS)
+
+
+def _restricted_dags(count):
+    """count seeded restricted DAGs that pass the base-reachability precheck:
+    11-13 vertices, each arc u -> v with u < v present with probability 0.3,
+    5-6 facilities and 3 ploughs, each on a facility drawn at random."""
+    rng = random.Random(2026)
+    while count:
+        n = rng.randint(11, 13)
+        arcs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        fac = rng.sample(range(n), rng.randint(5, 6))
+        ploughs = {}
+        for _ in range(3):
+            v = rng.choice(fac)
+            ploughs[v] = ploughs.get(v, 0) + 1
+        inst = make_instance(n, arcs, fac, ploughs)
+        if _base_reach_connects_facilities(inst):
+            count -= 1
+            yield inst
+
+
+def test_pipeline_matches_oracle_on_restricted_dags():
+    """The onto-F pin keeps every answer on larger hosts, and leaves NOs
+    whose candidates of more than |F| vertices reach a detection."""
+    no_with_detections = 0
+    for i, inst in enumerate(_restricted_dags(300)):
+        rep = solve_all_st(inst, SolveParams(seed=i))
+        assert rep.answer == solve_st_exact(inst)[0], inst
+        if not rep.answer and rep.detections_run:
+            assert 0 < rep.failure_bound <= 2 * 11 / 2**64
+            no_with_detections += 1
+    assert no_with_detections >= 10
+
+
+def test_onto_pin_rejects_the_catalogue_st_no_detections(monkeypatch):
+    """Each catalogue st-no class once left one candidate on exactly |F|
+    vertices to a detection; confined to F, every one fails the filter, so
+    the NOs are certain."""
+    from snowteam import solvers
+
+    real = solvers._candidate_feasible
+    rejected = []
+
+    def spy(host, cand, terminals, pin=None, onto=None):
+        got = real(host, cand, terminals, pin, onto)
+        if real(host, cand, terminals, pin):
+            assert onto is not None and cand.order == len(terminals) and not got
+            rejected.append(cand)
+        return got
+
+    monkeypatch.setattr(solvers, "_candidate_feasible", spy)
+    for inst in _catalogue("st-no"):
+        assert not solve_st_exact(inst)[0]
+        for solve in (solve_st, solve_all_st):
+            rep = solve(inst, PARAMS)
+            assert not rep.answer
+            assert rep.detections_run == 0 and rep.failure_bound == 0.0
+    assert len(rejected) == 2 * 4  # four candidates, each under both solves
 
 
 def test_stu_examples():

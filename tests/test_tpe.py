@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from snowteam import tpe
-from snowteam.digraph import bits, make_instance, transitive_closure
+from snowteam.digraph import bits, make_instance, neighbours, transitive_closure
+from snowteam.exact import solve_tpe_exact
+from snowteam.solvers import _candidate_feasible
 from snowteam.tpe import (
     Circuit,
     build_circuit,
@@ -486,6 +488,103 @@ def test_placements_keep_every_injective_embedding_and_are_the_x_gates():
                 xs = sorted(circ.gates[g][1:3] for g in circ.x_gate_ids())
                 assert xs == sorted((w, u) for u in range(cand.order) for w in bits(want[u]))
     assert embeddings > 1000 and pinned > 50 and narrowed > 100
+
+
+def _scanned_placements(host, tree, pin=None, onto=None):
+    """``placements`` from a scan of every host vertex for every tree vertex,
+    refined by arc consistency run to its fixpoint: the oracle for the
+    threshold rows and the two-pass refinement."""
+    tout = [sum(a == u for a, _ in tree.arcs) for u in range(tree.order)]
+    tin = [sum(b == u for _, b in tree.arcs) for u in range(tree.order)]
+    dom = []
+    for u in range(tree.order):
+        m = sum(
+            1 << w
+            for w in range(host.n)
+            if tree.demand[u] <= host.ploughs[w]
+            and tout[u] <= host.out_mask[w].bit_count()
+            and tin[u] <= host.in_mask[w].bit_count()
+        )
+        if pin is not None and tin[u] <= 1:
+            m &= pin
+        if onto is not None:
+            m &= onto
+        dom.append(m)
+    changed = True
+    while changed:
+        before = list(dom)
+        for a, b in tree.arcs:
+            dom[a] &= neighbours(dom[b], host.in_mask)
+            dom[b] &= neighbours(dom[a], host.out_mask)
+        changed = dom != before
+    return [0] * tree.order if not all(dom) else dom
+
+
+def test_threshold_rows_match_the_vertex_scan():
+    """Threshold-row starting domains, refined, equal the scanned ones on
+    random hosts, trees up to one vertex larger than the host (whose counts
+    read the empty row n), no pin, the normal-form pin and the onto pin."""
+    rng = random.Random(2290)
+    cands = _all_orientations(6)
+    nonempty = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        host = _random_host(rng, n, 3 * n)
+        pays, outs, ins = host.thresholds
+        for j in range(n + 1):
+            assert pays[j] == sum(1 << w for w in range(n) if host.ploughs[w] >= j)
+            assert outs[j] == sum(1 << w for w in range(n) if host.out_mask[w].bit_count() >= j)
+            assert ins[j] == sum(1 << w for w in range(n) if host.in_mask[w].bit_count() >= j)
+        mask, other = rng.randrange(1 << n), rng.randrange(1 << n)
+        for cand in cands:
+            if cand.order > n + 1:
+                break
+            for pin, onto in ((None, None), (mask, None), (None, other), (mask, other)):
+                got = placements(host, cand, pin, onto)
+                assert got == _scanned_placements(host, cand, pin, onto), (host, cand, pin, onto)
+                nonempty += bool(got[0])
+    assert nonempty >= 1000
+
+
+def test_onto_pin_keeps_every_embedding_of_a_tree_on_the_terminals():
+    """A tree with as many vertices as terminals embeds, covering them, only
+    onto them: each embedding the brute force finds maps into the terminals,
+    keeps every placement under the onto pin (alone and with the normal-form
+    pin), passes the filter and is detected.  Where the brute force finds
+    none, the pinned detection finds none either.  Hosts are cyclic and
+    acyclic."""
+    rng = random.Random(2291)
+    cands = [c for c in _all_orientations(5) if c.order >= 2]
+    found = missing = 0
+    for i in range(24):
+        n = rng.randint(3, 7)
+        if i % 2:
+            perm = rng.sample(range(n), n)
+            pairs = [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)]
+        else:
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, k=rng.randint(n, min(3 * n, len(pairs))))
+        host = make_instance(n, arcs, set(), {v: rng.randint(0, 2) for v in range(n)})
+        for cand in rng.sample(cands, 12):
+            if cand.order > n:
+                continue
+            terminals = frozenset(rng.sample(range(n), cand.order))
+            mask = sum(1 << w for w in terminals)
+            phi = solve_tpe_exact(host, cand, terminals)
+            circuit = build_circuit(host, cand, terminals, onto=mask)
+            detected = detect_zt_multilinear(circuit, len(terminals), cand.order, seed=i)
+            if phi is None:
+                assert not detected, (host, cand, terminals)
+                missing += 1
+                continue
+            found += 1
+            assert set(phi.values()) == terminals
+            for pin in (None, mask):
+                dom = placements(host, cand, pin, mask)
+                assert all(dom[u] >> w & 1 for u, w in phi.items()), (host, cand, phi)
+            assert _candidate_feasible(host, cand, terminals, mask, mask)
+            assert detected, (host, cand, terminals)
+    assert found >= 50 and missing >= 80, (found, missing)
 
 
 def _direct_polynomial(host, tree, terminals, max_vars, max_zdeg):
