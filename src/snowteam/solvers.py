@@ -253,8 +253,8 @@ def _candidate_feasible(
     onto; never prunes a true YES.
 
     Every tree vertex needs a placement (``tpe.placements`` under pin and
-    onto), then
-    a matching must saturate the tree side and another one the terminal set.
+    onto), then a matching must saturate the tree side and another one the
+    terminal set.
     Host vertex sets are int bitmasks: bit w stands for host vertex w.
     """
     eta = cand.order
