@@ -387,7 +387,7 @@ def test_max_st_examples():
     rep = solve_max_st(inst, SolveParams())
     assert rep.optimum == 3
     assert 0 < rep.failure_bound == solve_st(inst, SolveParams()).failure_bound < 1e-3
-    # the size-4 decision of this DAG is left to the onto-F pin: no detection
+    # on this DAG the onto-F pin decides the size-4 NO with no detection
     inst = make_instance(5, [(0, 1), (0, 4), (2, 4), (3, 0)], {0, 1, 2, 3}, {2: 1, 3: 1, 4: 1})
     rep = solve_max_st(inst, SolveParams())
     assert rep.optimum == 3
