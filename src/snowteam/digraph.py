@@ -265,8 +265,10 @@ def neighbours(mask: int, step) -> int:
     """Vertex mask one step from mask's vertices, step[v] being the mask one
     step from v (``Instance.out_mask`` walks arcs forwards)."""
     out = 0
-    for v in bits(mask):
-        out |= step[v]
+    while mask:
+        low = mask & -mask
+        out |= step[low.bit_length() - 1]
+        mask ^= low
     return out
 
 

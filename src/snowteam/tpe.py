@@ -79,7 +79,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import _clmul_reduce_arrays
-from .digraph import Instance, bits, neighbours
+from .digraph import Instance, bits
 from .trees import MAX_ORDER, TreeCandidate
 
 # Gate-count ceiling: one x-gate, and an add and a mul per child, per pair,
@@ -137,7 +137,8 @@ def placements(
     in-degree ti is {w : w pays d and has at least to out- and ti
     in-neighbours}, the threshold rows ``pays[d] & outs[to] & ins[ti]`` of
     ``Instance.thresholds``, built once per host.  A count above n - 1 reads
-    row n, which is empty.
+    an empty row: row n, or one of the empty rows the call pads on when the
+    tree has more than n + 1 vertices.
 
     pin, a host bitmask, confines every tree vertex of in-degree at most 1
     to it from the start: the normal form of a restricted decision, whose
@@ -153,39 +154,59 @@ def placements(
     joins vertex i+1 to its smaller-id parent (the ``TreeCandidate``
     layout).  Pass one, arcs m-1 down to 0, restricts each parent by its
     child, which its subtree has restricted already, so an empty domain
-    empties the root's.  Pass two, arcs 0 up to m-1, restricts each child by
-    its parent, final by then; a child keeps every placement adjacent to one
-    of its parent's, so no parent placement loses its support and no domain
-    empties.  Every arc ends consistent both ways and each step drops only
-    placements the fixpoint drops too.
+    empties the root's: the pass stops at the first one.  Pass two, arcs 0
+    up to m-1, restricts each child by its parent, final by then; a child
+    keeps every placement adjacent to one of its parent's, so no parent
+    placement loses its support and no domain empties.  Every arc ends
+    consistent both ways and each step drops only placements the fixpoint
+    drops too.  Both passes are plain loops that OR the host rows of the
+    other end's placements, walking its set bits inline.
     """
-    n = host.n
-    tout = [0] * tree.order
-    tin = [0] * tree.order
-    for a, b in tree.arcs:
+    n, order, arcs = host.n, tree.order, tree.arcs
+    tout = [0] * order
+    tin = [0] * order
+    for a, b in arcs:
         tout[a] += 1
         tin[b] += 1
     out_mask, in_mask = host.out_mask, host.in_mask
     pays, outs, ins = host.thresholds
+    if order > n + 1:  # a count can exceed n: pad every row with empty ones
+        pad = (0,) * (order - 1 - n)
+        pays, outs, ins = pays + pad, outs + pad, ins + pad
     high = (1 << n) - 1 if onto is None else onto
     low = high if pin is None else high & pin
     dom = [
-        pays[min(d, n)] & outs[min(to, n)] & ins[min(ti, n)] & (low if ti <= 1 else high)
+        pays[d] & outs[to] & ins[ti] & (low if ti <= 1 else high)
         for d, to, ti in zip(tree.demand, tout, tin)
     ]
-
-    def restrict(i: int, v: int) -> None:
-        # keep v's placements with a neighbour among the other end's across
-        # tree arc i = (a, b): an out-neighbour for a, an in-neighbour for b
-        a, b = tree.arcs[i]
-        dom[v] &= neighbours(dom[b], in_mask) if v == a else neighbours(dom[a], out_mask)
-
-    for i in reversed(range(tree.order - 1)):
-        restrict(i, sum(tree.arcs[i]) - (i + 1))  # the parent of vertex i+1
-    if not dom[0]:
-        return [0] * tree.order
-    for i in range(tree.order - 1):
-        restrict(i, i + 1)
+    # each pass ORs the rows of the other end's placements across an arc:
+    # out_mask rows walk it forwards, in_mask rows backwards
+    for i in range(order - 2, -1, -1):  # pass one: the parent by vertex i+1
+        a, b = arcs[i]
+        if a == i + 1:
+            p, step = b, out_mask
+        else:
+            p, step = a, in_mask
+        left, acc = dom[i + 1], 0
+        while left:
+            bit = left & -left
+            acc |= step[bit.bit_length() - 1]
+            left ^= bit
+        dom[p] &= acc
+        if not dom[p]:
+            return [0] * order
+    for i in range(order - 1):  # pass two: vertex i+1 by its parent
+        a, b = arcs[i]
+        if a == i + 1:
+            p, step = b, in_mask
+        else:
+            p, step = a, out_mask
+        left, acc = dom[p], 0
+        while left:
+            bit = left & -left
+            acc |= step[bit.bit_length() - 1]
+            left ^= bit
+        dom[i + 1] &= acc
     return dom
 
 

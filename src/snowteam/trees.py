@@ -17,10 +17,14 @@ A TreeCandidate is an orientation of a free tree together with the plough
 demand L(v) = max(0, outdeg(v) - indeg(v)): the number of walks that must
 start at v to cover the arcs by arc-disjoint paths.
 
-``orient_tree`` is the one orientation loop.  An orientation is a mask,
-bit i set when edge i points parent -> child, and masks come out in
-increasing integer order.  The loop fixes edges depth first from the last
-preorder edge down to edge 0 and carries each vertex's out - in balance.
+``orient_tree`` is the one orientation loop: one flat loop in one
+generator frame.  An orientation is a mask, bit i set when edge i points
+parent -> child, and masks come out in increasing integer order.  The loop
+fixes edges depth first from the last preorder edge down to edge 0, keeps
+per-edge state (the direction tried, and the demand, count and mask so
+far) and carries each vertex's out - in balance, undone in place on the
+way back.  The per-tree constants it reads are computed once per
+``FreeTree`` and cached on it (``FreeTree.orienting``).
 Vertex v's demand is final once edge v-1 is set, so a budget cuts a branch
 as soon as the final demands exceed it.  A sources bound cuts the same way:
 it caps the vertices of in-degree at most 1 or positive demand, the tree
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional
 
 from .digraph import reach
@@ -57,6 +61,26 @@ class FreeTree:
 
     def code_str(self) -> str:
         return " ".join(str(d) for d in self.code)
+
+    @cached_property
+    def orienting(self) -> tuple:
+        """(ends, low, leaves, twin, half), the constants ``orient_tree``
+        reads, computed on first use and kept with the tree: ends[i] =
+        ((child, parent), (parent, child)) for edge i; low[v], the least
+        balance at which a non-leaf v counts towards sources (a leaf never
+        reaches it); leaves, the number of vertices of degree at most 1;
+        and ``_symmetries``' (twin, half)."""
+        deg = [0] * self.order
+        for p, c in self.edges:
+            deg[p] += 1
+            deg[c] += 1
+        low = tuple(min(1, d - 2) if d > 1 else d + 1 for d in deg)
+        return (
+            tuple(((c, p), (p, c)) for p, c in self.edges),
+            low,
+            sum(d <= 1 for d in deg),
+            *_symmetries(self),
+        )
 
 
 @dataclass(frozen=True)
@@ -181,7 +205,7 @@ def plough_demand(arcs, order: Optional[int] = None) -> tuple[int, ...]:
     return tuple(max(0, o - i) for o, i in zip(out, inc))
 
 
-def _symmetries(tree: FreeTree) -> tuple[list[int], int]:
+def _symmetries(tree: FreeTree) -> tuple[tuple[int, ...], int]:
     """(twin, half) for a tree in canonical layout: twin[i] is the subtree
     size of vertex i+1 when its next sibling's subtree has the same code,
     else 0; half is s when the tree is two copies of one rooted tree on s
@@ -195,7 +219,7 @@ def _symmetries(tree: FreeTree) -> tuple[list[int], int]:
             twin[c - 1] = end[c] - c
     s = n // 2
     mirror = n % 2 == 0 and [d - 1 for d in code[1 : s + 1]] == [0, *code[s + 1 :]]
-    return twin, s if mirror else 0
+    return tuple(twin), s if mirror else 0
 
 
 def orient_tree(
@@ -211,8 +235,14 @@ def orient_tree(
     each directed-isomorphism class.  tree must come from
     ``enumerate_free_trees``: dedupe relies on its canonical layout.
 
-    Masks are built depth first from the last preorder edge down to edge 0,
-    trying up before down, which is increasing integer order.  Edge i joins
+    One flat loop in one generator frame builds the masks depth first from
+    the last preorder edge down to edge 0, trying up before down, which is
+    increasing integer order.  Per edge it keeps the direction tried and
+    the demand, count and mask so far, and it moves each balance back in
+    place when it backs up; each candidate is built from the arcs,
+    demands and directions kept along the way.  The constants of the tree
+    (arcs, counting thresholds, leaves, twins and mirror) come from
+    ``FreeTree.orienting``, computed once per tree.  Edge i joins
     vertex i+1 to its parent, and every other edge at vertex i+1 comes later
     in preorder, so once edge i is set the demand of vertex i+1 is final.  A
     branch is cut as soon as the final demands exceed the budget; the root's
@@ -245,61 +275,72 @@ def orient_tree(
     n = tree.order
     m = n - 1
     edges = tree.edges
+    ends, low, leaves, twin, half = tree.orienting
     cap = m if budget is None else budget  # total demand never exceeds the arc count
-    deg = [0] * n
-    for p, c in edges:
-        deg[p] += 1
-        deg[c] += 1
-    leaves = sum(d <= 1 for d in deg)
     room = n if sources is None else sources
     if leaves > room:
-        return iter(())
-    # bal[v] >= low[v] exactly when a non-leaf v counts; a leaf, counted up
-    # front, never does
-    low = [min(1, d - 2) if d > 1 else d + 1 for d in deg]
-    twin, half = _symmetries(tree) if dedupe else ([0] * m, 0)
+        return
+    if not dedupe:
+        twin, half = (0,) * m, 0
+    code = tree.code
     bal = [0] * n  # outdeg - indeg over the edges set so far
     arcs: list[tuple[int, int]] = [(0, 0)] * m
-
-    def extend(i: int, done: int, hits: int, mask: int) -> Iterator[TreeCandidate]:
-        # edges i+1..m-1 are set; done is the final demand of vertices
-        # i+2..n-1, hits the leaves plus the other counting vertices there
-        if i < 0:
-            if done + max(bal[0], 0) > cap or hits + (bal[0] >= low[0]) > room:
-                return
+    down = [False] * m
+    dem = [0] * n
+    tried = [-1] * m  # the direction edge i holds: -1 none yet, 0 up, 1 down
+    # done[i], hits[i], masks[i]: with edges i..m-1 set, the final demand of
+    # vertices i+1..n-1, the leaves plus the other counting vertices there,
+    # and the mask so far
+    done = [0] * n
+    hits = [leaves] * n
+    masks = [0] * n
+    i = m - 1
+    while i < m:
+        if i < 0:  # every edge is set; vertex 0's demand is final
+            b = bal[0]
+            d = b if b > 0 else 0
+            mask = masks[0]
+            i = 0
+            if done[0] + d > cap or hits[0] + (b >= low[0]) > room:
+                continue
             if half:  # (b)
                 lo = (mask >> 1) & ((1 << (half - 1)) - 1)
                 hi = mask >> half
                 if hi > lo or (hi == lo and mask & 1):
-                    return
-            yield TreeCandidate(
-                order=n,
-                arcs=tuple(arcs),
-                demand=tuple(b if b > 0 else 0 for b in bal),
-                free_code=tree.code,
-                orientation=tuple(bool((mask >> j) & 1) for j in range(m)),
-            )
-            return
-        p, c = edges[i]
-        size = twin[i]
-        for is_down in (False, True):
-            bits = mask | (is_down << i)
-            if size:  # (a)
-                block = (1 << size) - 1
-                if ((bits >> i) & block) < ((bits >> (i + size)) & block):
                     continue
-            step = 1 if is_down else -1
-            bal[p] += step
-            bal[c] -= step
-            total = done + max(bal[c], 0)
-            counted = hits + (bal[c] >= low[c])
-            if total <= cap and counted <= room:
-                arcs[i] = (p, c) if is_down else (c, p)
-                yield from extend(i - 1, total, counted, bits)
-            bal[p] -= step
-            bal[c] += step
-
-    return extend(m - 1, 0, leaves, 0)
+            dem[0] = d
+            yield TreeCandidate(n, tuple(arcs), tuple(dem), code, tuple(down))
+            continue
+        p, c = edges[i]
+        t = tried[i] + 1
+        if t == 1:  # up -> down
+            bal[p] += 2
+            bal[c] -= 2
+        else:  # none -> up, or down -> none
+            bal[p] -= 1
+            bal[c] += 1
+            if t == 2:
+                tried[i] = -1
+                i += 1
+                continue
+        tried[i] = t
+        mask = masks[i + 1] | (t << i)
+        size = twin[i]
+        if size:  # (a)
+            block = (1 << size) - 1
+            if ((mask >> i) & block) < ((mask >> (i + size)) & block):
+                continue
+        b = bal[c]
+        d = b if b > 0 else 0
+        total = done[i + 1] + d
+        counted = hits[i + 1] + (b >= low[c])
+        if total > cap or counted > room:
+            continue
+        arcs[i] = ends[i][t]
+        down[i] = t == 1
+        dem[c] = d
+        done[i], hits[i], masks[i] = total, counted, mask
+        i -= 1
 
 
 def candidate_from_code(code: str) -> TreeCandidate:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from snowteam import tpe
-from snowteam.digraph import bits, make_instance, neighbours, transitive_closure
+from snowteam.digraph import bits, make_instance, transitive_closure
 from snowteam.exact import solve_tpe_exact
 from snowteam.solvers import _candidate_feasible
 from snowteam.tpe import (
@@ -490,10 +490,31 @@ def test_placements_keep_every_injective_embedding_and_are_the_x_gates():
     assert embeddings > 1000 and pinned > 50 and narrowed > 100
 
 
+def _arc_ends(host):
+    """(heads, tails): per host vertex, the mask of its arcs' heads and of
+    its arcs' tails, read off ``host.arcs``."""
+    heads, tails = [0] * host.n, [0] * host.n
+    for u, v in host.arcs:
+        heads[u] |= 1 << v
+        tails[v] |= 1 << u
+    return heads, tails
+
+
+def _across(mask, ends):
+    """Host vertices one arc from mask's vertices, ends being ``_arc_ends``'
+    heads (forwards) or tails (backwards)."""
+    out = 0
+    for w, row in enumerate(ends):
+        if mask >> w & 1:
+            out |= row
+    return out
+
+
 def _scanned_placements(host, tree, pin=None, onto=None):
     """``placements`` from a scan of every host vertex for every tree vertex,
-    refined by arc consistency run to its fixpoint: the oracle for the
-    threshold rows and the two-pass refinement."""
+    refined by arc consistency run to its fixpoint, with neighbour sets
+    read off the arcs: the oracle for the threshold rows and the two-pass
+    refinement."""
     tout = [sum(a == u for a, _ in tree.arcs) for u in range(tree.order)]
     tin = [sum(b == u for _, b in tree.arcs) for u in range(tree.order)]
     dom = []
@@ -510,25 +531,28 @@ def _scanned_placements(host, tree, pin=None, onto=None):
         if onto is not None:
             m &= onto
         dom.append(m)
+    heads, tails = _arc_ends(host)
     changed = True
     while changed:
         before = list(dom)
         for a, b in tree.arcs:
-            dom[a] &= neighbours(dom[b], host.in_mask)
-            dom[b] &= neighbours(dom[a], host.out_mask)
+            dom[a] &= _across(dom[b], tails)
+            dom[b] &= _across(dom[a], heads)
         changed = dom != before
     return [0] * tree.order if not all(dom) else dom
 
 
 def test_threshold_rows_match_the_vertex_scan():
     """Threshold-row starting domains, refined, equal the scanned ones on
-    random hosts, trees up to one vertex larger than the host (whose counts
-    read the empty row n), no pin, the normal-form pin and the onto pin."""
+    random hosts, no pin, the normal-form pin and the onto pin: on n 1-6
+    every tree up to order 6, also those larger than the host (whose counts
+    can read the empty rows past n - 1), on n 7-10 a sample of the trees up
+    to order 7."""
     rng = random.Random(2290)
-    cands = _all_orientations(6)
-    nonempty = 0
-    for _ in range(40):
-        n = rng.randint(1, 6)
+    cands = _all_orientations(7)
+    nonempty = wide = 0
+    for i in range(56):
+        n = rng.randint(1, 6) if i < 40 else rng.randint(7, 10)
         host = _random_host(rng, n, 3 * n)
         pays, outs, ins = host.thresholds
         for j in range(n + 1):
@@ -536,14 +560,17 @@ def test_threshold_rows_match_the_vertex_scan():
             assert outs[j] == sum(1 << w for w in range(n) if host.out_mask[w].bit_count() >= j)
             assert ins[j] == sum(1 << w for w in range(n) if host.in_mask[w].bit_count() >= j)
         mask, other = rng.randrange(1 << n), rng.randrange(1 << n)
-        for cand in cands:
-            if cand.order > n + 1:
-                break
+        if n <= 6:
+            drawn = [c for c in cands if c.order <= 6]
+        else:
+            drawn = rng.sample(cands, 150)
+        for cand in drawn:
             for pin, onto in ((None, None), (mask, None), (None, other), (mask, other)):
                 got = placements(host, cand, pin, onto)
                 assert got == _scanned_placements(host, cand, pin, onto), (host, cand, pin, onto)
                 nonempty += bool(got[0])
-    assert nonempty >= 1000
+                wide += n > 6 and bool(got[0])
+    assert nonempty >= 1000 and wide >= 300
 
 
 def test_onto_pin_keeps_every_embedding_of_a_tree_on_the_terminals():

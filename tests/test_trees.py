@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -340,6 +341,31 @@ def test_candidate_stream_matches_reference():
                     for c in candidate_stream(f, max_order, budget=budget, sources=f)
                 ]
                 assert bounded == [row for row in want if count[row] <= f], (f, max_order, budget)
+
+
+def test_candidate_stream_digest_beyond_order_nine():
+    """Past the reference's order 9, where twin blocks and mirror halves
+    grow: the restricted streams up to order 12 and every deduped
+    orientation of order 10, against a digest recorded from the recursive
+    enumeration this loop replaced."""
+    h = hashlib.sha256()
+    count = 0
+
+    def feed(cands):
+        nonlocal count
+        for c in cands:
+            count += 1
+            row = (c.order, c.arcs, c.demand, c.free_code, c.orientation)
+            h.update(repr(row).encode() + b"\n")
+
+    for f in range(3, 7):
+        for budget in (2, 3, 4):
+            for sources in (None, f):
+                feed(candidate_stream(f, 2 * f, budget, sources))
+    for tree in enumerate_free_trees(10):
+        feed(orient_tree(tree, dedupe=True))
+    assert count == 76192
+    assert h.hexdigest() == "cdc133da8317292da5829fa2b8a8f51bbffcffb8886b5129f24e3bfe5d70c314"
 
 
 @pytest.mark.parametrize(
