@@ -19,9 +19,9 @@ they sit on bases, inside F already).  ``_decide`` passes that count to
 ``candidate_stream`` as its sources bound, and the facility set to
 ``tpe.placements`` as its pin, in the filter and the circuit alike.  Such a
 tree has at most |F| + b - 1 vertices for a plough budget b, so
-``_decide`` also stops the stream at that order.  Let a0, a1 and a2 count
-its vertices of in-degree 0, 1 and at least 2, on eta >= 2 vertices.  An
-in-degree-0 vertex has demand at least 1, so a0 <= b; the in-degrees sum
+``_check_scale`` caps a normal-form decision there.  Let a0, a1 and a2
+count its vertices of in-degree 0, 1 and at least 2, on eta >= 2 vertices.
+An in-degree-0 vertex has demand at least 1, so a0 <= b; the in-degrees sum
 to eta - 1, so a1 + 2*a2 <= a0 + a1 + a2 - 1 and a2 <= a0 - 1; the
 sources bound gives a0 + a1 <= |F|.  So eta <= |F| + b - 1.  A YES
 keeps its normalized witness's union tree among the candidates and that
@@ -106,10 +106,15 @@ so it needs no independence between them.
 All detections are one-sided, so YES answers are certain.  A NO answer is
 wrong only if the detection of the first embeddable candidate in search
 order missed; a detection misses a tree of order eta with probability at
-most 2*eta/2^64 (Schwartz-Zippel, proved in ``tpe``).  So a NO carries
-``2*eta_max/2^64``, eta_max the largest candidate order the decision could
-test, and the optimization variants a union of such bounds over the
-detections that could change the optimum.
+most 2*eta/2^64 (Schwartz-Zippel, proved in ``tpe``).  Each entry point
+computes one cap, eta_max, with ``_check_scale`` before any work, and
+``_decide`` draws no candidate above it: min(2L - 1, L + kB - 1, n) for
+``st``, ``min-st`` and ``max-st``, with L = |F u B| and kB the ploughs of
+the condensation, since every promotion has at most L facilities and a
+budget of at most kB; and min(2(|F| + k) - 1, n) for ``stu``, which has no
+normal form.  So a NO after a detection carries ``2*eta_max/2^64``,
+``min-st`` that bound times its detections that could change the optimum,
+and ``max-st`` the sum of its subsets' bounds above the optimum.
 """
 
 from __future__ import annotations
@@ -268,11 +273,14 @@ def _candidate_feasible(
     return _kuhn_saturates(len(term_list), term_adj)
 
 
-def _check_scale(l_param: int, n: int) -> int:
+def _check_scale(l_param: int, n: int, budget: Optional[int] = None) -> int:
     """Largest candidate order a decision with parameter l_param on n vertices
-    could test; ValueError, before any work, when it exceeds the enumeration
-    cap."""
+    could test: min(2*l_param - 1, n), and at most l_param + budget - 1 for a
+    normal-form decision within a plough budget (module docstring).
+    ValueError, before any work, when it exceeds the enumeration cap."""
     eta_max = min(2 * l_param - 1, n)
+    if budget is not None:
+        eta_max = min(eta_max, l_param + budget - 1)
     if eta_max > trees.MAX_ORDER:
         raise ValueError(
             f"parameter {l_param} needs candidate trees up to order {eta_max}, beyond "
@@ -284,34 +292,32 @@ def _check_scale(l_param: int, n: int) -> int:
 def _decide(
     host: Instance,
     budget: int,
-    l_param: int,
     seed: int,
     report: SolveReport,
     order: Optional[Callable[[TreeCandidate], object]] = None,
 ) -> Optional[TreeCandidate]:
-    """First tree on at most 2*l_param-1 vertices with total demand at most
-    budget whose detection finds it embedded in host's closure covering
-    every facility of host, or None.  host has at least two facilities.
+    """First tree with total demand at most budget whose detection finds it
+    embedded in host's closure covering every facility of host, or None.
+    host has at least two facilities.
 
+    Trees go up to ``_check_scale``'s order for host: with parameter |F| and
+    the budget on a restricted host, where only normal-form trees are drawn
+    and placed (module docstring), else with parameter |F| + budget.
     Candidates come in enumeration order, or sorted by the key ``order``.
-    On a restricted host only normal-form trees are drawn and placed
-    (module docstring).  Counts every candidate drawn and every detection
-    run, all with ``seed``, into ``report``.
-    Past the precheck, it sets ``report.failure_bound`` to the chance that
-    one of its detections misses, which the caller scales to its answer.
+    Counts every candidate drawn and every detection run, all with ``seed``,
+    into ``report``.
     """
-    eta_max = _check_scale(l_param, host.n)
-    if not _base_reach_connects_facilities(host):
-        return None
-    report.failure_bound = _miss(eta_max)
-    if not budget:
-        return None  # every tree on two or more vertices needs a plough
-    closure = transitive_closure(host)
     fac = host.facilities()
+    restricted = host.bases() <= fac
+    if restricted:
+        top = _check_scale(len(fac), host.n, budget)
+    else:
+        top = _check_scale(len(fac) + budget, host.n)
+    if not _base_reach_connects_facilities(host) or not budget:
+        return None  # a precheck NO, or no plough for a tree on two or more vertices
+    closure = transitive_closure(host)
     fac_mask = sum(1 << f for f in fac)
-    sources, pin, top = None, None, eta_max
-    if host.bases() <= fac:
-        sources, pin, top = len(fac), fac_mask, min(eta_max, len(fac) + budget - 1)
+    sources, pin = (len(fac), fac_mask) if restricted else (None, None)
     stream = candidate_stream(len(fac), top, budget=budget, sources=sources)
     for cand in stream if order is None else sorted(stream, key=order):
         report.candidates_tested += 1
@@ -323,16 +329,6 @@ def _decide(
         if detect_zt_multilinear(circuit, t=len(fac), k=cand.order, seed=seed):
             return cand
     return None
-
-
-def _decision(host: Instance, budget: int, l_param: int, seed: int) -> SolveReport:
-    """``_decide`` as a report: a NO carries the miss bound only if a
-    detection ran."""
-    report = SolveReport(answer=False)
-    report.answer = _decide(host, budget, l_param, seed, report) is not None
-    if report.answer or not report.detections_run:
-        report.failure_bound = 0.0
-    return report
 
 
 @_timed
@@ -347,8 +343,11 @@ def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
 def _promoted_decision(sub: Instance, seed: int) -> SolveReport:
     """The decision of a promotion of a condensation that passed the
     precheck: the promotion is restricted and acyclic, so it is its own
-    condensation, and ``_decide`` runs its one precheck."""
-    return _decision(sub, sub.total_ploughs(), len(sub.facilities()), seed)
+    condensation, and ``_decide`` runs its one precheck.  Its failure bound
+    stays 0: the caller bounds its NO by the cap of the whole call."""
+    report = SolveReport(answer=False)
+    report.answer = _decide(sub, sub.total_ploughs(), seed, report) is not None
+    return report
 
 
 def _promotions(inst: Instance):
@@ -416,7 +415,7 @@ def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveRe
     host, need = _settled(inst)
     if host is None:  # a precheck NO is certain for every promotion (module docstring)
         return SolveReport(answer=need is not None)
-    eta_max = _check_scale(len(host.facilities() | host.bases()), host.n)
+    cap = _check_scale(len(host.facilities() | host.bases()), host.n, host.total_ploughs())
     report = SolveReport(answer=False)
     # promotions of the condensation stay on the pipeline, however few vertices
     decide = functools.partial(_promoted_decision, seed=params.seed)
@@ -427,7 +426,7 @@ def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveRe
             report.answer = True
             return report
     if report.detections_run:
-        report.failure_bound = _miss(eta_max)
+        report.failure_bound = _miss(cap)
     return report
 
 
@@ -440,7 +439,7 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     host, need = _settled(inst)
     if host is None:
         return SolveReport(answer=need is not None, optimum=need)
-    _check_scale(len(host.facilities() | host.bases()), host.n)
+    cap = _check_scale(len(host.facilities() | host.bases()), host.n, host.total_ploughs())
     report = SolveReport(answer=False)
     best: Optional[int] = None
     hits = 0
@@ -448,7 +447,7 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
         kb = sub.total_ploughs()
         budget = kb if best is None else min(kb, best - 1)  # only lighter candidates
         hit = _decide(
-            sub, budget, len(sub.facilities()), params.seed, report,
+            sub, budget, params.seed, report,
             order=lambda c: (c.total_demand(), c.order, c.code_str()),  # lightest first
         )
         if hit is not None:
@@ -456,12 +455,12 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
             hits += 1
     report.answer = best is not None
     report.optimum = best
-    # _decide left one detection's miss bound at the largest order it could
-    # test in failure_bound.  A wrong optimum needs some lighter candidate's
-    # detection to have missed; a wrong "infeasible" needs some embeddable
-    # candidate missed
+    # every detection tested a tree of order at most cap, so each missed with
+    # chance at most _miss(cap).  A wrong optimum needs some lighter
+    # candidate's detection to have missed; a wrong "infeasible" needs some
+    # embeddable candidate missed
     relevant = report.detections_run - hits if best is not None else 1
-    report.failure_bound = relevant * report.failure_bound if report.detections_run else 0.0
+    report.failure_bound = relevant * _miss(cap) if report.detections_run else 0.0
     return report
 
 
@@ -474,7 +473,7 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     fac = sorted(inst.facilities())
     if len(fac) > 1:
         host = condense(inst)  # each subset condenses to these vertices, no more facilities
-        _check_scale(len(host.facilities() | host.bases()), host.n)
+        _check_scale(len(host.facilities() | host.bases()), host.n, host.total_ploughs())
     report = SolveReport(answer=True)
     with _Workers(params.jobs) as workers:  # one pool for every subset
         for size in range(len(fac), 1, -1):
@@ -511,7 +510,11 @@ def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> So
     host, need = _settled(replace(inst, ploughs=tuple(inst.n - 1 for _ in range(inst.n))))
     if host is None:
         return SolveReport(answer=need is not None and k >= need)
-    return _decision(host, k, len(host.facilities()) + k, params.seed)
+    cap = _check_scale(len(host.facilities()) + k, host.n)  # no normal form
+    report = SolveReport(answer=False)
+    report.answer = _decide(host, k, params.seed, report) is not None
+    report.failure_bound = _miss(cap) if report.detections_run and not report.answer else 0.0
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ as soon as the final demands exceed it.  A sources bound cuts the same way:
 it caps the vertices of in-degree at most 1 or positive demand, the tree
 vertices that a normal-form solution (``solvers``) places on facilities.
 Leaves always count, so they are counted up front, and any other vertex
-once its last edge is set.  With dedupe it keeps the least mask
+once its last edge is set.  A tree with more leaves than sources, or than
+twice the budget, is skipped whole.  With dedupe it keeps the least mask
 of each directed-isomorphism class, recognised by two local rules on the
 mask that the layout makes exact, in the spirit of McKay's isomorph-free
 generation: no class key and no set of seen classes.
@@ -254,6 +255,16 @@ def orient_tree(
     other vertex is counted where the budget reads its final demand, and a
     branch is cut as soon as the count exceeds sources.
 
+    Leaves.  An oriented tree of total demand D is the union of D
+    arc-disjoint directed paths.  While arcs remain, the first vertex of a
+    longest directed path among them has out > in; follow remaining arcs
+    forward from it until none leaves, and remove that path.  Its start had
+    out > in and loses one, and its end, with no remaining arc leaving it,
+    keeps out <= in, so the remaining demand drops by exactly one.  A
+    leaf's one arc lies on one path, which starts or ends at the leaf, and
+    the D paths have 2D ends.  So a tree on two or more vertices with more
+    than 2*budget leaves yields nothing.
+
     Dedupe.  Child c's block is edge c-1 and the edges below c: the bit
     range c-1 .. c+size(c)-2.  The tree's automorphisms are generated by
     exchanging the blocks of twin siblings (consecutive siblings with equal
@@ -278,7 +289,7 @@ def orient_tree(
     ends, low, leaves, twin, half = tree.orienting
     cap = m if budget is None else budget  # total demand never exceeds the arc count
     room = n if sources is None else sources
-    if leaves > room:
+    if leaves > room or (n > 1 and leaves > 2 * cap):
         return
     if not dedupe:
         twin, half = (0,) * m, 0

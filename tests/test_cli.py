@@ -286,11 +286,12 @@ def test_usage_errors(tmp_path, toy1_file, capsys, monkeypatch):
     assert run_cli(["solve", "--problem", "tpe", "--input", str(path)]) == 2
     assert time.perf_counter() - start < 1.0
     assert "cap" in capsys.readouterr().err
-    # nine facilities on a 17-vertex path need candidate trees of order 17
+    # nine facilities and nine ploughs on a 17-vertex path need candidate
+    # trees of order 9 + 9 - 1 = 17
     over = tmp_path / "over.st"
     over.write_text(
         f"st {n} {n - 1}\n"
-        + "".join(f"v {i} {int(i % 2 == 0)} {int(i == 0)}\n" for i in range(n))
+        + "".join(f"v {i} {int(i % 2 == 0)} {9 * (i == 0)}\n" for i in range(n))
         + "".join(f"a {i} {i + 1}\n" for i in range(n - 1))
     )
     assert run_cli(["solve", "--problem", "st", "--input", str(over)]) == 2

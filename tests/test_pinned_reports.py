@@ -6,7 +6,9 @@ k 1 on the bench catalogue instances, a seeded gen_random set (ploughs on
 facilities), a seeded set with ploughs on any vertex (several base
 promotions), and five instances where a min-st
 promotion passes the base-reachability precheck after the last promotion
-that runs a detection (its larger tree order sets the min-st bound).  The
+that runs a detection.  Their min-st bound is set by the cap of the whole
+call, min(2L-1, L+kB-1, n) for L = |F u B| and kB ploughs, which bounds
+the order of every promotion's candidates.  The
 first of those has a cycle; on its condensation its min-st needs no such
 detection and carries bound 0.  In the second and third the onto-F pin
 decides every NO promotion, so their min-st bound is 0 too; the last two

@@ -28,6 +28,7 @@ from snowteam.solvers import (
     _candidate_feasible,
     _facilities_in_one_weak_component,
     _kuhn_saturates,
+    _miss,
     is_tree_like,
     normalize_to_tree_like,
     solve_all_st,
@@ -342,10 +343,16 @@ def test_span_targets_resolve_to_callables(monkeypatch):
         assert callable(getattr(importlib.import_module(t.module), t.attr, None)), t
 
 
-def test_every_entry_point_refuses_over_the_cap():
-    # a 17-vertex directed path with 9 facilities needs trees of order 17
+def _path_of_nine_facilities(ploughs):
+    """A 17-vertex directed path with facilities on its 9 even vertices and
+    ploughs at vertex 0."""
     n = MAX_ORDER + 1
-    inst = make_instance(n, [(i, i + 1) for i in range(n - 1)], set(range(0, n, 2)), {0: 1})
+    return make_instance(n, [(i, i + 1) for i in range(n - 1)], set(range(0, n, 2)), {0: ploughs})
+
+
+def test_every_entry_point_refuses_over_the_cap():
+    # with 9 ploughs the normal form allows trees of order 9 + 9 - 1 = 17
+    inst = _path_of_nine_facilities(9)
     start = time.perf_counter()
     for solve in (solve_all_st, solve_st, solve_min_st, solve_max_st):
         with pytest.raises(ValueError, match="use the exact path"):
@@ -353,6 +360,20 @@ def test_every_entry_point_refuses_over_the_cap():
     with pytest.raises(ValueError, match="use the exact path"):
         solve_stu(inst, 1, PARAMS)
     assert time.perf_counter() - start < 1.0
+
+
+def test_the_plough_budget_caps_the_order():
+    # one plough: normal-form trees have at most 9 + 1 - 1 = 9 vertices, so
+    # the path is decided, not refused at 2*9 - 1 = 17; stu has no normal form
+    inst = _path_of_nine_facilities(1)
+    assert solve_st_exact(inst)[0]
+    for solve in (solve_all_st, solve_st, solve_min_st, solve_max_st):
+        rep = solve(inst, PARAMS)
+        assert rep.answer and rep.candidates_tested == 1, solve
+    assert solve_min_st(inst, PARAMS).optimum == solve_variant_exact(inst, "min-st") == 1
+    assert solve_max_st(inst, PARAMS).optimum == solve_variant_exact(inst, "max-st") == 9
+    with pytest.raises(ValueError, match="use the exact path"):
+        solve_stu(inst, 1, PARAMS)
 
 
 def test_min_st_examples():
@@ -424,6 +445,44 @@ def test_max_st_bound_after_many_no_sub_decisions():
     assert rep.detections_run == 1 and rep.failure_bound == 0.0
 
 
+def test_bounds_cover_the_detections_that_could_change_the_answer(monkeypatch):
+    """Each st, stu and min-st bound is at least the miss bound of every NO
+    detection its answer rests on, at the largest order those detections
+    tested: one for a NO, each NO detection for a min-st optimum."""
+    from test_pinned_reports import BOUND_CASES
+
+    from snowteam import solvers
+
+    runs = []
+    real = solvers.detect_zt_multilinear
+
+    def spy(circuit, t, k, seed):
+        found = real(circuit, t=t, k=k, seed=seed)
+        runs.append((k, found))
+        return found
+
+    monkeypatch.setattr(solvers, "detect_zt_multilinear", spy)
+    solves = {
+        "st": solve_st,
+        "min-st": solve_min_st,
+        "stu-k1": lambda inst, p: solve_stu(inst, 1, p),
+        "stu-k2": lambda inst, p: solve_stu(inst, 2, p),
+    }
+    insts = [*DETECTED_NOS, MAX_ST_NO_BEFORE_YES, *(make_instance(*c) for c in BOUND_CASES)]
+    checked = 0
+    for inst in insts + [gen_fig3(5), gen_fig3(7)]:
+        for name, solve in solves.items():
+            runs.clear()
+            rep = solve(inst, PARAMS)
+            nos = [k for k, found in runs if not found]
+            if not nos or (rep.answer and name != "min-st"):
+                continue
+            relevant = len(nos) if rep.answer else 1
+            assert rep.failure_bound >= relevant * _miss(max(nos)), (name, inst)
+            checked += 1
+    assert checked >= 15
+
+
 def test_default_single_trial_matches_oracle():
     """One trial per detection, the default, answers every instance right,
     and NO answers that ran detections carry the proven bound."""
@@ -449,15 +508,16 @@ def test_default_single_trial_matches_oracle():
     assert no_with_detections >= len(DETECTED_NOS)
 
 
-def _restricted_dags(count):
+def _restricted_dags(count, seed=2026, sizes=(11, 13), facilities=(5, 6)):
     """count seeded restricted DAGs that pass the base-reachability precheck:
-    11-13 vertices, each arc u -> v with u < v present with probability 0.3,
-    5-6 facilities and 3 ploughs, each on a facility drawn at random."""
-    rng = random.Random(2026)
+    sizes[0]-sizes[1] vertices, each arc u -> v with u < v present with
+    probability 0.3, facilities[0]-facilities[1] facilities and 3 ploughs,
+    each on a facility drawn at random."""
+    rng = random.Random(seed)
     while count:
-        n = rng.randint(11, 13)
+        n = rng.randint(*sizes)
         arcs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
-        fac = rng.sample(range(n), rng.randint(5, 6))
+        fac = rng.sample(range(n), rng.randint(*facilities))
         ploughs = {}
         for _ in range(3):
             v = rng.choice(fac)
@@ -470,15 +530,30 @@ def _restricted_dags(count):
 
 def test_pipeline_matches_oracle_on_restricted_dags():
     """The onto-F pin keeps every answer on larger hosts, and leaves NOs
-    whose candidates of more than |F| vertices reach a detection."""
+    whose candidates of more than |F| vertices reach a detection.  Their
+    bound is set by the normal-form cap of the 3 ploughs."""
     no_with_detections = 0
     for i, inst in enumerate(_restricted_dags(300)):
         rep = solve_all_st(inst, SolveParams(seed=i))
         assert rep.answer == solve_st_exact(inst)[0], inst
         if not rep.answer and rep.detections_run:
-            assert 0 < rep.failure_bound <= 2 * 11 / 2**64
+            f, kb = len(inst.facilities()), inst.total_ploughs()
+            assert rep.failure_bound == 2 * min(2 * f - 1, f + kb - 1, inst.n) / 2**64
             no_with_detections += 1
     assert no_with_detections >= 10
+
+
+def test_the_plough_budget_reaches_ten_facilities():
+    # the normal form needs trees of order at most 10 + 3 - 1 = 12, not
+    # 2*10 - 1 = 19 > MAX_ORDER.  The third such draw is a NO after 8
+    # detections, and the exact engine agrees
+    inst = list(_restricted_dags(3, seed=10, sizes=(17, 21), facilities=(10, 10)))[-1]
+    assert len(inst.facilities()) == 10 and inst.total_ploughs() == 3 and inst.n == 19
+    start = time.perf_counter()
+    rep = solve_all_st(inst, PARAMS)
+    assert time.perf_counter() - start < 2.0
+    assert not rep.answer and not solve_st_exact(inst)[0]
+    assert rep.detections_run == 8 and rep.failure_bound == 2 * 12 / 2**64
 
 
 def test_onto_pin_rejects_the_catalogue_st_no_detections(monkeypatch):

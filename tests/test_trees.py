@@ -143,7 +143,7 @@ def test_sources_bound_filters_the_unbounded_output(order):
 
 @pytest.mark.parametrize("f_count", range(2, 8))
 def test_sources_and_budget_bound_the_order(f_count):
-    # the stop _decide puts on a restricted stream: with sources = |F| and
+    # the cap _check_scale puts on a restricted stream: with sources = |F| and
     # budget b no tree has more than |F| + b - 1 vertices.  A smaller budget
     # yields a subset, so each order is checked at the largest budget (<= 6)
     # the bound excludes it at
@@ -158,6 +158,13 @@ def test_sources_and_budget_bound_the_order(f_count):
             next(orient_tree(tree, budget=budget, sources=f_count), None)
             for tree in enumerate_free_trees(bound)
         )
+    # a tree of total demand D is D arc-disjoint directed paths, and each leaf
+    # ends one (orient_tree): no tree with more than 2b leaves fits budget b
+    for tree in enumerate_free_trees(f_count):
+        ends = [v for edge in tree.edges for v in edge]
+        leaves = sum(ends.count(v) == 1 for v in range(f_count))
+        assert all(leaves <= 2 * c.total_demand() for c in orient_tree(tree))
+        assert next(orient_tree(tree, budget=(leaves - 1) // 2), None) is None
 
 
 def test_more_leaves_than_sources_yields_nothing():
