@@ -26,9 +26,16 @@ class ParseError(ValueError):
 class Instance:
     """Digraph with facility flags and per-vertex plough counts.
 
-    Immutable; its derived data is two bitmask rows built from ``arcs`` and,
-    on first use, the ``thresholds`` rows.  Plough counts are capped at n-1
-    per vertex (more ploughs at one vertex can never help).
+    Immutable; its derived data is two bitmask rows, ``out_mask`` and
+    ``in_mask``, two bitmasks, ``fac_mask`` and ``base_mask``, and, on first
+    use, the ``thresholds`` rows.  Plough counts are capped at n-1 per
+    vertex (more ploughs at one vertex can never help).
+
+    Outside input goes through the constructor (``Instance(...)``,
+    ``make_instance``, ``parse_instance``), which validates the arcs and
+    weights and builds the rows from ``arcs``.  An instance derived from one
+    already built (``reweighted``, ``condense``, ``transitive_closure``) is
+    assembled from rows its builder holds and is not checked again.
     """
 
     n: int
@@ -38,6 +45,9 @@ class Instance:
     # bit x of out_mask[w] / in_mask[w]: arc w -> x / x -> w
     out_mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
     in_mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # bit v: v is a facility / v holds at least one plough
+    fac_mask: int = field(init=False, compare=False, repr=False)
+    base_mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -57,8 +67,12 @@ class Instance:
                 raise ValueError(f"negative plough count at {v}")
             if b > self.n - 1:
                 raise ValueError(f"plough count {b} at {v} exceeds n-1")
-        object.__setattr__(self, "out_mask", tuple(outs))
-        object.__setattr__(self, "in_mask", tuple(ins))
+        _fill(self, tuple(outs), tuple(ins))
+
+    def reweighted(self, facility: tuple[bool, ...], ploughs: tuple[int, ...]) -> Instance:
+        """The instance on the same arcs with new weights, sharing ``arcs`` and
+        the rows.  The weights must be valid for n (each count at most n-1)."""
+        return _derive(self.n, self.arcs, self.out_mask, self.in_mask, facility, ploughs)
 
     @cached_property
     def thresholds(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -76,13 +90,52 @@ class Instance:
         )
 
     def facilities(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.n) if self.facility[v])
+        return frozenset(bits(self.fac_mask))
 
     def bases(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.n) if self.ploughs[v] > 0)
+        return frozenset(bits(self.base_mask))
 
     def total_ploughs(self) -> int:
         return sum(self.ploughs)
+
+
+def _fill(inst: Instance, out_mask: tuple[int, ...], in_mask: tuple[int, ...]) -> None:
+    """Set inst's rows and its facility and base masks (from its weights)."""
+    fac = base = 0
+    bit = 1
+    for f, b in zip(inst.facility, inst.ploughs):
+        if f:
+            fac |= bit
+        if b:
+            base |= bit
+        bit <<= 1
+    # frozen: fields are set in the instance's dict, as object.__setattr__ would
+    inst.__dict__.update(out_mask=out_mask, in_mask=in_mask, fac_mask=fac, base_mask=base)
+
+
+def _derive(n, arcs, out_mask, in_mask, facility, ploughs) -> Instance:
+    """An instance from rows that match arcs and weights valid for n,
+    without the constructor's checks and arc scan."""
+    inst = object.__new__(Instance)
+    inst.__dict__.update(n=n, arcs=arcs, facility=facility, ploughs=ploughs)
+    _fill(inst, out_mask, in_mask)
+    return inst
+
+
+def _from_out_rows(out_mask: list[int], facility, ploughs) -> Instance:
+    """The instance whose arcs are out_mask's bits (no self-loops), with
+    its arc set and in rows read off those rows."""
+    n = len(out_mask)
+    arcs, ins = [], [0] * n
+    for s, row in enumerate(out_mask):
+        bit = 1 << s
+        while row:
+            low = row & -row
+            t = low.bit_length() - 1
+            arcs.append((s, t))
+            ins[t] |= bit
+            row ^= low
+    return _derive(n, frozenset(arcs), tuple(out_mask), tuple(ins), facility, ploughs)
 
 
 def _at_least(counts, n: int) -> tuple[int, ...]:
@@ -286,12 +339,42 @@ def transitive_closure(inst: Instance) -> Instance:
     """Digraph with an arc (u,v) whenever a nonempty directed path u->v exists.
 
     Self-loops are excluded even for vertices on cycles; F and B carry over.
+    Row u is what u reaches: on an acyclic host the union, over u's
+    out-neighbours, of each one with its own row, filled in reverse
+    ``topological_order``; on a cyclic one the reach of u's out-neighbours
+    without u.  The arc set and in rows are read off the rows.
     """
     out = inst.out_mask
-    arcs = frozenset(
-        (s, t) for s in range(inst.n) for t in bits(reach(out[s], out) & ~(1 << s))
-    )
-    return Instance(n=inst.n, arcs=arcs, facility=inst.facility, ploughs=inst.ploughs)
+    order = topological_order(inst)
+    if len(order) == inst.n:
+        rows = [0] * inst.n
+        for v in reversed(order):
+            row, rest = 0, out[v]
+            while rest:
+                low = rest & -rest
+                row |= low | rows[low.bit_length() - 1]
+                rest ^= low
+            rows[v] = row
+    else:
+        rows = [reach(out[s], out) & ~(1 << s) for s in range(inst.n)]
+    return _from_out_rows(rows, inst.facility, inst.ploughs)
+
+
+def topological_order(inst: Instance) -> list[int]:
+    """Kahn's algorithm: the vertices no cycle reaches, each after all its
+    predecessors; every vertex exactly when inst is acyclic."""
+    indeg = [m.bit_count() for m in inst.in_mask]
+    order = [v for v, d in enumerate(indeg) if not d]
+    for v in order:  # grows as vertices lose their last predecessor
+        rest = inst.out_mask[v]
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            indeg[u] -= 1
+            if not indeg[u]:
+                order.append(u)
+            rest ^= low
+    return order
 
 
 def condense(inst: Instance) -> Instance:
@@ -300,24 +383,54 @@ def condense(inst: Instance) -> Instance:
     Components are numbered in the order of their smallest members.  A
     component is a facility if it holds one, and holds its members' ploughs,
     capped at n_c-1 for n_c components; the arcs between components carry
-    over.  A host with no cycle comes back as the same object.
+    over.  A host with no cycle, found by one ``topological_order`` pass,
+    comes back as the same object.  Otherwise a vertex of that order, which
+    no cycle reaches, is its own component, the others' components are
+    found by reach among the vertices not yet placed, and a component's row
+    holds the components of its members' out-neighbours outside it.
     """
-    comp = [-1] * inst.n
-    members = []
-    for v in range(inst.n):
-        if comp[v] < 0:
-            scc = bits(reach(1 << v, inst.out_mask) & reach(1 << v, inst.in_mask))
-            for u in scc:
-                comp[u] = len(members)
-            members.append(scc)
-    n_c = len(members)
-    if n_c == inst.n:
+    order = topological_order(inst)
+    n, out = inst.n, inst.out_mask
+    if len(order) == n:
         return inst
-    return Instance(
-        n=n_c,
-        arcs=frozenset((comp[u], comp[v]) for u, v in inst.arcs if comp[u] != comp[v]),
-        facility=tuple(any(inst.facility[u] for u in c) for c in members),
-        ploughs=tuple(min(sum(inst.ploughs[u] for u in c), n_c - 1) for c in members),
+    unplaced = (1 << n) - 1  # vertices a cycle reaches, while their component is unknown
+    for v in order:
+        unplaced ^= 1 << v
+    comp = [-1] * n
+    members = []
+    for v in range(n):
+        if comp[v] >= 0:
+            continue
+        c, scc = len(members), 1 << v
+        if unplaced & scc:
+            # a path between two members stays in their component, so the
+            # search skips the vertices of every component found before
+            scc = reach(scc, inst.in_mask, reach(scc, out, unplaced))
+            unplaced ^= scc
+        members.append(scc)
+        while scc:
+            low = scc & -scc
+            comp[low.bit_length() - 1] = c
+            scc ^= low
+    rows = []
+    for c in members:
+        row, rest = 0, neighbours(c, out) & ~c
+        while rest:
+            low = rest & -rest
+            row |= 1 << comp[low.bit_length() - 1]
+            rest ^= low
+        rows.append(row)
+    n_c = len(members)
+    ploughs, rest = [0] * n_c, inst.base_mask
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        ploughs[comp[v]] += inst.ploughs[v]
+        rest ^= low
+    return _from_out_rows(
+        rows,
+        tuple([bool(c & inst.fac_mask) for c in members]),
+        tuple([min(b, n_c - 1) for b in ploughs]),
     )
 
 
@@ -341,11 +454,10 @@ def facilities_connected(inst: Instance, cleared) -> bool:
         u, v = a
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    fac = inst.facilities()
-    if len(fac) <= 1:
+    fac = inst.fac_mask
+    if fac.bit_count() <= 1:
         return True
-    fac_mask = sum(1 << f for f in fac)
-    return not fac_mask & ~reach(fac_mask & -fac_mask, adj)
+    return not fac & ~reach(fac & -fac, adj)
 
 
 def walk_is_valid(inst: Instance, w: Walk) -> bool:

@@ -64,10 +64,9 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from collections import deque
-from dataclasses import replace
 from typing import Optional
 
-from .digraph import Instance, SolutionWalks, Walk, bits, verify_st_solution
+from .digraph import Instance, SolutionWalks, Walk, bits, topological_order, verify_st_solution
 from .trees import TreeCandidate
 
 
@@ -128,10 +127,9 @@ def _bfs(
     A move (v, u) takes a plough along arc vu; (None, v) places one of the
     unplaced ploughs at v for free.  A state's cleared subgraph is its
     sorted component masks; a placement leaves them as they are."""
-    fac = inst.facilities()
-    if len(fac) <= 1:
+    fac_mask = inst.fac_mask
+    if fac_mask.bit_count() <= 1:
         return []
-    fac_mask = sum(1 << f for f in fac)
     start = (positions, unplaced, ())
     pred: dict = {start: None}
     queue = deque([start])
@@ -217,15 +215,9 @@ class _PathIndex(dict):
 
 def _path_index(inst: Instance) -> Optional[_PathIndex]:
     """inst's path index, or None when inst has a cycle."""
-    succ = [bits(m) for m in inst.out_mask]
-    indeg = [m.bit_count() for m in inst.in_mask]  # Kahn's algorithm
-    order = [v for v in range(inst.n) if indeg[v] == 0]
-    for v in order:  # grows as vertices lose their last predecessor; a DAG gets all n
-        for u in succ[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                order.append(u)
-    return _PathIndex(succ) if len(order) == inst.n else None
+    if len(topological_order(inst)) < inst.n:
+        return None
+    return _PathIndex([bits(m) for m in inst.out_mask])
 
 
 def _dag_st(
@@ -233,10 +225,10 @@ def _dag_st(
 ) -> Optional[SolutionWalks]:
     """A witness for ploughs at the sorted positions starts on acyclic
     inst's arcs and facilities, or None; paths is inst's path index."""
-    fac = inst.facilities()
-    if len(fac) <= 1:
+    fac_mask = inst.fac_mask
+    if fac_mask.bit_count() <= 1:
         return _replay_moves(starts, [])  # zero-length walks
-    fac_mask, least_fac = sum(1 << f for f in fac), 1 << min(fac)
+    least_fac = fac_mask & -fac_mask
     # plough i is bit i of a free mask, a base's ploughs consecutive bits;
     # one group per base: (its ploughs, its paths, vertex -> its paths there)
     groups, total_choices, first = [], 0, 0
@@ -322,7 +314,7 @@ def _search(
         witness = _dag_st(inst, starts, paths)
     if witness is not None:
         # the witness's own instance: only a sub-vector's YES builds one
-        owner = inst if ploughs == inst.ploughs else replace(inst, ploughs=ploughs)
+        owner = inst if ploughs == inst.ploughs else inst.reweighted(inst.facility, ploughs)
         ok, reason = verify_st_solution(owner, witness)
         assert ok, f"exact witness failed verification: {reason}"
     return witness is not None, witness
@@ -402,10 +394,10 @@ def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):
                     return total
         return None
     if variant == "max-st":
-        fac = sorted(inst.facilities())
+        fac = bits(inst.fac_mask)
         for size in range(len(fac), 1, -1):
             for kept in map(set, itertools.combinations(fac, size)):
-                trimmed = replace(inst, facility=tuple(v in kept for v in range(inst.n)))
+                trimmed = inst.reweighted(tuple(v in kept for v in range(inst.n)), inst.ploughs)
                 if _search(trimmed, inst.ploughs, paths)[0]:
                     return size
         return min(1, len(fac))

@@ -99,7 +99,10 @@ only place that counts candidates and detections.  ``solve_all_st`` is
 ``st`` on a restricted instance, which is its own single promotion.  A
 promotion of a condensation that passed the precheck is its own
 condensation, so ``st`` promotions skip a second SCC pass and precheck and
-pay only the one in ``_decide``.  Every detection of a call runs with
+pay only the one in ``_decide``.  A promotion changes weights only, so it
+shares the host's arc set and rows (``Instance.reweighted``) and builds
+just its facility and base masks; a restricted host is its own single
+promotion, the host object itself.  Every detection of a call runs with
 ``params.seed``: each bound below is a union bound over single detections,
 so it needs no independence between them.
 
@@ -124,7 +127,7 @@ import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import trees
@@ -208,8 +211,8 @@ def _base_reach_connects_facilities(inst: Instance) -> bool:
     """Necessary for a YES (module docstring): every facility lies in R, the
     bases and all vertices reachable from them, and all facilities lie in one
     weak component of the subgraph induced by R."""
-    within = reach(sum(1 << b for b in inst.bases()), inst.out_mask)
-    fac = sum(1 << f for f in inst.facilities())
+    within = reach(inst.base_mask, inst.out_mask)
+    fac = inst.fac_mask
     if fac & ~within:
         return False
     both = tuple(o | i for o, i in zip(inst.out_mask, inst.in_mask))
@@ -222,12 +225,12 @@ def _settled(inst: Instance) -> tuple[Optional[Instance], Optional[int]]:
     None: the fewest ploughs that clear inst, 0 with at most one facility and
     1 when every facility lies in one strongly connected component, or None
     when the precheck proves inst a NO."""
-    if len(inst.facilities()) <= 1:
+    if inst.fac_mask.bit_count() <= 1:
         return None, 0
     if not _base_reach_connects_facilities(inst):
         return None, None
     host = condense(inst)
-    return (host, None) if len(host.facilities()) > 1 else (None, 1)
+    return (host, None) if host.fac_mask.bit_count() > 1 else (None, 1)
 
 
 def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
@@ -289,6 +292,12 @@ def _check_scale(l_param: int, n: int, budget: Optional[int] = None) -> int:
     return eta_max
 
 
+def _promotions_cap(host: Instance) -> int:
+    """``_check_scale`` for the promotions of host: each has at most
+    |F u B| facilities and a budget of at most host's ploughs."""
+    return _check_scale((host.fac_mask | host.base_mask).bit_count(), host.n, host.total_ploughs())
+
+
 def _decide(
     host: Instance,
     budget: int,
@@ -307,26 +316,27 @@ def _decide(
     Counts every candidate drawn and every detection run, all with ``seed``,
     into ``report``.
     """
-    fac = host.facilities()
-    restricted = host.bases() <= fac
+    fac_mask = host.fac_mask
+    t = fac_mask.bit_count()
+    restricted = not host.base_mask & ~fac_mask
     if restricted:
-        top = _check_scale(len(fac), host.n, budget)
+        top = _check_scale(t, host.n, budget)
     else:
-        top = _check_scale(len(fac) + budget, host.n)
+        top = _check_scale(t + budget, host.n)
     if not _base_reach_connects_facilities(host) or not budget:
         return None  # a precheck NO, or no plough for a tree on two or more vertices
     closure = transitive_closure(host)
-    fac_mask = sum(1 << f for f in fac)
-    sources, pin = (len(fac), fac_mask) if restricted else (None, None)
-    stream = candidate_stream(len(fac), top, budget=budget, sources=sources)
+    fac = host.facilities()
+    sources, pin = (t, fac_mask) if restricted else (None, None)
+    stream = candidate_stream(t, top, budget=budget, sources=sources)
     for cand in stream if order is None else sorted(stream, key=order):
         report.candidates_tested += 1
-        onto = fac_mask if cand.order == len(fac) else None
+        onto = fac_mask if cand.order == t else None
         if not _candidate_feasible(closure, cand, fac, pin, onto):
             continue
         circuit = build_circuit(closure, cand, fac, pin, onto)
         report.detections_run += 1
-        if detect_zt_multilinear(circuit, t=len(fac), k=cand.order, seed=seed):
+        if detect_zt_multilinear(circuit, t=t, k=cand.order, seed=seed):
             return cand
     return None
 
@@ -335,7 +345,7 @@ def _decide(
 def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
     """Decision for restricted instances (every plough base is a facility):
     ``solve_st``, the instance being its own single promotion."""
-    if not inst.bases() <= inst.facilities():
+    if inst.base_mask & ~inst.fac_mask:
         raise ValueError("restricted instance required: plough bases must be facilities")
     return _solve_st(inst, params, _Workers(1))
 
@@ -351,17 +361,20 @@ def _promoted_decision(sub: Instance, seed: int) -> SolveReport:
 
 
 def _promotions(inst: Instance):
-    """Restricted sub-instances from promoting base subsets to facilities."""
-    fac, bases = inst.facilities(), inst.bases()
-    extra = sorted(bases - fac)
+    """Restricted sub-instances from promoting base subsets to facilities,
+    each on inst's arcs and rows; a restricted inst is its only one."""
+    fac, bases = inst.fac_mask, inst.base_mask
+    extra = bits(bases & ~fac)
+    if not extra:
+        yield inst
+        return
     for size in range(len(extra) + 1):
         for subset in itertools.combinations(extra, size):
-            promoted = fac | set(subset)
-            keep = set(subset) | (fac & bases)
-            yield replace(
-                inst,
-                facility=tuple(v in promoted for v in range(inst.n)),
-                ploughs=tuple(inst.ploughs[v] if v in keep else 0 for v in range(inst.n)),
+            added = sum(1 << v for v in subset)
+            promoted, keep = fac | added, added | (fac & bases)
+            yield inst.reweighted(
+                tuple(bool(promoted >> v & 1) for v in range(inst.n)),
+                tuple(b if keep >> v & 1 else 0 for v, b in enumerate(inst.ploughs)),
             )
 
 
@@ -383,9 +396,10 @@ class _Workers:
         self.pool: Optional[ProcessPoolExecutor] = None
 
     def map(self, fn, subs):
-        workers = min(self.jobs, len(subs), _usable_cpus())
-        if self.pool is None and workers > 1:
-            self.pool = ProcessPoolExecutor(max_workers=workers)
+        if self.pool is None and self.jobs > 1:  # jobs=1 never asks for the CPUs
+            workers = min(self.jobs, len(subs), _usable_cpus())
+            if workers > 1:
+                self.pool = ProcessPoolExecutor(max_workers=workers)
         return (map if self.pool is None else self.pool.map)(fn, subs)
 
     def __enter__(self) -> "_Workers":
@@ -415,7 +429,7 @@ def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveRe
     host, need = _settled(inst)
     if host is None:  # a precheck NO is certain for every promotion (module docstring)
         return SolveReport(answer=need is not None)
-    cap = _check_scale(len(host.facilities() | host.bases()), host.n, host.total_ploughs())
+    cap = _promotions_cap(host)
     report = SolveReport(answer=False)
     # promotions of the condensation stay on the pipeline, however few vertices
     decide = functools.partial(_promoted_decision, seed=params.seed)
@@ -439,7 +453,7 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     host, need = _settled(inst)
     if host is None:
         return SolveReport(answer=need is not None, optimum=need)
-    cap = _check_scale(len(host.facilities() | host.bases()), host.n, host.total_ploughs())
+    cap = _promotions_cap(host)
     report = SolveReport(answer=False)
     best: Optional[int] = None
     hits = 0
@@ -470,16 +484,16 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     if inst.n <= params.exact_threshold:
         best = solve_variant_exact(inst, "max-st")
         return SolveReport(answer=True, optimum=best)
-    fac = sorted(inst.facilities())
+    fac = bits(inst.fac_mask)
     if len(fac) > 1:
         host = condense(inst)  # each subset condenses to these vertices, no more facilities
-        _check_scale(len(host.facilities() | host.bases()), host.n, host.total_ploughs())
+        _promotions_cap(host)
     report = SolveReport(answer=True)
     with _Workers(params.jobs) as workers:  # one pool for every subset
         for size in range(len(fac), 1, -1):
             size_misses = 0.0
             for subset in map(set, itertools.combinations(fac, size)):
-                trimmed = replace(inst, facility=tuple(v in subset for v in range(inst.n)))
+                trimmed = inst.reweighted(tuple(v in subset for v in range(inst.n)), inst.ploughs)
                 sub = _solve_st(trimmed, params, workers)
                 report.candidates_tested += sub.candidates_tested
                 report.detections_run += sub.detections_run
@@ -507,10 +521,10 @@ def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> So
     if inst.n <= params.exact_threshold:
         return SolveReport(answer=solve_variant_exact(inst, "stu", k=k))
     # capacity n-1 everywhere is equivalent to unconstrained: demands never exceed it
-    host, need = _settled(replace(inst, ploughs=tuple(inst.n - 1 for _ in range(inst.n))))
+    host, need = _settled(inst.reweighted(inst.facility, (inst.n - 1,) * inst.n))
     if host is None:
         return SolveReport(answer=need is not None and k >= need)
-    cap = _check_scale(len(host.facilities()) + k, host.n)  # no normal form
+    cap = _check_scale(host.fac_mask.bit_count() + k, host.n)  # no normal form
     report = SolveReport(answer=False)
     report.answer = _decide(host, k, params.seed, report) is not None
     report.failure_bound = _miss(cap) if report.detections_run and not report.answer else 0.0
@@ -548,7 +562,7 @@ def normalize_to_tree_like(tc_inst: Instance, sol: SolutionWalks) -> SolutionWal
     in-degrees sum to |V|-1 and every facility is on the tree, so
     2(|V|-|F|) <= |V|-1.
     """
-    if not tc_inst.bases() <= tc_inst.facilities():
+    if tc_inst.base_mask & ~tc_inst.fac_mask:
         raise ValueError("restricted instance required")
     if transitive_closure(tc_inst).arcs != tc_inst.arcs:
         raise ValueError("instance must be transitively closed")

@@ -265,6 +265,13 @@ def test_condense_leaves_an_acyclic_host_alone():
     assert condense(inst) is inst
     path = toy1()
     assert condense(path) is path
+    rng = random.Random(31)
+    for _ in range(60):  # every condensation is acyclic, so it is its own
+        n = rng.randint(1, 9)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, k=rng.randint(0, min(len(pairs), n + 4)))
+        dag = condense(make_instance(n, arcs, {0}, {}))
+        assert condense(dag) is dag
 
 
 def test_condense_matches_a_pairwise_reachability_oracle_on_randoms():
@@ -309,16 +316,17 @@ def test_transitive_closure_idempotent_random():
         n = rng.randint(1, 7)
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
         arcs = rng.sample(pairs, k=rng.randint(0, len(pairs)))
-        inst = make_instance(n, arcs, set(), {})
-        tc = transitive_closure(inst)
-        assert transitive_closure(tc) == tc
-        # closure matches brute-force reachability
-        for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
-                reach = _reachable(inst, u)
-                assert ((u, v) in tc.arcs) == (v in reach)
+        drawn = make_instance(n, arcs, set(), {})
+        for inst in (drawn, condense(drawn)):  # an acyclic condensation fills rows in order
+            tc = transitive_closure(inst)
+            assert transitive_closure(tc) == tc
+            # closure matches brute-force reachability
+            for u in range(inst.n):
+                for v in range(inst.n):
+                    if u == v:
+                        continue
+                    reach = _reachable(inst, u)
+                    assert ((u, v) in tc.arcs) == (v in reach)
 
 
 def _reachable(inst, s):

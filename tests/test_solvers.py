@@ -295,6 +295,19 @@ def test_jobs_pool_capped_at_usable_cpus(monkeypatch):
         assert _report_fields(rep) == _report_fields(solve_st(inst, PARAMS))
 
 
+def test_one_job_never_asks_for_the_cpus(monkeypatch):
+    from snowteam import solvers
+
+    def refuse():
+        raise AssertionError("jobs=1 asked for the usable CPUs")
+
+    monkeypatch.setattr(solvers, "_usable_cpus", refuse)
+    with solvers._Workers(1) as workers:
+        assert list(workers.map(abs, [-1, -2, -3])) == [1, 2, 3]
+        assert workers.pool is None
+    assert solve_st(_two_promotions(), PARAMS).answer  # two promotions, mapped in process
+
+
 def test_every_detection_of_a_call_uses_its_seed(monkeypatch):
     from snowteam import solvers
 
