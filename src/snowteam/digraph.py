@@ -34,7 +34,7 @@ class Instance:
     Outside input goes through the constructor (``Instance(...)``,
     ``make_instance``, ``parse_instance``), which validates the arcs and
     weights and builds the rows from ``arcs``.  An instance derived from one
-    already built (``reweighted``, ``condense``, ``transitive_closure``) is
+    already built (``_reweighted``, ``condense``, ``transitive_closure``) is
     assembled from rows its builder holds and is not checked again.
     """
 
@@ -69,7 +69,7 @@ class Instance:
                 raise ValueError(f"plough count {b} at {v} exceeds n-1")
         _fill(self, tuple(outs), tuple(ins))
 
-    def reweighted(self, facility: tuple[bool, ...], ploughs: tuple[int, ...]) -> Instance:
+    def _reweighted(self, facility: tuple[bool, ...], ploughs: tuple[int, ...]) -> Instance:
         """The instance on the same arcs with new weights, sharing ``arcs`` and
         the rows.  The weights must be valid for n (each count at most n-1)."""
         return _derive(self.n, self.arcs, self.out_mask, self.in_mask, facility, ploughs)
@@ -339,24 +339,11 @@ def transitive_closure(inst: Instance) -> Instance:
     """Digraph with an arc (u,v) whenever a nonempty directed path u->v exists.
 
     Self-loops are excluded even for vertices on cycles; F and B carry over.
-    Row u is what u reaches: on an acyclic host the union, over u's
-    out-neighbours, of each one with its own row, filled in reverse
-    ``topological_order``; on a cyclic one the reach of u's out-neighbours
-    without u.  The arc set and in rows are read off the rows.
+    Row u is the reach of u's out-neighbours without u, and the arc set and
+    in rows are read off the rows.
     """
     out = inst.out_mask
-    order = topological_order(inst)
-    if len(order) == inst.n:
-        rows = [0] * inst.n
-        for v in reversed(order):
-            row, rest = 0, out[v]
-            while rest:
-                low = rest & -rest
-                row |= low | rows[low.bit_length() - 1]
-                rest ^= low
-            rows[v] = row
-    else:
-        rows = [reach(out[s], out) & ~(1 << s) for s in range(inst.n)]
+    rows = [reach(out[s], out) & ~(1 << s) for s in range(inst.n)]
     return _from_out_rows(rows, inst.facility, inst.ploughs)
 
 

@@ -314,7 +314,7 @@ def _search(
         witness = _dag_st(inst, starts, paths)
     if witness is not None:
         # the witness's own instance: only a sub-vector's YES builds one
-        owner = inst if ploughs == inst.ploughs else inst.reweighted(inst.facility, ploughs)
+        owner = inst if ploughs == inst.ploughs else inst._reweighted(inst.facility, ploughs)
         ok, reason = verify_st_solution(owner, witness)
         assert ok, f"exact witness failed verification: {reason}"
     return witness is not None, witness
@@ -397,7 +397,7 @@ def solve_variant_exact(inst: Instance, variant: str, k: Optional[int] = None):
         fac = bits(inst.fac_mask)
         for size in range(len(fac), 1, -1):
             for kept in map(set, itertools.combinations(fac, size)):
-                trimmed = inst.reweighted(tuple(v in kept for v in range(inst.n)), inst.ploughs)
+                trimmed = inst._reweighted(tuple(v in kept for v in range(inst.n)), inst.ploughs)
                 if _search(trimmed, inst.ploughs, paths)[0]:
                     return size
         return min(1, len(fac))

@@ -100,7 +100,7 @@ only place that counts candidates and detections.  ``solve_all_st`` is
 promotion of a condensation that passed the precheck is its own
 condensation, so ``st`` promotions skip a second SCC pass and precheck and
 pay only the one in ``_decide``.  A promotion changes weights only, so it
-shares the host's arc set and rows (``Instance.reweighted``) and builds
+shares the host's arc set and rows (``Instance._reweighted``) and builds
 just its facility and base masks; a restricted host is its own single
 promotion, the host object itself.  Every detection of a call runs with
 ``params.seed``: each bound below is a union bound over single detections,
@@ -372,7 +372,7 @@ def _promotions(inst: Instance):
         for subset in itertools.combinations(extra, size):
             added = sum(1 << v for v in subset)
             promoted, keep = fac | added, added | (fac & bases)
-            yield inst.reweighted(
+            yield inst._reweighted(
                 tuple(bool(promoted >> v & 1) for v in range(inst.n)),
                 tuple(b if keep >> v & 1 else 0 for v, b in enumerate(inst.ploughs)),
             )
@@ -493,7 +493,7 @@ def solve_max_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
         for size in range(len(fac), 1, -1):
             size_misses = 0.0
             for subset in map(set, itertools.combinations(fac, size)):
-                trimmed = inst.reweighted(tuple(v in subset for v in range(inst.n)), inst.ploughs)
+                trimmed = inst._reweighted(tuple(v in subset for v in range(inst.n)), inst.ploughs)
                 sub = _solve_st(trimmed, params, workers)
                 report.candidates_tested += sub.candidates_tested
                 report.detections_run += sub.detections_run
@@ -521,7 +521,7 @@ def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> So
     if inst.n <= params.exact_threshold:
         return SolveReport(answer=solve_variant_exact(inst, "stu", k=k))
     # capacity n-1 everywhere is equivalent to unconstrained: demands never exceed it
-    host, need = _settled(inst.reweighted(inst.facility, (inst.n - 1,) * inst.n))
+    host, need = _settled(inst._reweighted(inst.facility, (inst.n - 1,) * inst.n))
     if host is None:
         return SolveReport(answer=need is not None and k >= need)
     cap = _check_scale(host.fac_mask.bit_count() + k, host.n)  # no normal form
