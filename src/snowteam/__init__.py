@@ -61,7 +61,6 @@ from .tpe import (
     detect_zt_multilinear,
     eval_trial,
     expand_symbolic,
-    solve_tpe,
 )
 from .trees import (
     FreeTree,

@@ -48,21 +48,27 @@ shrink, so no false positive appears, and the 2*eta/2^64 miss bound holds
 as before.  The rule rests on t = |F| and k = eta, so ``build_circuit`` and
 ``_candidate_feasible`` apply it only when asked.
 
-Before any closure or candidate, every pipeline decision runs one
-certain-NO precheck, ``_base_reach_connects_facilities``.  Let R be the plough bases
-and every vertex reachable from one.  Each plough's walk starts at its base,
-so every cleared arc lies on a walk from a base and both its ends are in R:
-the cleared subgraph is a subgraph of D[R].  With two or more facilities,
-each must touch a cleared arc and all must share one component of the
-cleared subgraph, hence every facility is in R and all facilities share one
-weak component of D[R].  When this fails the answer is NO with certainty:
+Before its condensation, closure or any candidate, every pipeline decision
+runs one certain-NO precheck, ``_base_reach_connects_facilities``.  Let R be the
+plough bases and every vertex reachable from one.  Each plough's walk starts
+at its base, so every cleared arc lies on a walk from a base and both its
+ends are in R: the cleared subgraph is a subgraph of D[R].  With two or
+more facilities, each must touch a cleared arc and all must share one
+component of the cleared subgraph, hence every facility is in R and all
+facilities share one weak component of D[R].  When this fails the answer is NO with certainty:
 no candidate is counted, no detection runs and the bound is 0.  A base
 promotion keeps a subset of the original bases and adds facilities, so its
 R shrinks and its facility set grows; one failure on the original bases
-decides every promotion.
+decides every promotion.  The precheck gives the same verdict on the
+transitive closure of D, so ``_decide`` runs it on its closed host.
+Reachability is the same in D and in its closure, so R is the same.  R is
+closed under reachability, so a closure arc u -> v with u, v in R stands
+for a path of D that stays inside R, and the closure restricted to R has
+the weak components of D[R].
 
 Past the precheck, each entry point solves the condensation,
-``digraph.condense``: every strongly connected component contracted to one
+``digraph.condense``, and searches its transitive closure.  In the
+condensation every strongly connected component is contracted to one
 vertex, a facility if it holds one, with its members' ploughs capped at
 n_c-1 for n_c components.  With two or more facility components the instance
 is YES exactly when its condensation is.  To project a solution, map each
@@ -88,18 +94,26 @@ and without one no facility touches a cleared arc.  The precheck, run on the
 instance before condensing, has then found such a base, so exactly one
 plough is needed (a facility must touch a cleared arc).  ``_settled``
 returns that count, and ``st``, ``min-st`` and ``stu`` read their answers
-off it.  ``max-st`` condenses each facility subset on its own, so its
-optimum still counts original facilities.
+off it.  Otherwise it returns the search host, the closed condensation,
+built once per ``_settled`` host.  The closure depends on the arcs alone
+and carries F and B over, so the closure of a reweighting is the same
+reweighting of the closure: promotions, ``min-st``'s budgets and ``stu``
+reweight rows that are already closed, and the filter and the circuit see
+the hosts they would see if each were closed on its own.  Closing changes
+neither n nor F, B or the ploughs, so neither does it change
+``_check_scale``'s cap.  ``max-st`` condenses and closes each facility
+subset on its own, so its optimum still counts original facilities.
 
-Every restricted decision runs through one routine, ``_decide``: the
-precheck, the closure, the candidates within the plough budget, the filter
-and one detection per surviving candidate, stopping at the first YES.
-``solve_stu`` and each ``st`` and ``min-st`` promotion call it; it is the
-only place that counts candidates and detections.  ``solve_all_st`` is
+Every restricted decision runs through one routine, ``_decide``, on a
+closed host: the precheck, the candidates within the plough budget, the
+filter and one detection per surviving candidate, stopping at the first
+YES.  ``solve_stu`` and each ``st`` and ``min-st`` promotion call it; it is
+the only place that counts candidates and detections.  ``solve_all_st`` is
 ``st`` on a restricted instance, which is its own single promotion.  A
-promotion of a condensation that passed the precheck is its own
-condensation, so ``st`` promotions skip a second SCC pass and precheck and
-pay only the one in ``_decide``.  A promotion changes weights only, so it
+promotion of a closed condensation that passed the precheck is its own
+closed condensation, so ``st`` promotions skip a second SCC pass and
+closure, and pay only the precheck in ``_decide``, which prunes the
+promotions that drop a needed base.  A promotion changes weights only, so it
 shares the host's arc set and rows (``Instance._reweighted``) and builds
 just its facility and base masks; a restricted host is its own single
 promotion, the host object itself.  Every detection of a call runs with
@@ -220,17 +234,21 @@ def _base_reach_connects_facilities(inst: Instance) -> bool:
 
 
 def _settled(inst: Instance) -> tuple[Optional[Instance], Optional[int]]:
-    """(host, need) for inst (module docstring).  host: the condensation
-    that decides inst when a search must, else None.  need, when host is
-    None: the fewest ploughs that clear inst, 0 with at most one facility and
-    1 when every facility lies in one strongly connected component, or None
-    when the precheck proves inst a NO."""
+    """(host, need) for inst (module docstring).  host: the transitive
+    closure of the condensation, the one closed search host that decides
+    inst when a search must, else None.  need, when host is None: the fewest
+    ploughs that clear inst, 0 with at most one facility and 1 when every
+    facility lies in one strongly connected component, or None when the
+    precheck, run on inst before any condensation or closure, proves inst a
+    NO."""
     if inst.fac_mask.bit_count() <= 1:
         return None, 0
     if not _base_reach_connects_facilities(inst):
         return None, None
     host = condense(inst)
-    return (host, None) if host.fac_mask.bit_count() > 1 else (None, 1)
+    if host.fac_mask.bit_count() <= 1:
+        return None, 1
+    return transitive_closure(host), None
 
 
 def _kuhn_saturates(left_count: int, adj: list[list[int]]) -> bool:
@@ -306,8 +324,10 @@ def _decide(
     order: Optional[Callable[[TreeCandidate], object]] = None,
 ) -> Optional[TreeCandidate]:
     """First tree with total demand at most budget whose detection finds it
-    embedded in host's closure covering every facility of host, or None.
-    host has at least two facilities.
+    embedded in host covering every facility of host, or None.  host is
+    transitively closed, a ``_settled`` host or a reweighting of one, and has
+    at least two facilities; the precheck gives it the verdict of the
+    unclosed host (module docstring).
 
     Trees go up to ``_check_scale``'s order for host: with parameter |F| and
     the budget on a restricted host, where only normal-form trees are drawn
@@ -325,16 +345,15 @@ def _decide(
         top = _check_scale(t + budget, host.n)
     if not _base_reach_connects_facilities(host) or not budget:
         return None  # a precheck NO, or no plough for a tree on two or more vertices
-    closure = transitive_closure(host)
     fac = host.facilities()
     sources, pin = (t, fac_mask) if restricted else (None, None)
     stream = candidate_stream(t, top, budget=budget, sources=sources)
     for cand in stream if order is None else sorted(stream, key=order):
         report.candidates_tested += 1
         onto = fac_mask if cand.order == t else None
-        if not _candidate_feasible(closure, cand, fac, pin, onto):
+        if not _candidate_feasible(host, cand, fac, pin, onto):
             continue
-        circuit = build_circuit(closure, cand, fac, pin, onto)
+        circuit = build_circuit(host, cand, fac, pin, onto)
         report.detections_run += 1
         if detect_zt_multilinear(circuit, t=t, k=cand.order, seed=seed):
             return cand
@@ -351,10 +370,11 @@ def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
 
 
 def _promoted_decision(sub: Instance, seed: int) -> SolveReport:
-    """The decision of a promotion of a condensation that passed the
-    precheck: the promotion is restricted and acyclic, so it is its own
-    condensation, and ``_decide`` runs its one precheck.  Its failure bound
-    stays 0: the caller bounds its NO by the cap of the whole call."""
+    """The decision of a promotion of a closed condensation that passed the
+    precheck: the promotion is restricted, acyclic and closed, so it is its
+    own closed condensation, and ``_decide`` runs its one precheck.  Its
+    failure bound stays 0: the caller bounds its NO by the cap of the whole
+    call."""
     report = SolveReport(answer=False)
     report.answer = _decide(sub, sub.total_ploughs(), seed, report) is not None
     return report
@@ -444,6 +464,14 @@ def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveRe
     return report
 
 
+def _lightest_first(cand: TreeCandidate) -> tuple:
+    """``min-st``'s candidate order: demand, order, then the printed code
+    ``code_str``.  A center-rooted free tree on at most ``MAX_ORDER`` = 16
+    vertices has depth at most 8, so every level is one digit and the level
+    strings compare as the depth tuples; 'd' sorts before 'u'."""
+    return cand.total_demand(), cand.order, cand.free_code, tuple(not d for d in cand.orientation)
+
+
 @_timed
 def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveReport:
     """Minimum ploughs, among those placed, that suffice; infeasible -> answer False."""
@@ -460,10 +488,7 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     for sub in _promotions(host):
         kb = sub.total_ploughs()
         budget = kb if best is None else min(kb, best - 1)  # only lighter candidates
-        hit = _decide(
-            sub, budget, params.seed, report,
-            order=lambda c: (c.total_demand(), c.order, c.code_str()),  # lightest first
-        )
+        hit = _decide(sub, budget, params.seed, report, order=_lightest_first)
         if hit is not None:
             best = hit.total_demand()
             hits += 1

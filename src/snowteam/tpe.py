@@ -478,13 +478,6 @@ def detect_zt_multilinear(circuit: Circuit, t: int, k: int, seed: int = 1) -> bo
     return eval_trial(circuit, t, k, seed) != 0
 
 
-def solve_tpe(
-    host: Instance, tree: TreeCandidate, terminals: frozenset[int], seed: int = 1
-) -> bool:
-    """Randomized embedding decision: ``decide_tpe``'s answer."""
-    return decide_tpe(host, tree, terminals, seed)[0]
-
-
 def decide_tpe(
     host: Instance, tree: TreeCandidate, terminals: frozenset[int], seed: int = 1
 ) -> tuple[bool, int]:

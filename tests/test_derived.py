@@ -17,7 +17,13 @@ from snowteam.digraph import (
     serialize_instance,
     transitive_closure,
 )
-from snowteam.solvers import SolveParams, _promotions, solve_max_st, solve_stu
+from snowteam.solvers import (
+    SolveParams,
+    _base_reach_connects_facilities,
+    _promotions,
+    solve_max_st,
+    solve_stu,
+)
 
 
 def _masks(inst):
@@ -105,3 +111,17 @@ def test_facilities_and_bases_read_the_masks():
             assert d.base_mask == sum(1 << v for v in range(d.n) if d.ploughs[v])
             assert d.facilities() == frozenset(bits(d.fac_mask))
             assert d.bases() == frozenset(bits(d.base_mask))
+
+
+def test_the_precheck_gives_a_closed_host_its_own_verdict():
+    """Seeded property behind ``_decide``'s precheck on a closed host: the
+    closure of a host, cycles allowed, of its condensation and of every
+    promotion of that condensation gets the verdict of the host itself."""
+    verdicts = {True: 0, False: 0}
+    for inst in _random_instances(43, 300):
+        dag = condense(inst)
+        for host in (inst, dag, *_promotions(dag)):
+            verdict = _base_reach_connects_facilities(host)
+            assert _base_reach_connects_facilities(transitive_closure(host)) == verdict, host
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 20, verdicts

@@ -28,6 +28,7 @@ from snowteam.solvers import (
     _candidate_feasible,
     _facilities_in_one_weak_component,
     _kuhn_saturates,
+    _lightest_first,
     _miss,
     is_tree_like,
     normalize_to_tree_like,
@@ -37,7 +38,7 @@ from snowteam.solvers import (
     solve_st,
     solve_stu,
 )
-from snowteam.trees import MAX_ORDER, candidate_stream
+from snowteam.trees import MAX_ORDER, candidate_stream, enumerate_free_trees
 
 PARAMS = SolveParams(seed=7)
 CATALOGUE = Path(__file__).resolve().parents[1] / "bench" / "catalogue.json"
@@ -273,6 +274,12 @@ def test_jobs_pool_only_for_several_promotions(monkeypatch):
         assert (rep.optimum, *_report_fields(rep)) == (one.optimum, *_report_fields(one))
 
 
+def _sixty_four_promotions():
+    # facilities 0 and 7 on an acyclic host, six non-facility bases: 64 promotions
+    arcs = [(i, j) for i in range(1, 7) for j in (0, 7)] + [(i, i + 1) for i in range(1, 6)]
+    return make_instance(8, arcs, {0, 7}, {v: 1 for v in range(1, 7)})
+
+
 def test_jobs_pool_capped_at_usable_cpus(monkeypatch):
     from snowteam import solvers
 
@@ -282,9 +289,7 @@ def test_jobs_pool_capped_at_usable_cpus(monkeypatch):
         started.append(kwargs)
         return SimpleNamespace(map=map, shutdown=lambda **_: None)
 
-    # facilities 0 and 7 on an acyclic host, six non-facility bases: 64 promotions
-    arcs = [(i, j) for i in range(1, 7) for j in (0, 7)] + [(i, i + 1) for i in range(1, 6)]
-    inst = make_instance(8, arcs, {0, 7}, {v: 1 for v in range(1, 7)})
+    inst = _sixty_four_promotions()
     assert solvers._usable_cpus() >= 1
     monkeypatch.setattr(solvers, "ProcessPoolExecutor", fake_pool)
     for cpus, workers in ((1, None), (2, 2), (5, 5), (100, 64)):
@@ -293,6 +298,35 @@ def test_jobs_pool_capped_at_usable_cpus(monkeypatch):
         rep = solve_st(inst, SolveParams(seed=7, jobs=64))
         assert started == ([] if workers is None else [{"max_workers": workers}])
         assert _report_fields(rep) == _report_fields(solve_st(inst, PARAMS))
+
+
+def test_one_closure_per_settled_host(monkeypatch):
+    # every promotion, min-st budget and the stu host reweights the one closed
+    # condensation that _settled builds; max-st has one facility subset here
+    from snowteam import solvers
+
+    inst = _sixty_four_promotions()
+    closed = []
+    real = solvers.transitive_closure
+    monkeypatch.setattr(solvers, "transitive_closure", lambda h: closed.append(h) or real(h))
+    stu = lambda inst, p: solve_stu(inst, 2, p)  # noqa: E731
+    for solve in (solve_st, solve_min_st, solve_max_st, stu):
+        closed.clear()
+        rep = solve(inst, PARAMS)
+        assert rep.answer and rep.candidates_tested >= 1, solve
+        assert len(closed) == 1, solve
+
+
+def test_min_st_order_is_the_printed_code_order():
+    # min-st sorts by the code's fields; the printed code sorted the same way
+    # while every depth is one digit
+    printed = lambda c: (c.total_demand(), c.order, c.code_str())  # noqa: E731
+    for f in range(2, 6):
+        for budget in range(1, 6):
+            for sources in (None, f):
+                stream = list(candidate_stream(f, 2 * f - 1, budget=budget, sources=sources))
+                assert sorted(stream, key=_lightest_first) == sorted(stream, key=printed)
+    assert all(max(t.code) <= 8 for n in range(1, 13) for t in enumerate_free_trees(n))
 
 
 def test_one_job_never_asks_for_the_cpus(monkeypatch):

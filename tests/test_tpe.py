@@ -11,11 +11,11 @@ from snowteam.solvers import _candidate_feasible
 from snowteam.tpe import (
     Circuit,
     build_circuit,
+    decide_tpe,
     detect_zt_multilinear,
     eval_trial,
     expand_symbolic,
     placements,
-    solve_tpe,
     CIRCUIT_SIZE_C,
 )
 from snowteam.trees import enumerate_free_trees, orient_tree, candidate_stream
@@ -183,13 +183,13 @@ def test_toy1_detection():
 
 
 def test_solve_tpe_examples():
-    assert solve_tpe(*toy1_tpe(), seed=1)
+    assert decide_tpe(*toy1_tpe(), seed=1)[0]
 
     host = make_instance(2, [(1, 0)], facilities={0, 1}, ploughs={1: 1})
-    assert solve_tpe(host, _tree_edge_down(), _terminals(host), seed=1)
+    assert decide_tpe(host, _tree_edge_down(), _terminals(host), seed=1)[0]
 
     host_bad = make_instance(2, [(1, 0)], facilities={0, 1}, ploughs={0: 1})
-    assert not solve_tpe(host_bad, _tree_edge_down(), _terminals(host_bad), seed=1)
+    assert not decide_tpe(host_bad, _tree_edge_down(), _terminals(host_bad), seed=1)[0]
 
 
 def test_solve_tpe_agrees_with_exact_oracle():
@@ -205,7 +205,7 @@ def test_solve_tpe_agrees_with_exact_oracle():
         cand = rng.choice([c for c in cands if c.order <= n])
         terminals = set(rng.sample(range(n), k=rng.randint(0, min(cand.order, n))))
         want = solve_tpe_exact(host, cand, terminals) is not None
-        got = solve_tpe(host, cand, terminals, seed=17)
+        got = decide_tpe(host, cand, terminals, seed=17)[0]
         if want:
             checked_yes += 1
             assert got, (host, cand, terminals)
@@ -229,7 +229,7 @@ def test_exact_embedding_respects_conditions():
     assert solve_tpe_exact(host2, single, _terminals(host2)) == {0: 1}
 
 
-# {0, 1, 3} holds more terminals than the tree has vertices: solve_tpe checks
+# {0, 1, 3} holds more terminals than the tree has vertices: decide_tpe checks
 # the range before it answers NO for that
 @pytest.mark.parametrize("terminals", [{3}, {0, -1}, {0, 1, 3}])
 def test_terminals_outside_the_host_are_rejected(terminals):
@@ -241,16 +241,16 @@ def test_terminals_outside_the_host_are_rejected(terminals):
     with pytest.raises(ValueError, match="terminals outside host vertex range"):
         solve_tpe_exact(host, _tree_edge_down(), terminals)
     with pytest.raises(ValueError, match="terminals outside host vertex range"):
-        solve_tpe(host, _tree_edge_down(), terminals)
+        decide_tpe(host, _tree_edge_down(), terminals)
 
 
 def test_solve_tpe_checks_terminals_before_a_tree_larger_than_the_host():
     host = toy1_closure()
     path = next(c for c in candidate_stream(1, 4) if c.order == 4)
     assert host.n < path.order
-    assert not solve_tpe(host, path, {0})
+    assert not decide_tpe(host, path, {0})[0]
     with pytest.raises(ValueError, match="terminals outside host vertex range"):
-        solve_tpe(host, path, {0, 99})
+        decide_tpe(host, path, {0, 99})
 
 
 def test_detection_one_sided_on_certified_no_instances():
