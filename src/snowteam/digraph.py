@@ -8,6 +8,7 @@ cleared arcs must connect all facilities in the underlying graph.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -33,7 +34,8 @@ class Instance:
 
     Outside input goes through the constructor (``Instance(...)``,
     ``make_instance``, ``parse_instance``), which validates the arcs and
-    weights and builds the rows from ``arcs``.  An instance derived from one
+    weights, stores them as a frozenset of int pairs, bools and ints, and
+    builds the rows from ``arcs``.  An instance derived from one
     already built (``_reweighted``, ``condense``, ``transitive_closure``) is
     assembled from rows its builder holds and is not checked again.
     """
@@ -54,19 +56,31 @@ class Instance:
             raise ValueError("instance needs at least one vertex")
         if len(self.facility) != self.n or len(self.ploughs) != self.n:
             raise ValueError("facility/plough vectors must have length n")
+        try:
+            pairs = [(operator.index(u), operator.index(v)) for u, v in self.arcs]
+            ploughs = tuple(map(operator.index, self.ploughs))
+        except TypeError:
+            raise ValueError("arc ends and plough counts must be integers") from None
         outs, ins = [0] * self.n, [0] * self.n
-        for u, v in self.arcs:
+        for u, v in pairs:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"arc ({u},{v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop ({u},{v})")
             outs[u] |= 1 << v
             ins[v] |= 1 << u
-        for v, b in enumerate(self.ploughs):
+        arcs = frozenset(pairs)
+        if len(arcs) != len(pairs):
+            (u, v), _ = Counter(pairs).most_common(1)[0]
+            raise ValueError(f"duplicate arc ({u},{v})")
+        for v, b in enumerate(ploughs):
             if b < 0:
                 raise ValueError(f"negative plough count at {v}")
             if b > self.n - 1:
                 raise ValueError(f"plough count {b} at {v} exceeds n-1")
+        # stored as their canonical types: hashing, equality and the text
+        # format then agree with parse_instance's instances
+        self.__dict__.update(arcs=arcs, facility=tuple(map(bool, self.facility)), ploughs=ploughs)
         _fill(self, tuple(outs), tuple(ins))
 
     def _reweighted(self, facility: tuple[bool, ...], ploughs: tuple[int, ...]) -> Instance:

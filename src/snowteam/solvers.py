@@ -60,11 +60,11 @@ no candidate is counted, no detection runs and the bound is 0.  A base
 promotion keeps a subset of the original bases and adds facilities, so its
 R shrinks and its facility set grows; one failure on the original bases
 decides every promotion.  The precheck gives the same verdict on the
-transitive closure of D, so ``_decide`` runs it on its closed host.
-Reachability is the same in D and in its closure, so R is the same.  R is
-closed under reachability, so a closure arc u -> v with u, v in R stands
-for a path of D that stays inside R, and the closure restricted to R has
-the weak components of D[R].
+transitive closure of D, so ``_promotions`` runs it on each promotion of the
+closed host and yields only those that pass.  Reachability is the same in D
+and in its closure, so R is the same.  R is closed under reachability, so a
+closure arc u -> v with u, v in R stands for a path of D that stays inside
+R, and the closure restricted to R has the weak components of D[R].
 
 Past the precheck, each entry point solves the condensation,
 ``digraph.condense``, and searches its transitive closure.  In the
@@ -105,20 +105,24 @@ neither n nor F, B or the ploughs, so neither does it change
 subset on its own, so its optimum still counts original facilities.
 
 Every restricted decision runs through one routine, ``_decide``, on a
-closed host: the precheck, the candidates within the plough budget, the
-filter and one detection per surviving candidate, stopping at the first
-YES.  ``solve_stu`` and each ``st`` and ``min-st`` promotion call it; it is
-the only place that counts candidates and detections.  ``solve_all_st`` is
-``st`` on a restricted instance, which is its own single promotion.  A
-promotion of a closed condensation that passed the precheck is its own
-closed condensation, so ``st`` promotions skip a second SCC pass and
-closure, and pay only the precheck in ``_decide``, which prunes the
-promotions that drop a needed base.  A promotion changes weights only, so it
-shares the host's arc set and rows (``Instance._reweighted``) and builds
-just its facility and base masks; a restricted host is its own single
-promotion, the host object itself.  Every detection of a call runs with
-``params.seed``: each bound below is a union bound over single detections,
-so it needs no independence between them.
+closed host that has passed the precheck: the candidates within the plough
+budget, the filter and one detection per surviving candidate, stopping at
+the first YES.  ``solve_stu`` and each ``st`` and ``min-st`` promotion call
+it; it is the only place that counts candidates and detections.
+``solve_all_st`` is ``st`` on a restricted instance, which is its own single
+promotion.  A promotion of a closed condensation that passed the precheck
+is its own closed condensation, so ``st`` promotions skip a second SCC pass
+and closure, and pay only their own precheck in ``_promotions``, which
+drops the promotions that lose a needed base.  A dropped promotion would
+count no candidate and no detection, so dropping it changes no report, and
+one ``st`` call in process builds promotions only up to its first YES.  A
+promotion that passes holds a plough, as its facilities lie in R.  A
+promotion changes weights only, so it shares the host's arc set and rows
+(``Instance._reweighted``) and builds just its facility and base masks; a
+restricted host is its own single promotion, the host object itself.
+Every detection of a call runs with ``params.seed``: each bound below is a
+union bound over single detections, so it needs no independence between
+them.
 
 All detections are one-sided, so YES answers are certain.  A NO answer is
 wrong only if the detection of the first embeddable candidate in search
@@ -325,13 +329,14 @@ def _decide(
 ) -> Optional[TreeCandidate]:
     """First tree with total demand at most budget whose detection finds it
     embedded in host covering every facility of host, or None.  host is
-    transitively closed, a ``_settled`` host or a reweighting of one, and has
-    at least two facilities; the precheck gives it the verdict of the
-    unclosed host (module docstring).
+    transitively closed, a ``_settled`` host or a promotion of one, has at
+    least two facilities and has passed the precheck, in ``_settled`` or in
+    ``_promotions``: this is the search and nothing else.
 
     Trees go up to ``_check_scale``'s order for host: with parameter |F| and
     the budget on a restricted host, where only normal-form trees are drawn
-    and placed (module docstring), else with parameter |F| + budget.
+    and placed (module docstring), else with parameter |F| + budget.  A
+    restricted budget of 0 caps the order at |F| - 1, so no tree is drawn.
     Candidates come in enumeration order, or sorted by the key ``order``.
     Counts every candidate drawn and every detection run, all with ``seed``,
     into ``report``.
@@ -343,8 +348,6 @@ def _decide(
         top = _check_scale(t, host.n, budget)
     else:
         top = _check_scale(t + budget, host.n)
-    if not _base_reach_connects_facilities(host) or not budget:
-        return None  # a precheck NO, or no plough for a tree on two or more vertices
     fac = host.facilities()
     sources, pin = (t, fac_mask) if restricted else (None, None)
     stream = candidate_stream(t, top, budget=budget, sources=sources)
@@ -370,19 +373,22 @@ def solve_all_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
 
 
 def _promoted_decision(sub: Instance, seed: int) -> SolveReport:
-    """The decision of a promotion of a closed condensation that passed the
-    precheck: the promotion is restricted, acyclic and closed, so it is its
-    own closed condensation, and ``_decide`` runs its one precheck.  Its
-    failure bound stays 0: the caller bounds its NO by the cap of the whole
-    call."""
+    """The decision of one promotion that ``_promotions`` yields: restricted,
+    acyclic, closed and past the precheck, so it is its own closed
+    condensation and ``_decide`` only searches it.  Its failure bound stays
+    0: the caller bounds its NO by the cap of the whole call."""
     report = SolveReport(answer=False)
     report.answer = _decide(sub, sub.total_ploughs(), seed, report) is not None
     return report
 
 
 def _promotions(inst: Instance):
-    """Restricted sub-instances from promoting base subsets to facilities,
-    each on inst's arcs and rows; a restricted inst is its only one."""
+    """The restricted sub-instances, from promoting base subsets to
+    facilities, that pass the precheck, built one at a time in subset order
+    on inst's arcs and rows.  A promotion that fails it is a certain NO that
+    would count no candidate, so it is never yielded.  A restricted inst is
+    its only promotion, yielded as is: ``_settled`` has checked it already,
+    and closing gives it the same verdict (module docstring)."""
     fac, bases = inst.fac_mask, inst.base_mask
     extra = bits(bases & ~fac)
     if not extra:
@@ -392,10 +398,12 @@ def _promotions(inst: Instance):
         for subset in itertools.combinations(extra, size):
             added = sum(1 << v for v in subset)
             promoted, keep = fac | added, added | (fac & bases)
-            yield inst._reweighted(
+            sub = inst._reweighted(
                 tuple(bool(promoted >> v & 1) for v in range(inst.n)),
                 tuple(b if keep >> v & 1 else 0 for v, b in enumerate(inst.ploughs)),
             )
+            if _base_reach_connects_facilities(sub):
+                yield sub
 
 
 def _usable_cpus() -> int:
@@ -409,7 +417,9 @@ def _usable_cpus() -> int:
 class _Workers:
     """One top-level call's process pool: started by the first map of more
     than one task when jobs > 1, with min(jobs, tasks, usable CPUs) workers,
-    then shared."""
+    then shared.  ``map`` takes any iterable of tasks and lists it only when
+    it may start the pool; in process it draws them lazily, so a caller that
+    stops at a result builds no task past it."""
 
     def __init__(self, jobs: int):
         self.jobs = jobs
@@ -417,6 +427,7 @@ class _Workers:
 
     def map(self, fn, subs):
         if self.pool is None and self.jobs > 1:  # jobs=1 never asks for the CPUs
+            subs = list(subs)
             workers = min(self.jobs, len(subs), _usable_cpus())
             if workers > 1:
                 self.pool = ProcessPoolExecutor(max_workers=workers)
@@ -453,7 +464,7 @@ def _solve_st(inst: Instance, params: SolveParams, workers: _Workers) -> SolveRe
     report = SolveReport(answer=False)
     # promotions of the condensation stay on the pipeline, however few vertices
     decide = functools.partial(_promoted_decision, seed=params.seed)
-    for sub in workers.map(decide, list(_promotions(host))):
+    for sub in workers.map(decide, _promotions(host)):
         report.candidates_tested += sub.candidates_tested
         report.detections_run += sub.detections_run
         if sub.answer:
@@ -551,7 +562,8 @@ def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> So
         return SolveReport(answer=need is not None and k >= need)
     cap = _check_scale(host.fac_mask.bit_count() + k, host.n)  # no normal form
     report = SolveReport(answer=False)
-    report.answer = _decide(host, k, params.seed, report) is not None
+    # host has two facility components: with no plough no arc is cleared
+    report.answer = k > 0 and _decide(host, k, params.seed, report) is not None
     report.failure_bound = _miss(cap) if report.detections_run and not report.answer else 0.0
     return report
 

@@ -22,6 +22,7 @@ from snowteam.digraph import (
     walks_from_lists,
     Walk,
 )
+from snowteam.exact import solve_st_exact
 
 TOY1_TEXT = """\
 st 3 2
@@ -191,6 +192,27 @@ def test_mask_rows_match_arcs():
 def test_instance_rejects(kwargs, match):
     with pytest.raises(ValueError, match=match):
         Instance(**kwargs)
+
+
+def test_instance_stores_outside_input_canonically():
+    # arcs as a frozenset of pairs, flags as bools, counts as ints, so the
+    # instance hashes, compares and round-trips like a parsed one
+    with pytest.raises(ValueError, match=r"duplicate arc \(0,1\)"):
+        Instance(n=2, arcs=[(0, 1), (0, 1)], facility=(True, True), ploughs=(1, 0))
+    for arcs, count in (([(0, 1)], 1.5), ([(0, 1)], "1"), ([(0, 1)], None), ([(0.0, 1)], 1)):
+        with pytest.raises(ValueError, match="must be integers"):
+            Instance(n=2, arcs=arcs, facility=(True, True), ploughs=(count, 0))
+    canonical = Instance(n=2, arcs=frozenset({(0, 1)}), facility=(True, True), ploughs=(1, 0))
+    for arcs in ([(0, 1)], [[0, 1]], {(False, True)}):
+        inst = Instance(n=2, arcs=arcs, facility=(2, 1), ploughs=[True, 0])
+        assert inst == canonical and hash(inst) == hash(canonical)
+        assert inst.arcs == frozenset({(0, 1)}) and isinstance(inst.arcs, frozenset)
+        assert all(type(u) is type(v) is int for u, v in inst.arcs)
+        assert inst.facility == (True, True) and all(type(f) is bool for f in inst.facility)
+        assert inst.ploughs == (1, 0) and all(type(b) is int for b in inst.ploughs)
+        assert parse_instance(serialize_instance(inst)) == inst
+        assert verify_st_solution(inst, parse_walks("0 1\n"))[0]
+        assert solve_st_exact(inst)[0]
 
 
 def test_make_instance_rejects_out_of_range_ids():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -264,18 +265,35 @@ def test_jobs_pool_only_for_several_promotions(monkeypatch):
         solve_st(_two_promotions(), PARAMS)
     )
     assert started == [{"max_workers": 2}]
-    # max-st: every facility subset is one st decision, several of them with
-    # more than one promotion, and the whole call shares one pool
+    # max-st: every facility subset it decides is one st decision, and the
+    # whole call shares one pool, started by the first subset with more than
+    # one promotion that passes the precheck (counted on the one-job call)
+    real_promotions = solvers._promotions
+    viable = []
+
+    def listed(host):
+        subs = list(real_promotions(host))
+        viable.append(len(subs))
+        return iter(subs)
+
+    pooled = []
     for inst in _catalogue("max-st"):
+        viable.clear()
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_promotions", listed)
+            one = solve_max_st(inst, SolveParams(seed=3))
+        several = max(viable, default=0) >= 2
         started.clear()
         rep = solve_max_st(inst, SolveParams(seed=3, jobs=2))
-        assert started == [{"max_workers": 2}]
-        one = solve_max_st(inst, SolveParams(seed=3))
+        assert started == ([{"max_workers": 2}] if several else [])
         assert (rep.optimum, *_report_fields(rep)) == (one.optimum, *_report_fields(one))
+        pooled.append(several)
+    assert True in pooled and False in pooled
 
 
 def _sixty_four_promotions():
-    # facilities 0 and 7 on an acyclic host, six non-facility bases: 64 promotions
+    # facilities 0 and 7 on an acyclic host, six non-facility bases: 64
+    # promotions, of which only the empty one fails the precheck (no base)
     arcs = [(i, j) for i in range(1, 7) for j in (0, 7)] + [(i, i + 1) for i in range(1, 6)]
     return make_instance(8, arcs, {0, 7}, {v: 1 for v in range(1, 7)})
 
@@ -292,12 +310,78 @@ def test_jobs_pool_capped_at_usable_cpus(monkeypatch):
     inst = _sixty_four_promotions()
     assert solvers._usable_cpus() >= 1
     monkeypatch.setattr(solvers, "ProcessPoolExecutor", fake_pool)
-    for cpus, workers in ((1, None), (2, 2), (5, 5), (100, 64)):
+    for cpus, workers in ((1, None), (2, 2), (5, 5), (100, 63)):
         monkeypatch.setattr(solvers, "_usable_cpus", lambda: cpus)
         started.clear()
         rep = solve_st(inst, SolveParams(seed=7, jobs=64))
         assert started == ([] if workers is None else [{"max_workers": workers}])
         assert _report_fields(rep) == _report_fields(solve_st(inst, PARAMS))
+
+
+def test_one_job_builds_promotions_up_to_its_first_yes(monkeypatch):
+    # promotions are built one at a time: st's first YES is its eighth
+    # promotion, and max-st's one facility subset is one more reweighting
+    from snowteam.digraph import Instance
+
+    built = []
+    real = Instance._reweighted
+    monkeypatch.setattr(Instance, "_reweighted", lambda self, *w: built.append(w) or real(self, *w))
+    for solve, most in ((solve_st, 8), (solve_max_st, 9)):
+        built.clear()
+        assert solve(_sixty_four_promotions(), PARAMS).answer, solve
+        assert len(built) <= most, solve
+
+
+def _corpus_reports():
+    """(answer, optimum, candidates, detections, bound) of st, min-st, max-st
+    and stu with k = 1 and k = 2 on 600 seeded hosts, cycles allowed."""
+    from test_derived import _random_instances
+
+    for inst in _random_instances(3535, 600):
+        for solve in (solve_st, solve_min_st, solve_max_st):
+            yield solve(inst, PARAMS)
+        for k in (1, 2):
+            yield solve_stu(inst, k, PARAMS)
+
+
+def test_the_search_only_sees_hosts_past_the_precheck(monkeypatch):
+    from snowteam import solvers
+
+    searched = []
+    real = solvers._decide
+    monkeypatch.setattr(
+        solvers, "_decide", lambda host, *args, **kw: searched.append(host) or real(host, *args, **kw)
+    )
+    assert sum(rep.detections_run > 0 for rep in _corpus_reports()) >= 300
+    assert len(searched) >= 400
+    assert all(map(_base_reach_connects_facilities, searched))
+
+
+# sha256 over the repr of each report's (answer, optimum, candidates,
+# detections, bound): where a decision is taken must not move any report
+CORPUS_DIGEST = "98adda4f36a27b8576ff799036573c2588386a5e301e63964109a441fbf771a6"
+
+
+def test_corpus_reports_digest():
+    digest = hashlib.sha256()
+    for r in _corpus_reports():
+        fields = (r.answer, r.optimum, r.candidates_tested, r.detections_run, r.failure_bound)
+        digest.update(repr(fields).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def test_stu_without_ploughs_draws_no_tree(monkeypatch):
+    # two facility components: k = 0 is a certain NO before any candidate
+    from snowteam import trees
+
+    drawn = []
+    monkeypatch.setattr(trees, "orient_tree", lambda *a, **kw: drawn.append(a) or iter(()))
+    for inst in (toy1(), _two_promotions(), _sixty_four_promotions()):
+        rep = solve_stu(inst, 0, PARAMS)
+        assert (rep.answer, rep.candidates_tested, rep.detections_run, rep.failure_bound) == (
+            False, 0, 0, 0.0
+        )
+    assert drawn == []
 
 
 def test_one_closure_per_settled_host(monkeypatch):
