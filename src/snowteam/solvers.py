@@ -106,9 +106,12 @@ subset on its own, so its optimum still counts original facilities.
 
 Every restricted decision runs through one routine, ``_decide``, on a
 closed host that has passed the precheck: the candidates within the plough
-budget, the filter and one detection per surviving candidate, stopping at
-the first YES.  ``solve_stu`` and each ``st`` and ``min-st`` promotion call
-it; it is the only place that counts candidates and detections.
+budget, the filter, and the survivor search ``tpe.embed`` on each candidate
+that passes it, stopping at the first YES.  The search decides a candidate
+exactly (proved in ``tpe``); only when it runs out of its node budget,
+``tpe.SEARCH_BUDGET``, does one detection decide the candidate instead.
+``solve_stu`` and each ``st`` and ``min-st`` promotion call ``_decide``;
+it is the only place that counts candidates and detections.
 ``solve_all_st`` is ``st`` on a restricted instance, which is its own single
 promotion.  A promotion of a closed condensation that passed the precheck
 is its own closed condensation, so ``st`` promotions skip a second SCC pass
@@ -124,18 +127,21 @@ Every detection of a call runs with ``params.seed``: each bound below is a
 union bound over single detections, so it needs no independence between
 them.
 
-All detections are one-sided, so YES answers are certain.  A NO answer is
-wrong only if the detection of the first embeddable candidate in search
-order missed; a detection misses a tree of order eta with probability at
-most 2*eta/2^64 (Schwartz-Zippel, proved in ``tpe``).  Each entry point
+The search is exact and detections are one-sided, so YES answers are
+certain.  A NO answer is wrong only if the first embeddable candidate in
+search order was left to a detection and that detection missed; a
+detection misses a tree of order eta with probability at most 2*eta/2^64
+(Schwartz-Zippel, proved in ``tpe``).  A NO whose surviving candidates
+were all searched is certain, and carries bound 0.  Each entry point
 computes one cap, eta_max, with ``_check_scale`` before any work, and
 ``_decide`` draws no candidate above it: min(2L - 1, L + kB - 1, n) for
 ``st``, ``min-st`` and ``max-st``, with L = |F u B| and kB the ploughs of
 the condensation, since every promotion has at most L facilities and a
 budget of at most kB; and min(2(|F| + k) - 1, n) for ``stu``, which has no
 normal form.  So a NO after a detection carries ``2*eta_max/2^64``,
-``min-st`` that bound times its detections that could change the optimum,
-and ``max-st`` the sum of its subsets' bounds above the optimum.
+``min-st`` that bound times its detections that found nothing (those that
+could change the optimum), and ``max-st`` the sum of its subsets' bounds
+above the optimum.
 """
 
 from __future__ import annotations
@@ -161,7 +167,7 @@ from .digraph import (
     walks_from_lists,
 )
 from .exact import solve_st_exact, solve_variant_exact
-from .tpe import build_circuit, detect_zt_multilinear, placements
+from .tpe import build_circuit, detect_zt_multilinear, embed, placements
 from .trees import TreeCandidate, candidate_stream
 
 
@@ -185,10 +191,14 @@ class SolveReport:
     """Outcome plus accounting.
 
     failure_bound bounds the probability that the reported answer is wrong:
-    zero for certain answers (YES decisions, exact-path results), the proven
-    one-detection miss bound 2*eta_max/2^64 for NO decisions, and a union of
-    such bounds over the answer-relevant detections for the optimization
-    variants.
+    zero for certain answers (YES decisions, exact-path results, NO
+    decisions that ran no detection), the proven one-detection miss bound
+    2*eta_max/2^64 for NO decisions that ran one, and a union of such bounds
+    over the answer-relevant detections for the optimization variants.
+
+    detections_run counts the budget fallbacks: the candidates that the
+    survivor search (``tpe.embed``) left undecided, each decided by one
+    detection.  The search decides every other candidate past the filter.
     """
 
     answer: bool
@@ -326,20 +336,23 @@ def _decide(
     seed: int,
     report: SolveReport,
     order: Optional[Callable[[TreeCandidate], object]] = None,
-) -> Optional[TreeCandidate]:
-    """First tree with total demand at most budget whose detection finds it
-    embedded in host covering every facility of host, or None.  host is
+) -> tuple[Optional[TreeCandidate], int]:
+    """(hit, misses): hit is the first tree with total demand at most budget
+    found embedded in host covering every facility of host, or None, and
+    misses counts the detections that found nothing.  host is
     transitively closed, a ``_settled`` host or a promotion of one, has at
     least two facilities and has passed the precheck, in ``_settled`` or in
-    ``_promotions``: this is the search and nothing else.
+    ``_promotions``: this is the candidate loop and nothing else.
 
     Trees go up to ``_check_scale``'s order for host: with parameter |F| and
     the budget on a restricted host, where only normal-form trees are drawn
     and placed (module docstring), else with parameter |F| + budget.  A
     restricted budget of 0 caps the order at |F| - 1, so no tree is drawn.
     Candidates come in enumeration order, or sorted by the key ``order``.
-    Counts every candidate drawn and every detection run, all with ``seed``,
-    into ``report``.
+    ``tpe.embed`` decides each candidate that passes the filter, and a
+    detection, with ``seed``, decides it only when the search runs out of
+    budget.  Counts every candidate drawn and every detection run into
+    ``report``.
     """
     fac_mask = host.fac_mask
     t = fac_mask.bit_count()
@@ -351,16 +364,21 @@ def _decide(
     fac = host.facilities()
     sources, pin = (t, fac_mask) if restricted else (None, None)
     stream = candidate_stream(t, top, budget=budget, sources=sources)
+    missed = 0
     for cand in stream if order is None else sorted(stream, key=order):
         report.candidates_tested += 1
         onto = fac_mask if cand.order == t else None
         if not _candidate_feasible(host, cand, fac, pin, onto):
             continue
-        circuit = build_circuit(host, cand, fac, pin, onto)
-        report.detections_run += 1
-        if detect_zt_multilinear(circuit, t=t, k=cand.order, seed=seed):
-            return cand
-    return None
+        found = embed(host, cand, fac, pin, onto)
+        if found is None:  # the search ran out of budget: a detection decides
+            circuit = build_circuit(host, cand, fac, pin, onto)
+            report.detections_run += 1
+            found = detect_zt_multilinear(circuit, t=t, k=cand.order, seed=seed)
+            missed += not found
+        if found:
+            return cand, missed
+    return None, missed
 
 
 @_timed
@@ -378,7 +396,7 @@ def _promoted_decision(sub: Instance, seed: int) -> SolveReport:
     condensation and ``_decide`` only searches it.  Its failure bound stays
     0: the caller bounds its NO by the cap of the whole call."""
     report = SolveReport(answer=False)
-    report.answer = _decide(sub, sub.total_ploughs(), seed, report) is not None
+    report.answer = _decide(sub, sub.total_ploughs(), seed, report)[0] is not None
     return report
 
 
@@ -495,22 +513,23 @@ def solve_min_st(inst: Instance, params: SolveParams = SolveParams()) -> SolveRe
     cap = _promotions_cap(host)
     report = SolveReport(answer=False)
     best: Optional[int] = None
-    hits = 0
+    misses = 0
     for sub in _promotions(host):
         kb = sub.total_ploughs()
         budget = kb if best is None else min(kb, best - 1)  # only lighter candidates
-        hit = _decide(sub, budget, params.seed, report, order=_lightest_first)
+        hit, missed = _decide(sub, budget, params.seed, report, order=_lightest_first)
+        misses += missed
         if hit is not None:
             best = hit.total_demand()
-            hits += 1
     report.answer = best is not None
     report.optimum = best
     # every detection tested a tree of order at most cap, so each missed with
-    # chance at most _miss(cap).  A wrong optimum needs some lighter
-    # candidate's detection to have missed; a wrong "infeasible" needs some
-    # embeddable candidate missed
-    relevant = report.detections_run - hits if best is not None else 1
-    report.failure_bound = relevant * _miss(cap) if report.detections_run else 0.0
+    # chance at most _miss(cap), and only a detection that found nothing can
+    # have missed.  A wrong optimum needs some lighter candidate's detection
+    # to have missed; a wrong "infeasible" needs some embeddable candidate
+    # missed
+    relevant = misses if best is not None else min(misses, 1)
+    report.failure_bound = relevant * _miss(cap)
     return report
 
 
@@ -563,7 +582,7 @@ def solve_stu(inst: Instance, k: int, params: SolveParams = SolveParams()) -> So
     cap = _check_scale(host.fac_mask.bit_count() + k, host.n)  # no normal form
     report = SolveReport(answer=False)
     # host has two facility components: with no plough no arc is cleared
-    report.answer = k > 0 and _decide(host, k, params.seed, report) is not None
+    report.answer = k > 0 and _decide(host, k, params.seed, report)[0] is not None
     report.failure_bound = _miss(cap) if report.detections_run and not report.answer else 0.0
     return report
 

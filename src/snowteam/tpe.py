@@ -56,6 +56,28 @@ So F is a nonzero polynomial of total degree 2k in (r, a), and by
 Schwartz-Zippel one trial gives F = 0 with probability at most 2k/2^64.
 A detection is one trial.
 
+The survivor search.  ``embed`` decides the same question exactly, by a
+depth-first search over the placements (Ullmann, JACM 1976, with the domain
+filtering of McCreesh, Prosser and Trimble's Glasgow Subgraph Solver, ICGT
+2020).  It extends partial maps of tree vertices 0, ..., i in layout order:
+vertex i+1 goes on a host vertex of its domain, unused so far and joined to
+its parent's host vertex by a host arc in the direction of their tree arc.
+A partial map that leaves more terminals uncovered than there are vertices
+still to place is dropped.  A map it completes is injective, keeps every
+tree arc, pays every demand (the domains do), lies within any pin and
+covers every terminal, since the last vertex leaves none uncovered: an
+embedding, so the answer YES is certain.  Conversely, let phi be an
+embedding (under a pin, one that respects it).  Each phi(u) lies in u's
+domain, because ``placements`` keeps every embedding's placements, so
+every restriction of phi to vertices 0, ..., i is a partial map the search
+forms, unless it returns earlier.  None is dropped: phi covers the
+terminals its restriction leaves uncovered with distinct vertices still to
+place.  So a search that exhausts its branches proves that no embedding
+exists, the NO is certain, and the detection, which has no false
+positives, would answer NO too.  A node budget bounds the search, which
+can take exponential time: once spent, ``embed`` answers None and leaves
+the candidate to a detection.
+
 The evaluation runs over GF(2^64)[z]/(z^(t+1)), vectorised over lanes, one
 per subset T, in chunks of L = min(SUBSET_CHUNK, 2^k) lanes.  A schedule,
 compiled once per trial from the gate DAG, keeps of each gate only the
@@ -74,7 +96,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional, Union
 
 import numpy as np
 
@@ -208,6 +230,74 @@ def placements(
             left ^= bit
         dom[i + 1] &= acc
     return dom
+
+
+#: placements ``embed`` may try before it gives up; read at each call
+SEARCH_BUDGET = 10_000
+
+
+def embed(
+    host: Instance,
+    tree: TreeCandidate,
+    terminals: frozenset[int],
+    pin: Optional[int] = None,
+    onto: Optional[int] = None,
+    budget: Optional[int] = None,
+) -> Union[tuple[int, ...], Literal[False], None]:
+    """Depth-first search for an embedding of tree into host within the
+    ``placements`` under pin and onto (module docstring, the survivor
+    search).  Returns the embedding, tree vertex u on host vertex
+    ``image[u]``; False when none exists; or None once it has tried budget
+    placements (``SEARCH_BUDGET`` when budget is None) without an answer.
+
+    Vertices are placed in layout order, so a vertex's parent is placed
+    before it.  Vertex v draws its host vertices from its domain, minus the
+    used ones, within the out-row (in-row) of its parent's host vertex when
+    the arc points parent -> v (v -> parent).  A placement that leaves more
+    terminals uncovered than vertices to place is dropped.
+    """
+    if not all(0 <= t < host.n for t in terminals):
+        raise ValueError("terminals outside host vertex range")
+    if budget is None:
+        budget = SEARCH_BUDGET
+    order, arcs = tree.order, tree.arcs
+    dom = placements(host, tree, pin, onto)
+    term = sum(1 << w for w in terminals)
+    if not dom[0] or term.bit_count() > order:
+        return False
+    parent = [0] * order
+    step = [host.out_mask] * order
+    for v, (a, b) in enumerate(arcs, start=1):
+        if a == v:
+            parent[v], step[v] = b, host.in_mask
+        else:
+            parent[v] = a
+    image = [0] * order  # the host vertex of each placed tree vertex, as a bit
+    left = [0] * order  # the host vertices each placed vertex has yet to try
+    left[0] = dom[0]
+    used, missing, tried, v = 0, term, 0, 0
+    while v >= 0:
+        if not left[v]:  # v's choices are spent: back up and free its parent's vertex
+            v -= 1
+            if v >= 0:
+                used ^= image[v]
+                missing |= image[v] & term
+            continue
+        bit = left[v] & -left[v]
+        left[v] ^= bit
+        if tried == budget:
+            return None
+        tried += 1
+        if (missing & ~bit).bit_count() >= order - v:
+            continue
+        image[v] = bit
+        used |= bit
+        missing &= ~bit
+        v += 1
+        if v == order:
+            return tuple(b.bit_length() - 1 for b in image)
+        left[v] = dom[v] & ~used & step[v][image[parent[v]].bit_length() - 1]
+    return False
 
 
 def build_circuit(

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from snowteam import tpe
 from snowteam.cli import gen_random
 
 from snowteam.digraph import (
@@ -43,6 +44,13 @@ from snowteam.trees import MAX_ORDER, candidate_stream, enumerate_free_trees
 
 PARAMS = SolveParams(seed=7)
 CATALOGUE = Path(__file__).resolve().parents[1] / "bench" / "catalogue.json"
+
+
+@pytest.fixture
+def detect_every_survivor(monkeypatch):
+    """Search budget 0: the survivor search gives up at once, so a detection
+    decides every candidate that passes the filter, as in the paper."""
+    monkeypatch.setattr(tpe, "SEARCH_BUDGET", 0)
 
 
 def _catalogue(family):
@@ -85,18 +93,24 @@ DETECTED_NOS = (
 )
 
 
-def test_all_st_no_after_real_detections():
+def test_all_st_no_after_real_detections(monkeypatch):
     # a normal-form candidate on four vertices, the paths 1 -> 2 -> x and
     # 3 -> x, passes the feasibility filters yet nothing embeds (certified by
-    # the exact oracle): the plough at 1 reaches 2 or 3, not both, so the NO
-    # answer rests on a detection and carries a nonzero failure bound; the
-    # host is acyclic, so condensing leaves it alone
+    # the exact oracle): the plough at 1 reaches 2 or 3, not both.  Left to a
+    # detection, the NO carries a nonzero failure bound; the survivor search
+    # exhausts the candidate and makes the NO certain.  The host is acyclic,
+    # so condensing leaves it alone
     inst = DETECTED_NOS[1]
     assert not solve_st_exact(inst)[0]
+    monkeypatch.setattr(tpe, "SEARCH_BUDGET", 0)
     rep = solve_all_st(inst, PARAMS)
     assert not rep.answer
     assert rep.detections_run >= 1
     assert 0 < rep.failure_bound < 1e-3
+    monkeypatch.undo()
+    rep = solve_all_st(inst, PARAMS)
+    assert not rep.answer
+    assert rep.detections_run == 0 and rep.failure_bound == 0.0
 
 
 def test_all_st_no_decided_by_the_onto_pin():
@@ -344,7 +358,7 @@ def _corpus_reports():
             yield solve_stu(inst, k, PARAMS)
 
 
-def test_the_search_only_sees_hosts_past_the_precheck(monkeypatch):
+def test_the_search_only_sees_hosts_past_the_precheck(monkeypatch, detect_every_survivor):
     from snowteam import solvers
 
     searched = []
@@ -358,16 +372,21 @@ def test_the_search_only_sees_hosts_past_the_precheck(monkeypatch):
 
 
 # sha256 over the repr of each report's (answer, optimum, candidates,
-# detections, bound): where a decision is taken must not move any report
+# detections, bound), with a detection deciding every survivor: where a
+# decision is taken must not move any report
 CORPUS_DIGEST = "98adda4f36a27b8576ff799036573c2588386a5e301e63964109a441fbf771a6"
 
 
-def test_corpus_reports_digest():
+def _corpus_digest() -> str:
     digest = hashlib.sha256()
     for r in _corpus_reports():
         fields = (r.answer, r.optimum, r.candidates_tested, r.detections_run, r.failure_bound)
         digest.update(repr(fields).encode())
-    assert digest.hexdigest() == CORPUS_DIGEST
+    return digest.hexdigest()
+
+
+def test_corpus_reports_digest(detect_every_survivor):
+    assert _corpus_digest() == CORPUS_DIGEST
 
 
 def test_stu_without_ploughs_draws_no_tree(monkeypatch):
@@ -426,7 +445,7 @@ def test_one_job_never_asks_for_the_cpus(monkeypatch):
     assert solve_st(_two_promotions(), PARAMS).answer  # two promotions, mapped in process
 
 
-def test_every_detection_of_a_call_uses_its_seed(monkeypatch):
+def test_every_detection_of_a_call_uses_its_seed(monkeypatch, detect_every_survivor):
     from snowteam import solvers
 
     seeds = []
@@ -527,7 +546,7 @@ MAX_ST_NO_BEFORE_YES = make_instance(
 )
 
 
-def test_max_st_examples():
+def test_max_st_examples(detect_every_survivor):
     assert solve_max_st(toy1(), PARAMS).optimum == 2
     assert solve_max_st(toy2(), PARAMS).optimum == 1
     none_fac = make_instance(2, [(0, 1)], set(), {0: 1})
@@ -552,7 +571,7 @@ def test_max_st_examples():
     assert rep.failure_bound == 0.0
 
 
-def test_max_st_bound_after_many_no_sub_decisions():
+def test_max_st_bound_after_many_no_sub_decisions(detect_every_survivor):
     """Each NO sub-decision adds only 2*eta_max/2^64, so many of them stay
     far below 1e-3."""
     # five NO sub-decisions of this DAG, the 36th of ``_restricted_dags``,
@@ -576,7 +595,7 @@ def test_max_st_bound_after_many_no_sub_decisions():
     assert rep.detections_run == 1 and rep.failure_bound == 0.0
 
 
-def test_bounds_cover_the_detections_that_could_change_the_answer(monkeypatch):
+def test_bounds_cover_the_detections_that_could_change_the_answer(monkeypatch, detect_every_survivor):
     """Each st, stu and min-st bound is at least the miss bound of every NO
     detection its answer rests on, at the largest order those detections
     tested: one for a NO, each NO detection for a min-st optimum."""
@@ -614,9 +633,10 @@ def test_bounds_cover_the_detections_that_could_change_the_answer(monkeypatch):
     assert checked >= 15
 
 
-def test_default_single_trial_matches_oracle():
+def test_default_single_trial_matches_oracle(monkeypatch):
     """One trial per detection, the default, answers every instance right,
-    and NO answers that ran detections carry the proven bound."""
+    and NO answers that ran detections carry the proven bound.  With the
+    survivor search, every answer is the same and every NO is certain."""
     rng = random.Random(0)
     insts = []
     while len(insts) < 100:
@@ -629,14 +649,21 @@ def test_default_single_trial_matches_oracle():
     # base-reachability precheck or the filter decides them), and since the
     # onto-F pin neither do the catalogue's st-no classes; DETECTED_NOS do
     insts += _catalogue("st-no") + list(DETECTED_NOS)
+    want = [solve_st_exact(inst)[0] for inst in insts]
+    monkeypatch.setattr(tpe, "SEARCH_BUDGET", 0)
     no_with_detections = 0
     for checked, inst in enumerate(insts):
         rep = solve_st(inst, SolveParams(seed=checked))
-        assert rep.answer == solve_st_exact(inst)[0], inst
+        assert rep.answer == want[checked], inst
         if not rep.answer and rep.detections_run:
             assert 0 < rep.failure_bound <= 2 * 7 / 2**64
             no_with_detections += 1
     assert no_with_detections >= len(DETECTED_NOS)
+    monkeypatch.undo()
+    for checked, inst in enumerate(insts):
+        rep = solve_st(inst, SolveParams(seed=checked))
+        assert rep.answer == want[checked], inst
+        assert rep.detections_run == 0 and rep.failure_bound == 0.0, inst
 
 
 def _restricted_dags(count, seed=2026, sizes=(11, 13), facilities=(5, 6)):
@@ -659,32 +686,139 @@ def _restricted_dags(count, seed=2026, sizes=(11, 13), facilities=(5, 6)):
             yield inst
 
 
-def test_pipeline_matches_oracle_on_restricted_dags():
+def test_pipeline_matches_oracle_on_restricted_dags(monkeypatch):
     """The onto-F pin keeps every answer on larger hosts, and leaves NOs
     whose candidates of more than |F| vertices reach a detection.  Their
-    bound is set by the normal-form cap of the 3 ploughs."""
+    bound is set by the normal-form cap of the 3 ploughs.  With the survivor
+    search, every answer is the same and every NO is certain."""
+    insts = list(_restricted_dags(300))
+    want = [solve_st_exact(inst)[0] for inst in insts]
+    monkeypatch.setattr(tpe, "SEARCH_BUDGET", 0)
     no_with_detections = 0
-    for i, inst in enumerate(_restricted_dags(300)):
+    for i, inst in enumerate(insts):
         rep = solve_all_st(inst, SolveParams(seed=i))
-        assert rep.answer == solve_st_exact(inst)[0], inst
+        assert rep.answer == want[i], inst
         if not rep.answer and rep.detections_run:
             f, kb = len(inst.facilities()), inst.total_ploughs()
             assert rep.failure_bound == 2 * min(2 * f - 1, f + kb - 1, inst.n) / 2**64
             no_with_detections += 1
     assert no_with_detections >= 10
+    monkeypatch.undo()
+    for i, inst in enumerate(insts):
+        rep = solve_all_st(inst, SolveParams(seed=i))
+        assert rep.answer == want[i], inst
+        assert rep.detections_run == 0 and rep.failure_bound == 0.0, inst
 
 
-def test_the_plough_budget_reaches_ten_facilities():
+def test_the_plough_budget_reaches_ten_facilities(monkeypatch):
     # the normal form needs trees of order at most 10 + 3 - 1 = 12, not
     # 2*10 - 1 = 19 > MAX_ORDER.  The third such draw is a NO after 8
-    # detections, and the exact engine agrees
+    # detections, and the exact engine agrees; the survivor search decides
+    # the same 8 candidates with certainty
     inst = list(_restricted_dags(3, seed=10, sizes=(17, 21), facilities=(10, 10)))[-1]
     assert len(inst.facilities()) == 10 and inst.total_ploughs() == 3 and inst.n == 19
+    monkeypatch.setattr(tpe, "SEARCH_BUDGET", 0)
     start = time.perf_counter()
     rep = solve_all_st(inst, PARAMS)
     assert time.perf_counter() - start < 2.0
     assert not rep.answer and not solve_st_exact(inst)[0]
     assert rep.detections_run == 8 and rep.failure_bound == 2 * 12 / 2**64
+    monkeypatch.undo()
+    searched = solve_all_st(inst, PARAMS)
+    assert not searched.answer and searched.candidates_tested == rep.candidates_tested
+    assert searched.detections_run == 0 and searched.failure_bound == 0.0
+
+
+def test_the_search_agrees_with_the_detection_on_every_survivor(monkeypatch):
+    """Every candidate that passes the filter on the corpus of
+    ``_corpus_reports`` (cycles allowed) and on the 300 restricted DAGs is
+    decided by the survivor search within its budget, the same way as by a
+    detection, and every embedding it returns is one: injective, inside the
+    placements, every tree arc a host arc, every demand paid and every
+    facility covered."""
+    from snowteam import solvers
+
+    real = solvers.embed
+    tally = {False: 0, True: 0}
+
+    def both(host, cand, fac, pin, onto):
+        got = real(host, cand, fac, pin, onto)
+        assert got is not None, (host, cand)
+        circuit = tpe.build_circuit(host, cand, fac, pin, onto)
+        assert bool(got) == tpe.detect_zt_multilinear(circuit, len(fac), cand.order, seed=1)
+        if got:
+            dom = tpe.placements(host, cand, pin, onto)
+            assert len(set(got)) == cand.order and fac <= set(got)
+            assert all(dom[u] >> w & 1 and cand.demand[u] <= host.ploughs[w] for u, w in enumerate(got))
+            assert all(host.out_mask[got[a]] >> got[b] & 1 for a, b in cand.arcs)
+        tally[bool(got)] += 1
+        return got
+
+    monkeypatch.setattr(solvers, "embed", both)
+    for rep in _corpus_reports():
+        assert rep.detections_run == 0
+    for inst in _restricted_dags(300):
+        assert solve_all_st(inst, PARAMS).detections_run == 0
+    assert tally[True] + tally[False] >= 500 and tally[False] >= 50, tally
+
+
+def test_a_spent_search_budget_falls_back_to_one_detection(monkeypatch):
+    # toy1's one candidate, 0 -> 2 on the closure, takes two placements, and
+    # DETECTED_NOS[1]'s one survivor more than one: with budget 1 the search
+    # gives up on each, and one detection decides it instead
+    for inst in (toy1(), DETECTED_NOS[1]):
+        searched = solve_all_st(inst, PARAMS)
+        monkeypatch.setattr(tpe, "SEARCH_BUDGET", 1)
+        spent = solve_all_st(inst, PARAMS)
+        monkeypatch.undo()
+        assert (spent.answer, spent.candidates_tested) == (searched.answer, searched.candidates_tested)
+        assert spent.detections_run == searched.detections_run + 1
+        assert searched.failure_bound == 0.0
+        assert (spent.failure_bound > 0) == (not spent.answer)
+
+
+def test_min_st_bound_counts_the_detections_that_found_nothing(monkeypatch):
+    """min-st's bound is the miss bound of the call's cap times its
+    detections that found nothing (one at most for an infeasible answer),
+    however its hits were found.  With budget 0 a detection decides every
+    survivor.  With budget 8 on the 59th restricted DAG the search finds the
+    hit, while a NO survivor still falls back to a detection: subtracting
+    the hits from the detections would leave it no bound."""
+    from test_pinned_reports import BOUND_CASES
+
+    from snowteam import solvers
+
+    runs = []
+    real_embed, real_detect = solvers.embed, solvers.detect_zt_multilinear
+
+    def search(*args):
+        got = real_embed(*args)
+        runs.append(("search", bool(got)))
+        return got
+
+    def detect(circuit, t, k, seed):
+        got = real_detect(circuit, t=t, k=k, seed=seed)
+        runs.append(("detect", got))
+        return got
+
+    monkeypatch.setattr(solvers, "embed", search)
+    monkeypatch.setattr(solvers, "detect_zt_multilinear", detect)
+    dag = list(_restricted_dags(59))[-1]
+    cases = [make_instance(*c) for c in BOUND_CASES] + [gen_fig3(5), MAX_ST_NO_BEFORE_YES, dag]
+    bounded = 0
+    for budget, inst in [(0, inst) for inst in cases] + [(8, dag)]:
+        monkeypatch.setattr(tpe, "SEARCH_BUDGET", budget)
+        runs.clear()
+        rep = solve_min_st(inst, PARAMS)
+        nos = runs.count(("detect", False))
+        relevant = nos if rep.answer else min(nos, 1)
+        host, _ = solvers._settled(inst)
+        cap = solvers._promotions_cap(host) if host is not None else 0
+        assert rep.failure_bound == relevant * _miss(cap), (budget, inst)
+        bounded += rep.answer and nos > 0
+    assert ("search", True) in runs and runs.count(("detect", False)) == 1
+    assert rep.answer and rep.failure_bound > 0
+    assert bounded >= 2
 
 
 def test_onto_pin_rejects_the_catalogue_st_no_detections(monkeypatch):

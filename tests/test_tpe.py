@@ -13,6 +13,7 @@ from snowteam.tpe import (
     build_circuit,
     decide_tpe,
     detect_zt_multilinear,
+    embed,
     eval_trial,
     expand_symbolic,
     placements,
@@ -612,6 +613,91 @@ def test_onto_pin_keeps_every_embedding_of_a_tree_on_the_terminals():
             assert _candidate_feasible(host, cand, terminals, mask, mask)
             assert detected, (host, cand, terminals)
     assert found >= 50 and missing >= 80, (found, missing)
+
+
+def _is_embedding(host, tree, terminals, dom, phi):
+    """phi, tree vertex u on host vertex phi[u], is injective, lies within
+    dom, keeps every tree arc as a host arc, pays every demand and covers
+    every terminal."""
+    return (
+        len(phi) == tree.order == len(set(phi))
+        and terminals <= set(phi)
+        and all(dom[u] >> w & 1 and tree.demand[u] <= host.ploughs[w] for u, w in enumerate(phi))
+        and all((phi[a], phi[b]) in host.arcs for a, b in tree.arcs)
+    )
+
+
+def test_embed_agrees_with_the_brute_force_the_detection_and_the_placements():
+    """On seeded hosts, cyclic and acyclic, n 2-8, and trees up to order 5:
+    the survivor search finishes within its budget, finds an embedding
+    exactly when the brute force does, and decides as the detection does
+    under no pin, the normal-form pin and the onto pin.  Each map it returns
+    is an embedding within the scanned placements, and an empty scanned
+    domain is a NO."""
+    rng = random.Random(2300)
+    cands = _all_orientations(5)
+    tally = {"yes": 0, "no": 0, "pinned yes": 0, "pinned no": 0, "onto": 0}
+    for i in range(40):
+        n = rng.randint(2, 8)
+        if i % 2:
+            perm = rng.sample(range(n), n)
+            pairs = [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)]
+        else:
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rng.sample(pairs, k=rng.randint(n - 1, min(3 * n, len(pairs))))
+        host = make_instance(n, arcs, set(), {v: rng.randint(0, min(2, n - 1)) for v in range(n)})
+        for cand in rng.sample(cands, 10):
+            terminals = frozenset(rng.sample(range(n), rng.randint(0, min(n, cand.order))))
+            mask = sum(1 << w for w in terminals)
+            want = solve_tpe_exact(host, cand, terminals)
+            got = embed(host, cand, terminals)
+            assert got is not None and bool(got) == (want is not None), (host, cand, terminals)
+            tally["yes" if got else "no"] += 1
+            onto = mask if cand.order == len(terminals) else None
+            tally["onto"] += onto is not None
+            for pin in (None, mask):
+                dom = _scanned_placements(host, cand, pin, onto)
+                got = embed(host, cand, terminals, pin, onto)
+                assert got is not None
+                if got:
+                    assert _is_embedding(host, cand, terminals, dom, got), (host, cand, got)
+                elif not dom[0]:
+                    assert got is False
+                circuit = build_circuit(host, cand, terminals, pin, onto)
+                detected = detect_zt_multilinear(circuit, len(terminals), cand.order, seed=i)
+                assert detected == bool(got), (host, cand, terminals, pin, onto)
+                if pin is not None:
+                    tally["pinned yes" if got else "pinned no"] += 1
+    assert min(tally["yes"], tally["no"], tally["pinned no"]) >= 100, tally
+    assert min(tally["pinned yes"], tally["onto"]) >= 20, tally
+
+
+def test_embed_gives_up_only_past_its_budget(monkeypatch):
+    """The search counts the placements it tries: with fewer than it needs it
+    answers None, with as many it decides, and with no budget given it reads
+    ``SEARCH_BUDGET`` at the call.  A tree with no placement is a NO at any
+    budget."""
+    # the root goes on 0; the child tries 1, which leaves terminal 2
+    # uncovered, then 2: three placements
+    host, tree, terminals = toy1_tpe()
+    assert embed(host, tree, terminals, budget=2) is None
+    assert embed(host, tree, terminals, budget=3) == (0, 2)
+    monkeypatch.setattr(tpe, "SEARCH_BUDGET", 2)
+    assert embed(host, tree, terminals) is None
+    monkeypatch.setattr(tpe, "SEARCH_BUDGET", 3)
+    assert embed(host, tree, terminals) == (0, 2)
+    # no host vertex pays the root's demand: every domain is empty
+    unploughed = make_instance(3, [(0, 1), (1, 2)], {0, 2}, {})
+    assert placements(unploughed, tree)[0] == 0
+    assert embed(unploughed, tree, terminals, budget=0) is False
+    # both domains are {0, 2} and {1, 3}, but one arc cannot cover the
+    # terminals 1 and 3: the search tries both roots, cuts each, proves NO
+    split = make_instance(4, [(0, 1), (2, 3)], {1, 3}, {0: 1, 2: 1})
+    assert placements(split, tree) == [0b0101, 0b1010]
+    assert embed(split, tree, frozenset({1, 3}), budget=1) is None
+    assert embed(split, tree, frozenset({1, 3}), budget=2) is False
+    with pytest.raises(ValueError, match="terminals outside"):
+        embed(host, tree, frozenset({3}))
 
 
 def _direct_polynomial(host, tree, terminals, max_vars, max_zdeg):
