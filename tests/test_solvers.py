@@ -389,6 +389,15 @@ def test_corpus_reports_digest(detect_every_survivor):
     assert _corpus_digest() == CORPUS_DIGEST
 
 
+# the same digest with the survivor search deciding every survivor: only
+# detections and bounds differ from CORPUS_DIGEST's reports
+SEARCHED_CORPUS_DIGEST = "874a04636daaa7c5053e6184105a8de0b0d2d2562472855b730c1fb3b69ae258"
+
+
+def test_corpus_reports_digest_with_the_search():
+    assert _corpus_digest() == SEARCHED_CORPUS_DIGEST
+
+
 def test_stu_without_ploughs_draws_no_tree(monkeypatch):
     # two facility components: k = 0 is a certain NO before any candidate
     from snowteam import trees
