@@ -3,9 +3,10 @@
 Ploughs placed on vertices follow directed walks, clearing every arc they
 traverse; the goal is to reconnect all facility vertices in the underlying
 graph of the cleared arcs.  The package provides randomized fixed-parameter
-pipelines (tree-candidate enumeration plus algebraic multilinear-monomial
-detection), exact search oracles, and the Set-Cover hardness gadget with
-constructive solution translations.
+pipelines (tree-candidate enumeration, an embedding search for each
+filtered candidate, and algebraic multilinear-monomial detection where that
+search runs out of budget), exact search oracles, and the Set-Cover
+hardness gadget with constructive solution translations.
 """
 
 from .algebra import gf_mul

@@ -64,7 +64,7 @@ vertex i+1 goes on a host vertex of its domain, unused so far and joined to
 its parent's host vertex by a host arc in the direction of their tree arc.
 A partial map that leaves more terminals uncovered than there are vertices
 still to place is dropped.  A map it completes is injective, keeps every
-tree arc, pays every demand (the domains do), lies within any pin and
+tree arc, pays every demand and respects any pin (the domains do), and
 covers every terminal, since the last vertex leaves none uncovered: an
 embedding, so the answer YES is certain.  Conversely, let phi be an
 embedding (under a pin, one that respects it).  Each phi(u) lies in u's
@@ -263,21 +263,12 @@ def embed(
     order, arcs = tree.order, tree.arcs
     dom = placements(host, tree, pin, onto)
     term = sum(1 << w for w in terminals)
-    if not dom[0] or term.bit_count() > order:
-        return False
-    parent = [0] * order
-    step = [host.out_mask] * order
-    for v, (a, b) in enumerate(arcs, start=1):
-        if a == v:
-            parent[v], step[v] = b, host.in_mask
-        else:
-            parent[v] = a
     image = [0] * order  # the host vertex of each placed tree vertex, as a bit
     left = [0] * order  # the host vertices each placed vertex has yet to try
     left[0] = dom[0]
     used, missing, tried, v = 0, term, 0, 0
     while v >= 0:
-        if not left[v]:  # v's choices are spent: back up and free its parent's vertex
+        if not left[v]:  # v's choices are spent: back up and free v-1's vertex
             v -= 1
             if v >= 0:
                 used ^= image[v]
@@ -296,7 +287,9 @@ def embed(
         v += 1
         if v == order:
             return tuple(b.bit_length() - 1 for b in image)
-        left[v] = dom[v] & ~used & step[v][image[parent[v]].bit_length() - 1]
+        a, b = arcs[v - 1]  # v's arc, to its parent a + b - v
+        rows = host.in_mask if a == v else host.out_mask
+        left[v] = dom[v] & ~used & rows[image[a + b - v].bit_length() - 1]
     return False
 
 

@@ -12,10 +12,10 @@ the order of every promotion's candidates.  The
 first of those has a cycle; on its condensation its min-st needs no such
 detection and carries bound 0.  In the second and third the onto-F pin
 decides every NO promotion, so their min-st bound is 0 too; the last two
-ran a NO detection and carried one until the survivor search
-(``tpe.embed``) decided their candidates.  The search now decides every
-survivor in this file within its budget, so no report runs a detection
-and every bound is 0.  The reports do not depend on the seed, so
+have a NO candidate that a detection would leave with a bound, and that
+the survivor search (``tpe.embed``) decides with certainty.  The search
+decides every survivor in this file within its budget, so no report runs
+a detection and every bound is 0.  The reports do not depend on the seed, so
 SolveParams(seed=3) and SolveParams(seed=11) are both checked against the
 one file.  A change meant to keep answers, optima, bounds and counts must
 leave this file alone; a change meant to alter them regenerates it, with

@@ -745,6 +745,8 @@ def test_the_search_agrees_with_the_detection_on_every_survivor(monkeypatch):
     detection, and every embedding it returns is one: injective, inside the
     placements, every tree arc a host arc, every demand paid and every
     facility covered."""
+    from test_tpe import _is_embedding
+
     from snowteam import solvers
 
     real = solvers.embed
@@ -756,10 +758,7 @@ def test_the_search_agrees_with_the_detection_on_every_survivor(monkeypatch):
         circuit = tpe.build_circuit(host, cand, fac, pin, onto)
         assert bool(got) == tpe.detect_zt_multilinear(circuit, len(fac), cand.order, seed=1)
         if got:
-            dom = tpe.placements(host, cand, pin, onto)
-            assert len(set(got)) == cand.order and fac <= set(got)
-            assert all(dom[u] >> w & 1 and cand.demand[u] <= host.ploughs[w] for u, w in enumerate(got))
-            assert all(host.out_mask[got[a]] >> got[b] & 1 for a, b in cand.arcs)
+            assert _is_embedding(host, cand, fac, tpe.placements(host, cand, pin, onto), got)
         tally[bool(got)] += 1
         return got
 
