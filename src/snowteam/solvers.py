@@ -288,9 +288,10 @@ def _candidate_feasible(
     terminals: frozenset[int],
     pin: Optional[int] = None,
     onto: Optional[int] = None,
-) -> bool:
+) -> Optional[list[int]]:
     """Cheap necessary conditions for an embedding that respects pin and
-    onto; never prunes a true YES.
+    onto; never prunes a true YES.  Returns the placements when they hold,
+    for the survivor search to draw from, else None.
 
     Every tree vertex needs a placement (``tpe.placements`` under pin and
     onto), then a matching must saturate the tree side and another one the
@@ -300,12 +301,12 @@ def _candidate_feasible(
     eta = cand.order
     compat = placements(host, cand, pin, onto)
     if not compat[0]:
-        return False
+        return None
     if not _kuhn_saturates(eta, [bits(c) for c in compat]):
-        return False
+        return None
     term_list = sorted(terminals)
     term_adj = [[v for v in range(eta) if compat[v] >> w & 1] for w in term_list]
-    return _kuhn_saturates(len(term_list), term_adj)
+    return compat if _kuhn_saturates(len(term_list), term_adj) else None
 
 
 def _check_scale(l_param: int, n: int, budget: Optional[int] = None) -> int:
@@ -368,9 +369,10 @@ def _decide(
     for cand in stream if order is None else sorted(stream, key=order):
         report.candidates_tested += 1
         onto = fac_mask if cand.order == t else None
-        if not _candidate_feasible(host, cand, fac, pin, onto):
+        dom = _candidate_feasible(host, cand, fac, pin, onto)
+        if dom is None:
             continue
-        found = embed(host, cand, fac, pin, onto)
+        found = embed(host, cand, fac, dom)
         if found is None:  # the search ran out of budget: a detection decides
             circuit = build_circuit(host, cand, fac, pin, onto)
             report.detections_run += 1

@@ -240,15 +240,13 @@ def embed(
     host: Instance,
     tree: TreeCandidate,
     terminals: frozenset[int],
-    pin: Optional[int] = None,
-    onto: Optional[int] = None,
-    budget: Optional[int] = None,
+    dom: list[int],
 ) -> Union[tuple[int, ...], Literal[False], None]:
-    """Depth-first search for an embedding of tree into host within the
-    ``placements`` under pin and onto (module docstring, the survivor
-    search).  Returns the embedding, tree vertex u on host vertex
-    ``image[u]``; False when none exists; or None once it has tried budget
-    placements (``SEARCH_BUDGET`` when budget is None) without an answer.
+    """Depth-first search for an embedding of tree into host within dom, the
+    ``placements`` of tree under whatever pin and onto the embedding must
+    respect (module docstring, the survivor search).  Returns the embedding,
+    tree vertex u on host vertex ``image[u]``; False when none exists; or
+    None once it has tried ``SEARCH_BUDGET`` placements without an answer.
 
     Vertices are placed in layout order, so a vertex's parent is placed
     before it.  Vertex v draws its host vertices from its domain, minus the
@@ -258,10 +256,8 @@ def embed(
     """
     if not all(0 <= t < host.n for t in terminals):
         raise ValueError("terminals outside host vertex range")
-    if budget is None:
-        budget = SEARCH_BUDGET
+    budget = SEARCH_BUDGET
     order, arcs = tree.order, tree.arcs
-    dom = placements(host, tree, pin, onto)
     term = sum(1 << w for w in terminals)
     image = [0] * order  # the host vertex of each placed tree vertex, as a bit
     left = [0] * order  # the host vertices each placed vertex has yet to try

@@ -749,19 +749,27 @@ def test_the_search_agrees_with_the_detection_on_every_survivor(monkeypatch):
 
     from snowteam import solvers
 
-    real = solvers.embed
+    real_filter, real = solvers._candidate_feasible, solvers.embed
+    pins = []
     tally = {False: 0, True: 0}
 
-    def both(host, cand, fac, pin, onto):
-        got = real(host, cand, fac, pin, onto)
+    def filtered(host, cand, fac, pin, onto):
+        pins.append((pin, onto))
+        return real_filter(host, cand, fac, pin, onto)
+
+    def both(host, cand, fac, dom):
+        pin, onto = pins[-1]
+        assert dom == tpe.placements(host, cand, pin, onto)
+        got = real(host, cand, fac, dom)
         assert got is not None, (host, cand)
         circuit = tpe.build_circuit(host, cand, fac, pin, onto)
         assert bool(got) == tpe.detect_zt_multilinear(circuit, len(fac), cand.order, seed=1)
         if got:
-            assert _is_embedding(host, cand, fac, tpe.placements(host, cand, pin, onto), got)
+            assert _is_embedding(host, cand, fac, dom, got)
         tally[bool(got)] += 1
         return got
 
+    monkeypatch.setattr(solvers, "_candidate_feasible", filtered)
     monkeypatch.setattr(solvers, "embed", both)
     for rep in _corpus_reports():
         assert rep.detections_run == 0
@@ -1239,6 +1247,6 @@ def test_bitmask_filter_matches_set_filter():
             for host in (plain, closure):
                 got = _candidate_feasible(host, cand, terminals)
                 want = _candidate_feasible_sets(host, cand, terminals)
-                assert got == want, (host, cand, terminals)
-                outcomes[host is closure, got] += 1
+                assert got == (tpe.placements(host, cand) if want else None), (host, cand, terminals)
+                outcomes[host is closure, want] += 1
     assert min(outcomes.values()) >= 100, outcomes

@@ -650,14 +650,14 @@ def test_embed_agrees_with_the_brute_force_the_detection_and_the_placements():
             terminals = frozenset(rng.sample(range(n), rng.randint(0, min(n, cand.order))))
             mask = sum(1 << w for w in terminals)
             want = solve_tpe_exact(host, cand, terminals)
-            got = embed(host, cand, terminals)
+            got = embed(host, cand, terminals, placements(host, cand))
             assert got is not None and bool(got) == (want is not None), (host, cand, terminals)
             tally["yes" if got else "no"] += 1
             onto = mask if cand.order == len(terminals) else None
             tally["onto"] += onto is not None
             for pin in (None, mask):
                 dom = _scanned_placements(host, cand, pin, onto)
-                got = embed(host, cand, terminals, pin, onto)
+                got = embed(host, cand, terminals, placements(host, cand, pin, onto))
                 assert got is not None
                 if got:
                     assert _is_embedding(host, cand, terminals, dom, got), (host, cand, got)
@@ -673,31 +673,32 @@ def test_embed_agrees_with_the_brute_force_the_detection_and_the_placements():
 
 
 def test_embed_gives_up_only_past_its_budget(monkeypatch):
-    """The search counts the placements it tries: with fewer than it needs it
-    answers None, with as many it decides, and with no budget given it reads
-    ``SEARCH_BUDGET`` at the call.  A tree with no placement is a NO at any
-    budget."""
+    """The search counts the placements it tries, against ``SEARCH_BUDGET``
+    read at the call: with fewer than it needs it answers None, with as many
+    it decides.  A tree with no placement is a NO at any budget."""
     # the root goes on 0; the child tries 1, which leaves terminal 2
     # uncovered, then 2: three placements
     host, tree, terminals = toy1_tpe()
-    assert embed(host, tree, terminals, budget=2) is None
-    assert embed(host, tree, terminals, budget=3) == (0, 2)
+    dom = placements(host, tree)
     monkeypatch.setattr(tpe, "SEARCH_BUDGET", 2)
-    assert embed(host, tree, terminals) is None
+    assert embed(host, tree, terminals, dom) is None
     monkeypatch.setattr(tpe, "SEARCH_BUDGET", 3)
-    assert embed(host, tree, terminals) == (0, 2)
+    assert embed(host, tree, terminals, dom) == (0, 2)
     # no host vertex pays the root's demand: every domain is empty
     unploughed = make_instance(3, [(0, 1), (1, 2)], {0, 2}, {})
     assert placements(unploughed, tree)[0] == 0
-    assert embed(unploughed, tree, terminals, budget=0) is False
+    monkeypatch.setattr(tpe, "SEARCH_BUDGET", 0)
+    assert embed(unploughed, tree, terminals, placements(unploughed, tree)) is False
     # both domains are {0, 2} and {1, 3}, but one arc cannot cover the
     # terminals 1 and 3: the search tries both roots, cuts each, proves NO
     split = make_instance(4, [(0, 1), (2, 3)], {1, 3}, {0: 1, 2: 1})
     assert placements(split, tree) == [0b0101, 0b1010]
-    assert embed(split, tree, frozenset({1, 3}), budget=1) is None
-    assert embed(split, tree, frozenset({1, 3}), budget=2) is False
+    monkeypatch.setattr(tpe, "SEARCH_BUDGET", 1)
+    assert embed(split, tree, frozenset({1, 3}), placements(split, tree)) is None
+    monkeypatch.setattr(tpe, "SEARCH_BUDGET", 2)
+    assert embed(split, tree, frozenset({1, 3}), placements(split, tree)) is False
     with pytest.raises(ValueError, match="terminals outside"):
-        embed(host, tree, frozenset({3}))
+        embed(host, tree, frozenset({3}), dom)
 
 
 def _direct_polynomial(host, tree, terminals, max_vars, max_zdeg):
