@@ -27,25 +27,31 @@ class ParseError(ValueError):
 class Instance:
     """Digraph with facility flags and per-vertex plough counts.
 
-    Immutable; its derived data is two bitmask rows, ``out_mask`` and
-    ``in_mask``, two bitmasks, ``fac_mask`` and ``base_mask``, and, on first
-    use, the ``thresholds`` rows.  Plough counts are capped at n-1 per
-    vertex (more ploughs at one vertex can never help).
+    Immutable; its adjacency is two bitmask rows, ``out_mask`` and
+    ``in_mask``, and its derived data two bitmasks, ``fac_mask`` and
+    ``base_mask``, and, on first use, the ``thresholds`` rows.  Plough
+    counts are capped at n-1 per vertex (more ploughs at one vertex can
+    never help).
 
     Outside input goes through the constructor (``Instance(...)``,
     ``make_instance``, ``parse_instance``), which validates the arcs and
-    weights, stores them as a frozenset of int pairs, bools and ints, and
-    builds the rows from ``arcs``.  An instance derived from one
-    already built (``_reweighted``, ``condense``, ``transitive_closure``) is
-    assembled from rows its builder holds and is not checked again.
+    weights straight into the rows and stores the weights as bools and
+    ints.  The rows are the only adjacency kept: ``arcs``, a frozenset of
+    int pairs, is read off ``out_mask`` on first use, and equality and
+    hashing compare the rows, which fix the same arc set.  An instance
+    derived from one already built (``_reweighted``, ``condense``,
+    ``transitive_closure``) is assembled from rows its builder holds and is
+    not checked again.
     """
 
     n: int
-    arcs: frozenset[tuple[int, int]]
+    # not stored: __getattr__ reads it off out_mask on first use (a
+    # cached_property of this name would become the field's default)
+    arcs: frozenset[tuple[int, int]] = field(compare=False)
     facility: tuple[bool, ...]
     ploughs: tuple[int, ...]
     # bit x of out_mask[w] / in_mask[w]: arc w -> x / x -> w
-    out_mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    out_mask: tuple[int, ...] = field(init=False, repr=False)
     in_mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
     # bit v: v is a facility / v holds at least one plough
     fac_mask: int = field(init=False, compare=False, repr=False)
@@ -56,23 +62,21 @@ class Instance:
             raise ValueError("instance needs at least one vertex")
         if len(self.facility) != self.n or len(self.ploughs) != self.n:
             raise ValueError("facility/plough vectors must have length n")
+        outs, ins = [0] * self.n, [0] * self.n
         try:
-            pairs = [(operator.index(u), operator.index(v)) for u, v in self.arcs]
             ploughs = tuple(map(operator.index, self.ploughs))
+            for u, v in self.arcs:
+                u, v = operator.index(u), operator.index(v)
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise ValueError(f"arc ({u},{v}) out of range")
+                if u == v:
+                    raise ValueError(f"self-loop ({u},{v})")
+                if outs[u] >> v & 1:
+                    raise ValueError(f"duplicate arc ({u},{v})")
+                outs[u] |= 1 << v
+                ins[v] |= 1 << u
         except TypeError:
             raise ValueError("arc ends and plough counts must be integers") from None
-        outs, ins = [0] * self.n, [0] * self.n
-        for u, v in pairs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"arc ({u},{v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop ({u},{v})")
-            outs[u] |= 1 << v
-            ins[v] |= 1 << u
-        arcs = frozenset(pairs)
-        if len(arcs) != len(pairs):
-            (u, v), _ = Counter(pairs).most_common(1)[0]
-            raise ValueError(f"duplicate arc ({u},{v})")
         for v, b in enumerate(ploughs):
             if b < 0:
                 raise ValueError(f"negative plough count at {v}")
@@ -80,13 +84,22 @@ class Instance:
                 raise ValueError(f"plough count {b} at {v} exceeds n-1")
         # stored as their canonical types: hashing, equality and the text
         # format then agree with parse_instance's instances
-        self.__dict__.update(arcs=arcs, facility=tuple(map(bool, self.facility)), ploughs=ploughs)
+        self.__dict__.update(facility=tuple(map(bool, self.facility)), ploughs=ploughs)
+        del self.__dict__["arcs"]
         _fill(self, tuple(outs), tuple(ins))
 
+    def __getattr__(self, name: str):
+        # only arcs, and only once the rows exist: pickle and copy look up
+        # other names, on instances whose dict is not filled yet
+        if name != "arcs" or "out_mask" not in self.__dict__:
+            raise AttributeError(f"'Instance' object has no attribute {name!r}")
+        arcs = ((u, v) for u, row in enumerate(self.out_mask) for v in bits(row))
+        return self.__dict__.setdefault("arcs", frozenset(arcs))
+
     def _reweighted(self, facility: tuple[bool, ...], ploughs: tuple[int, ...]) -> Instance:
-        """The instance on the same arcs with new weights, sharing ``arcs`` and
-        the rows.  The weights must be valid for n (each count at most n-1)."""
-        return _derive(self.n, self.arcs, self.out_mask, self.in_mask, facility, ploughs)
+        """The instance on the same arcs with new weights, sharing the rows.
+        The weights must be valid for n (each count at most n-1)."""
+        return _derive(self.n, self.out_mask, self.in_mask, facility, ploughs)
 
     @cached_property
     def thresholds(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -127,29 +140,28 @@ def _fill(inst: Instance, out_mask: tuple[int, ...], in_mask: tuple[int, ...]) -
     inst.__dict__.update(out_mask=out_mask, in_mask=in_mask, fac_mask=fac, base_mask=base)
 
 
-def _derive(n, arcs, out_mask, in_mask, facility, ploughs) -> Instance:
-    """An instance from rows that match arcs and weights valid for n,
-    without the constructor's checks and arc scan."""
+def _derive(n, out_mask, in_mask, facility, ploughs) -> Instance:
+    """An instance from matching out and in rows on n vertices (no
+    self-loops) and weights valid for n, without the constructor's checks;
+    like a constructed one, it builds its arc set only when asked."""
     inst = object.__new__(Instance)
-    inst.__dict__.update(n=n, arcs=arcs, facility=facility, ploughs=ploughs)
+    inst.__dict__.update(n=n, facility=facility, ploughs=ploughs)
     _fill(inst, out_mask, in_mask)
     return inst
 
 
 def _from_out_rows(out_mask: list[int], facility, ploughs) -> Instance:
     """The instance whose arcs are out_mask's bits (no self-loops), with
-    its arc set and in rows read off those rows."""
+    its in rows read off those rows."""
     n = len(out_mask)
-    arcs, ins = [], [0] * n
+    ins = [0] * n
     for s, row in enumerate(out_mask):
         bit = 1 << s
         while row:
             low = row & -row
-            t = low.bit_length() - 1
-            arcs.append((s, t))
-            ins[t] |= bit
+            ins[low.bit_length() - 1] |= bit
             row ^= low
-    return _derive(n, frozenset(arcs), tuple(out_mask), tuple(ins), facility, ploughs)
+    return _derive(n, tuple(out_mask), tuple(ins), facility, ploughs)
 
 
 def _at_least(counts, n: int) -> tuple[int, ...]:
@@ -296,12 +308,12 @@ def parse_instance(text) -> Instance:
 
 def serialize_instance(inst: Instance) -> str:
     """Canonical text for an instance; round-trips through parse_instance."""
-    out = [f"st {inst.n} {len(inst.arcs)}"]
+    # the rows, in order, give the arcs sorted
+    arcs = [f"a {u} {v}" for u, row in enumerate(inst.out_mask) for v in bits(row)]
+    out = [f"st {inst.n} {len(arcs)}"]
     for v in range(inst.n):
         out.append(f"v {v} {int(inst.facility[v])} {inst.ploughs[v]}")
-    for u, v in sorted(inst.arcs):
-        out.append(f"a {u} {v}")
-    return "\n".join(out) + "\n"
+    return "\n".join(out + arcs) + "\n"
 
 
 def parse_walks(text) -> SolutionWalks:
@@ -353,8 +365,8 @@ def transitive_closure(inst: Instance) -> Instance:
     """Digraph with an arc (u,v) whenever a nonempty directed path u->v exists.
 
     Self-loops are excluded even for vertices on cycles; F and B carry over.
-    Row u is the reach of u's out-neighbours without u, and the arc set and
-    in rows are read off the rows.
+    Row u is the reach of u's out-neighbours without u, and the in rows are
+    read off the rows.
     """
     out = inst.out_mask
     rows = [reach(out[s], out) & ~(1 << s) for s in range(inst.n)]
@@ -388,7 +400,8 @@ def condense(inst: Instance) -> Instance:
     comes back as the same object.  Otherwise a vertex of that order, which
     no cycle reaches, is its own component, the others' components are
     found by reach among the vertices not yet placed, and a component's row
-    holds the components of its members' out-neighbours outside it.
+    holds the components of its members' out-neighbours outside it; the in
+    rows are read off those rows.
     """
     order = topological_order(inst)
     n, out = inst.n, inst.out_mask
@@ -448,11 +461,12 @@ def facilities_connected(inst: Instance, cleared) -> bool:
     unless there are fewer than two facilities (then the condition is
     vacuous and the answer is True).
     """
-    adj = [0] * inst.n
+    n, out = inst.n, inst.out_mask
+    adj = [0] * n
     for a in cleared:
-        if tuple(a) not in inst.arcs:
-            raise ValueError(f"cleared set contains a non-arc {a}")
         u, v = a
+        if not (0 <= u < n and 0 <= v < n and out[u] >> v & 1):
+            raise ValueError(f"cleared set contains a non-arc {a}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     fac = inst.fac_mask
@@ -462,7 +476,10 @@ def facilities_connected(inst: Instance, cleared) -> bool:
 
 
 def walk_is_valid(inst: Instance, w: Walk) -> bool:
-    return all(a in inst.arcs for a in w.arcs())
+    # both ends in range before the row read: row -1 is the last row, and a
+    # shift by -1 raises
+    n, out, vs = inst.n, inst.out_mask, w.vertices
+    return all(0 <= u < n and 0 <= v < n and out[u] >> v & 1 for u, v in zip(vs, vs[1:]))
 
 
 def verify_st_solution(inst: Instance, sol: SolutionWalks) -> tuple[bool, str]:

@@ -90,7 +90,7 @@ MAX_DAG_STATES = 2_000_000
 
 def _fits_bfs(inst: Instance, k: int) -> bool:
     """Whether the BFS engine answers inst with k ploughs."""
-    return inst.n <= MAX_N and len(inst.arcs) <= MAX_ARCS and k <= MAX_KB
+    return inst.n <= MAX_N and sum(map(int.bit_count, inst.out_mask)) <= MAX_ARCS and k <= MAX_KB
 
 
 def _merge(comps: tuple[int, ...], mask: int) -> tuple[int, list[int]]:
@@ -308,8 +308,8 @@ def _search(
             paths = _path_index(inst)
         if paths is None:
             raise LimitsExceeded(
-                f"instance (n={inst.n}, m={len(inst.arcs)}, k_B={len(starts)}) "
-                "exceeds the exact-search limits and is not acyclic"
+                f"instance (n={inst.n}, m={sum(map(int.bit_count, inst.out_mask))}, "
+                f"k_B={len(starts)}) exceeds the exact-search limits and is not acyclic"
             )
         witness = _dag_st(inst, starts, paths)
     if witness is not None:
@@ -338,7 +338,7 @@ def solve_tpe_exact(
             continue
         if not terminals <= set(image):
             continue
-        if all((image[u], image[v]) in host.arcs for u, v in tree.arcs):
+        if all(host.out_mask[image[u]] >> image[v] & 1 for u, v in tree.arcs):
             return {v: image[v] for v in range(tree.order)}
     return None
 

@@ -120,7 +120,7 @@ drops the promotions that lose a needed base.  A dropped promotion would
 count no candidate and no detection, so dropping it changes no report, and
 one ``st`` call in process builds promotions only up to its first YES.  A
 promotion that passes holds a plough, as its facilities lie in R.  A
-promotion changes weights only, so it shares the host's arc set and rows
+promotion changes weights only, so it shares the host's rows
 (``Instance._reweighted``) and builds just its facility and base masks; a
 restricted host is its own single promotion, the host object itself.
 Every detection of a call runs with ``params.seed``: each bound below is a
@@ -622,7 +622,7 @@ def normalize_to_tree_like(tc_inst: Instance, sol: SolutionWalks) -> SolutionWal
     """
     if tc_inst.base_mask & ~tc_inst.fac_mask:
         raise ValueError("restricted instance required")
-    if transitive_closure(tc_inst).arcs != tc_inst.arcs:
+    if transitive_closure(tc_inst).out_mask != tc_inst.out_mask:
         raise ValueError("instance must be transitively closed")
     ok, reason = verify_st_solution(tc_inst, sol)
     if not ok:
@@ -631,7 +631,7 @@ def normalize_to_tree_like(tc_inst: Instance, sol: SolutionWalks) -> SolutionWal
     def deletions(walks):
         for j, w in enumerate(walks):
             for i in range(len(w) - 1, 0, -1):
-                if i == len(w) - 1 or (w[i - 1], w[i + 1]) in tc_inst.arcs:
+                if i == len(w) - 1 or tc_inst.out_mask[w[i - 1]] >> w[i + 1] & 1:
                     yield walks[:j] + (w[:i] + w[i + 1 :],) + walks[j + 1 :]
 
     def verifies(walks):

@@ -2,13 +2,15 @@
 facility subsets and stu's free host are built from rows their builder holds,
 without the constructor's arc scan.  Each must be the instance the validating
 constructor builds from its arcs and weights, masks included, and keep them
-through pickle (worker processes receive promotions pickled)."""
+through pickle (worker processes receive promotions pickled).  The rows are
+an instance's only adjacency: its arc set is read off them only when asked."""
 
 import itertools
 import pickle
 import random
+from dataclasses import replace
 
-from snowteam import solvers
+from snowteam import digraph, solvers
 from snowteam.digraph import (
     Instance,
     bits,
@@ -18,11 +20,14 @@ from snowteam.digraph import (
     serialize_instance,
     transitive_closure,
 )
+from snowteam.exact import solve_variant_exact
 from snowteam.solvers import (
     SolveParams,
     _base_reach_connects_facilities,
     _promotions,
     solve_max_st,
+    solve_min_st,
+    solve_st,
     solve_stu,
 )
 
@@ -32,16 +37,19 @@ def _masks(inst):
 
 
 def _assert_as_built(derived):
-    """derived equals the validated instance on its arcs and weights, with
-    the same rows and masks, before and after a pickle round trip."""
+    """derived equals and hashes like the validated instance on its arcs and
+    weights, with the same rows and masks, before and after a pickle round
+    trip, and ``replace`` rebuilds it with new weights."""
+    back = pickle.loads(pickle.dumps(derived))  # before its arc set is read
     built = Instance(
         n=derived.n, arcs=derived.arcs, facility=derived.facility, ploughs=derived.ploughs
     )
-    assert derived == built
+    assert derived == built and hash(derived) == hash(built)
     assert _masks(derived) == _masks(built)
-    back = pickle.loads(pickle.dumps(derived))
-    assert back == built
+    assert back == built and back.arcs == built.arcs
     assert _masks(back) == _masks(built)
+    ploughs = derived.ploughs[::-1]
+    assert replace(derived, ploughs=ploughs) == replace(built, ploughs=ploughs)
 
 
 def _random_instances(seed, count):
@@ -76,7 +84,7 @@ def test_derived_instances_equal_the_validated_ones(monkeypatch):
         except ValueError:  # beyond the enumeration cap: no subset is built
             pass
         for sub in settled[-1:]:  # the last facility subset decided
-            assert sub.arcs is inst.arcs and sub.ploughs == inst.ploughs
+            assert sub.out_mask is inst.out_mask and sub.ploughs == inst.ploughs
             _assert_as_built(sub)
             checked["subsets"] += 1
         settled.clear()
@@ -141,3 +149,37 @@ def test_the_precheck_gives_a_closed_host_its_own_verdict():
             assert _base_reach_connects_facilities(transitive_closure(host)) == verdict, host
             verdicts[verdict] += 1
     assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_no_derived_instance_builds_an_arc_set(monkeypatch):
+    """Every pipeline, the exact engines and the verifier read rows only: no
+    instance derived on the way holds an arc set, and a constructed one
+    builds its own only when ``arcs`` is read."""
+    derived = []
+    real = digraph._derive
+
+    def spy(*args):
+        derived.append(real(*args))
+        return derived[-1]
+
+    monkeypatch.setattr(digraph, "_derive", spy)
+    params = SolveParams(seed=3)
+    runs = [
+        lambda inst: solve_st(inst, params),
+        lambda inst: solve_min_st(inst, params),
+        lambda inst: solve_max_st(inst, params),
+        lambda inst: solve_stu(inst, 1, params),
+        lambda inst: solve_variant_exact(inst, "min-st"),
+        lambda inst: solve_variant_exact(inst, "max-st"),
+        lambda inst: solve_variant_exact(inst, "stu", 1),
+    ]
+    for inst in _random_instances(47, 60):
+        for run in runs:
+            try:
+                run(inst)
+            except ValueError:  # beyond an enumeration cap or an exact limit
+                pass
+        assert "arcs" not in inst.__dict__
+        assert isinstance(inst.arcs, frozenset) and "arcs" in inst.__dict__
+    assert len(derived) >= 500, len(derived)
+    assert not [d for d in derived if "arcs" in d.__dict__]

@@ -402,6 +402,10 @@ def test_facilities_connected():
         facilities_connected(inst, {(2, 0)})
     with pytest.raises(ValueError, match="non-arc"):
         facilities_connected(single, [(1, 0)])  # checked even with one facility
+    cycle = make_instance(3, [(0, 1), (1, 2), (2, 0)], facilities={0, 2}, ploughs={0: 1})
+    for end_outside in ((-1, 0), (0, cycle.n)):  # row -1 would read row 2, which has 2 -> 0
+        with pytest.raises(ValueError, match="non-arc"):
+            facilities_connected(cycle, {end_outside})
 
 
 def test_facilities_connected_matches_networkx_on_randoms():
@@ -424,6 +428,8 @@ def test_walk_is_valid():
     assert walk_is_valid(inst, Walk((0, 1, 2)))
     assert not walk_is_valid(inst, Walk((0, 2)))
     assert walk_is_valid(inst, Walk((1,)))
+    assert not walk_is_valid(inst, Walk((0, -1)))  # a shift by -1 would raise
+    assert not walk_is_valid(inst, Walk((2, 3)))
 
 
 def test_verify_st_solution():
