@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -21,6 +22,35 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class _Value:
+    """Base of the package's slotted value types: a subclass names its fields
+    in ``_fields``, in constructor order, and this class compares, hashes and
+    prints by them, as a dataclass would.  The methods are written once here
+    because ``@dataclass`` generates and executes them per class, which took
+    most of the package's import time.  Nothing freezes the fields (setting
+    them through ``object.__setattr__`` made every construction slower), so
+    hashable types are immutable by convention, and a mutable one sets
+    ``__hash__ = None``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 @dataclass(frozen=True)
@@ -189,15 +219,15 @@ def make_instance(n, arcs, facilities, ploughs) -> Instance:
     return Instance(n=n, arcs=frozenset(tuple(a) for a in arcs), facility=fac, ploughs=pl)
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(_Value):
     """A plough trajectory: nonempty vertex sequence; length 0 is allowed."""
 
-    vertices: tuple[int, ...]
+    _fields = __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        if len(self.vertices) == 0:
+    def __init__(self, vertices: tuple[int, ...]):
+        if len(vertices) == 0:
             raise ValueError("walk needs at least one vertex")
+        self.vertices = vertices
 
     @property
     def start(self) -> int:
@@ -216,8 +246,7 @@ class Walk:
         return [(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
 
 
-@dataclass(frozen=True)
-class SolutionWalks:
+class SolutionWalks(NamedTuple):
     """A candidate solution: one walk per plough."""
 
     walks: tuple[Walk, ...]

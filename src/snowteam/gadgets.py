@@ -34,35 +34,33 @@ most k sets covering U:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
-from .digraph import Instance, ParseError, SolutionWalks, Walk, serialize_instance
+from .digraph import Instance, ParseError, SolutionWalks, Walk, _Value, serialize_instance
 from .digraph import _content_lines, _record, verify_st_solution
 
 
-@dataclass(frozen=True)
-class SetCoverInstance:
+class SetCoverInstance(_Value):
     """Universe {1..n_items}, family of item subsets, budget k."""
 
-    n_items: int
-    sets: tuple[tuple[int, ...], ...]
-    k: int
+    _fields = __slots__ = ("n_items", "sets", "k")
 
-    def __post_init__(self):
-        if self.n_items < 1:
+    def __init__(self, n_items: int, sets: tuple[tuple[int, ...], ...], k: int):
+        if n_items < 1:
             raise ValueError("need at least one item")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("budget k must be positive")
         covered: set[int] = set()
-        for s in self.sets:
-            if error := _set_error(s, self.n_items):
+        for s in sets:
+            if error := _set_error(s, n_items):
                 raise ValueError(error)
             covered.update(s)
-        if covered != set(range(1, self.n_items + 1)):
-            missing = sorted(set(range(1, self.n_items + 1)) - covered)
+        if covered != set(range(1, n_items + 1)):
+            missing = sorted(set(range(1, n_items + 1)) - covered)
             raise ValueError(f"items {missing} belong to no set")
+        self.n_items = n_items
+        self.sets = sets
+        self.k = k
 
     @property
     def m(self) -> int:
@@ -132,21 +130,25 @@ def _format_name(name: tuple) -> str:
     return f"{kind[0]}{prime}_{{{idx[0]},{idx[1]}}}"
 
 
-@dataclass(frozen=True)
-class GadgetLayout:
+class GadgetLayout(_Value):
     """Built gadget plus the structured-name -> dense-id map."""
 
-    sc: SetCoverInstance
-    instance: Instance
-    names: dict[tuple, int]
+    _fields = ("sc", "instance", "names")
+    __slots__ = (*_fields, "_name_by_id")
 
-    @cached_property
-    def _name_by_id(self) -> dict[int, tuple]:
-        return {i: name for name, i in self.names.items()}
+    def __init__(self, sc: SetCoverInstance, instance: Instance, names: dict[tuple, int]):
+        self.sc = sc
+        self.instance = instance
+        self.names = names
 
     def name_of(self, vid: int) -> str:
-        """Printed name of vertex vid; KeyError when no vertex has that id."""
-        return _format_name(self._name_by_id[vid])
+        """Printed name of vertex vid; KeyError when no vertex has that id.
+        The id -> name map is built on first use and kept."""
+        try:
+            by_id = self._name_by_id
+        except AttributeError:
+            by_id = self._name_by_id = {i: name for name, i in self.names.items()}
+        return _format_name(by_id[vid])
 
 
 def build_gadget(sc: SetCoverInstance) -> GadgetLayout:

@@ -151,13 +151,13 @@ import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import trees
 from .digraph import (
     Instance,
     SolutionWalks,
+    _Value,
     bits,
     condense,
     facilities_connected,
@@ -171,23 +171,22 @@ from .tpe import build_circuit, detect_zt_multilinear, embed, placements
 from .trees import TreeCandidate, candidate_stream
 
 
-@dataclass(frozen=True)
-class SolveParams:
+class SolveParams(_Value):
     """Options of one solve call: ``seed`` seeds every detection of the call,
     ``exact_threshold`` routes a call on n <= exact_threshold vertices to the
     exact engine, and ``jobs`` caps the worker processes."""
 
-    seed: int = 1
-    exact_threshold: int = 0
-    jobs: int = 1
+    _fields = __slots__ = ("seed", "exact_threshold", "jobs")
 
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+    def __init__(self, seed: int = 1, exact_threshold: int = 0, jobs: int = 1):
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
+        self.seed = seed
+        self.exact_threshold = exact_threshold
+        self.jobs = jobs
 
 
-@dataclass
-class SolveReport:
+class SolveReport(_Value):
     """Outcome plus accounting.
 
     failure_bound bounds the probability that the reported answer is wrong:
@@ -201,13 +200,34 @@ class SolveReport:
     detection.  The search decides every other candidate past the filter.
     """
 
-    answer: bool
-    optimum: Optional[int] = None
-    candidates_tested: int = 0
-    detections_run: int = 0
-    elapsed: float = 0.0
-    failure_bound: float = 0.0
-    witness: Optional[SolutionWalks] = None
+    _fields = __slots__ = (
+        "answer",
+        "optimum",
+        "candidates_tested",
+        "detections_run",
+        "elapsed",
+        "failure_bound",
+        "witness",
+    )
+    __hash__ = None  # filled in as the solve runs
+
+    def __init__(
+        self,
+        answer: bool,
+        optimum: Optional[int] = None,
+        candidates_tested: int = 0,
+        detections_run: int = 0,
+        elapsed: float = 0.0,
+        failure_bound: float = 0.0,
+        witness: Optional[SolutionWalks] = None,
+    ):
+        self.answer = answer
+        self.optimum = optimum
+        self.candidates_tested = candidates_tested
+        self.detections_run = detections_run
+        self.elapsed = elapsed
+        self.failure_bound = failure_bound
+        self.witness = witness
 
 
 def _timed(solve):

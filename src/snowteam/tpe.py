@@ -95,13 +95,12 @@ few arrays of that size.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
 import numpy as np
 
 from .algebra import _clmul_reduce_arrays
-from .digraph import Instance, bits
+from .digraph import Instance, _Value, bits
 from .trees import MAX_ORDER, TreeCandidate
 
 # Gate-count ceiling: one x-gate, and an add and a mul per child, per pair,
@@ -110,8 +109,7 @@ from .trees import MAX_ORDER, TreeCandidate
 CIRCUIT_SIZE_C = 10
 
 
-@dataclass
-class Circuit:
+class Circuit(_Value):
     """Monotone arithmetic circuit in topological gate order.
 
     Gate encodings: ("x", host_vertex, tree_vertex, z_exp), the leaf
@@ -119,10 +117,14 @@ class Circuit:
     empty; ("mul", a, b), a product.
     """
 
-    gates: list[tuple]
-    output: int
-    host_n: int
-    tree_order: int
+    _fields = __slots__ = ("gates", "output", "host_n", "tree_order")
+    __hash__ = None  # mutable
+
+    def __init__(self, gates: list[tuple], output: int, host_n: int, tree_order: int):
+        self.gates = gates
+        self.output = output
+        self.host_n = host_n
+        self.tree_order = tree_order
 
     def x_gate_ids(self) -> list[int]:
         return [i for i, g in enumerate(self.gates) if g[0] == "x"]

@@ -40,11 +40,10 @@ generation: no class key and no set of seen classes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Optional
 
-from .digraph import reach
+from .digraph import _Value, reach
 
 MAX_ORDER = 16
 
@@ -52,18 +51,22 @@ MAX_ORDER = 16
 FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47)
 
 
-@dataclass(frozen=True)
-class FreeTree:
-    """Unrooted tree in canonical layout; edges are (parent, child) in preorder."""
+class FreeTree(_Value):
+    """Unrooted tree in canonical layout; edges are (parent, child) in
+    preorder, and code is the depth of each vertex in the canonical layout."""
 
-    order: int
-    edges: tuple[tuple[int, int], ...]
-    code: tuple[int, ...]  # depth of each vertex in the canonical layout
+    _fields = ("order", "edges", "code")
+    __slots__ = (*_fields, "_orienting")
+
+    def __init__(self, order: int, edges: tuple[tuple[int, int], ...], code: tuple[int, ...]):
+        self.order = order
+        self.edges = edges
+        self.code = code
 
     def code_str(self) -> str:
         return " ".join(str(d) for d in self.code)
 
-    @cached_property
+    @property
     def orienting(self) -> tuple:
         """(ends, low, leaves, twin, half), the constants ``orient_tree``
         reads, computed on first use and kept with the tree: ends[i] =
@@ -71,21 +74,25 @@ class FreeTree:
         balance at which a non-leaf v counts towards sources (a leaf never
         reaches it); leaves, the number of vertices of degree at most 1;
         and ``_symmetries``' (twin, half)."""
+        try:
+            return self._orienting
+        except AttributeError:
+            pass
         deg = [0] * self.order
         for p, c in self.edges:
             deg[p] += 1
             deg[c] += 1
         low = tuple(min(1, d - 2) if d > 1 else d + 1 for d in deg)
-        return (
+        self._orienting = (
             tuple(((c, p), (p, c)) for p, c in self.edges),
             low,
             sum(d <= 1 for d in deg),
             *_symmetries(self),
         )
+        return self._orienting
 
 
-@dataclass(frozen=True)
-class TreeCandidate:
+class TreeCandidate(NamedTuple):
     """Directed tree with plough-demand weights.
 
     Layout invariant (``tpe.placements`` and ``tpe.build_circuit`` rely

@@ -27,3 +27,10 @@ def test_demo_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert DEMOS[script] in proc.stdout
+
+
+def test_readme_library_snippet_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "True 0.0\n"

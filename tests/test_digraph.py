@@ -1,11 +1,13 @@
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 
 import pytest
 
 from snowteam.digraph import (
     Instance,
     ParseError,
+    SolutionWalks,
     bits,
     condense,
     facilities_connected,
@@ -430,6 +432,36 @@ def test_walk_is_valid():
     assert walk_is_valid(inst, Walk((1,)))
     assert not walk_is_valid(inst, Walk((0, -1)))  # a shift by -1 would raise
     assert not walk_is_valid(inst, Walk((2, 3)))
+
+
+def test_walk_types_keep_their_contract():
+    walk = Walk((0, 1, 2))
+    assert walk == Walk(vertices=(0, 1, 2)) != Walk((0, 1))
+    assert (walk.start, walk.end, walk.length, walk.arcs()) == (0, 2, 2, [(0, 1), (1, 2)])
+    sol = SolutionWalks((walk, Walk((1,))))
+    assert sol == SolutionWalks(walks=(Walk((0, 1, 2)), Walk((1,)))) == walks_from_lists([[0, 1, 2], [1]])
+    assert sol != walks_from_lists([[0, 1, 2]])
+    assert len({walk, Walk((0, 1, 2))}) == 1
+    assert len({sol, walks_from_lists([[0, 1, 2], [1]])}) == 1
+    for value in (walk, sol):
+        assert pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(AttributeError):
+        sol.walks = ()  # a NamedTuple
+    with pytest.raises(ValueError, match="walk needs at least one vertex"):
+        Walk(())
+
+
+def test_instance_is_the_one_exported_dataclass():
+    # @dataclass generates the source of its methods and execs it when the
+    # class is defined: 0.3-1.0 ms per class (Python 3.11, a 2-core x86
+    # host), against 0.1-0.2 ms for a typing.NamedTuple and 0.02 ms for a
+    # plain __slots__ class.  Nine more dataclasses took 5.3 ms of a fresh
+    # 9 ms `import snowteam`; the other value types are therefore
+    # NamedTuples or slotted classes
+    import snowteam
+
+    classes = {name: obj for name, obj in vars(snowteam).items() if isinstance(obj, type)}
+    assert [name for name, cls in classes.items() if is_dataclass(cls)] == ["Instance"]
 
 
 def test_verify_st_solution():

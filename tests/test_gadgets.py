@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -78,6 +79,23 @@ def test_set_cover_invariants():
         SetCoverInstance(1, ((), (1,)), 1)
     with pytest.raises(ValueError, match="positive"):
         SetCoverInstance(1, ((1,),), 0)
+
+
+def test_gadget_types_keep_their_contract():
+    sc = SetCoverInstance(2, ((1,), (1, 2)), 1)
+    assert (sc.n_items, sc.sets, sc.k, sc.m) == (2, ((1,), (1, 2)), 1, 2)
+    assert sc == SetCoverInstance(n_items=2, sets=((1,), (1, 2)), k=1) != SetCoverInstance(2, ((1, 2),), 1)
+    assert len({sc, SetCoverInstance(2, ((1,), (1, 2)), 1)}) == 1
+    g = build_gadget(sc)
+    assert g == GadgetLayout(sc, g.instance, dict(g.names))
+    assert g == GadgetLayout(sc=sc, instance=g.instance, names=dict(g.names))
+    assert g != build_gadget(SetCoverInstance(2, ((1,), (1, 2)), 2))
+    with pytest.raises(TypeError):
+        hash(g)  # names is a dict
+    names = [g.name_of(v) for v in range(g.instance.n)]
+    for value in (sc, g):
+        assert pickle.loads(pickle.dumps(value)) == value
+    assert [pickle.loads(pickle.dumps(g)).name_of(v) for v in range(g.instance.n)] == names
 
 
 def test_set_cover_text_round_trip():

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import pickle
 import random
 import sys
 import time
@@ -26,6 +27,7 @@ from snowteam.gadgets import gen_fig3
 from snowteam.selfcheck import random_verifying_walks
 from snowteam.solvers import (
     SolveParams,
+    SolveReport,
     _base_reach_connects_facilities,
     _candidate_feasible,
     _facilities_in_one_weak_component,
@@ -241,6 +243,35 @@ def test_solve_st_exact_threshold_routes_to_oracle():
     ok, reason = verify_st_solution(toy1(), rep.witness)
     assert ok, reason
     assert rep.failure_bound == 0.0
+
+
+def test_solve_types_keep_their_contract():
+    assert SolveParams() == SolveParams(1, 0, 1) == SolveParams(seed=1, exact_threshold=0, jobs=1)
+    params = SolveParams(7, 3, 2)
+    assert (params.seed, params.exact_threshold, params.jobs) == (7, 3, 2)
+    assert params == SolveParams(seed=7, exact_threshold=3, jobs=2) != SolveParams(7, 3)
+    assert len({params, SolveParams(7, 3, 2)}) == 1
+    assert pickle.loads(pickle.dumps(params)) == params
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        SolveParams(jobs=0)
+    report = SolveReport(True)
+    defaults = (None, 0, 0, 0.0, 0.0, None)
+    assert report == SolveReport(answer=True, **dict(zip(
+        ("optimum", "candidates_tested", "detections_run", "elapsed", "failure_bound", "witness"),
+        defaults,
+    )))
+    walks = walks_from_lists([[0, 1, 2]])
+    full = SolveReport(False, 2, 3, 1, 0.5, 1e-18, walks)
+    assert (full.answer, full.optimum, full.candidates_tested, full.detections_run) == (False, 2, 3, 1)
+    assert (full.elapsed, full.failure_bound, full.witness) == (0.5, 1e-18, walks)
+    assert full != report
+    full.answer, full.optimum = True, None  # reports are filled in as a solve runs
+    assert full != SolveReport(False, 2, 3, 1, 0.5, 1e-18, walks)
+    with pytest.raises(TypeError):
+        hash(full)  # mutable, so unhashable
+    solved = solve_st(toy1(), PARAMS)  # --jobs workers return their reports pickled
+    for value in (full, solved):
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 def _two_promotions():

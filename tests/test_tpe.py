@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -444,6 +445,20 @@ def test_malformed_gates_are_rejected(gates, output):
     circ = Circuit(gates=gates, output=output, host_n=2, tree_order=2)
     with pytest.raises(ValueError, match="malformed gate"):
         eval_trial(circ, t=0, k=1, seed=1)
+
+
+def test_circuit_keeps_its_contract():
+    gates = [("x", 0, 0, 1), ("x", 1, 1, 0), ("mul", 0, 1)]
+    circ = Circuit(gates, 2, 2, 2)
+    assert (circ.gates, circ.output, circ.host_n, circ.tree_order) == (gates, 2, 2, 2)
+    assert circ == Circuit(gates=list(gates), output=2, host_n=2, tree_order=2)
+    assert circ != Circuit(gates, 1, 2, 2)
+    with pytest.raises(TypeError):
+        hash(circ)  # mutable, so unhashable
+    circ.output = 1
+    assert circ == Circuit(gates, 1, 2, 2)
+    built = build_circuit(*toy1_tpe())
+    assert pickle.loads(pickle.dumps(built)) == built
 
 
 def test_output_outside_the_gates_is_rejected():

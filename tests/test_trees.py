@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 import random
 import time
 
@@ -9,7 +10,9 @@ import pytest
 from snowteam.trees import (
     FREE_TREE_COUNTS,
     MAX_ORDER,
+    FreeTree,
     TreeCandidate,
+    candidate_from_code,
     candidate_stream,
     enumerate_free_trees,
     orient_tree,
@@ -438,3 +441,27 @@ def test_candidate_code_depths_are_ascii_decimal(depth):
     with pytest.raises(ValueError, match="bad depth sequence"):
         candidate_from_code(code)
     assert candidate_from_code("0 1 / d").free_code == (0, 1)
+
+
+def test_tree_types_keep_their_contract():
+    tree = list(enumerate_free_trees(5))[1]
+    assert tree == FreeTree(tree.order, tree.edges, tree.code)
+    assert tree == FreeTree(order=tree.order, edges=tree.edges, code=tree.code)
+    assert tree != list(enumerate_free_trees(5))[0]
+    assert len({tree, FreeTree(tree.order, tree.edges, tree.code)}) == 1
+    fresh = pickle.loads(pickle.dumps(tree))
+    assert fresh == tree and fresh.orienting == tree.orienting
+    assert pickle.loads(pickle.dumps(tree)).orienting == tree.orienting  # pickled once read
+    cand = candidate_from_code("0 1 1 2 / dud")
+    fields = (cand.order, cand.arcs, cand.demand, cand.free_code, cand.orientation)
+    assert fields == (4, ((0, 1), (2, 0), (2, 3)), (0, 0, 2, 0), (0, 1, 1, 2), (True, False, True))
+    assert cand == TreeCandidate(*fields)
+    assert cand == TreeCandidate(
+        order=4, arcs=fields[1], demand=fields[2], free_code=fields[3], orientation=fields[4]
+    )
+    assert cand != candidate_from_code("0 1 1 2 / ddd")
+    assert len({cand, TreeCandidate(*fields)}) == 1
+    assert (cand.total_demand(), cand.code_str()) == (2, "0 1 1 2 / dud")
+    assert pickle.loads(pickle.dumps(cand)) == cand
+    with pytest.raises(AttributeError):
+        cand.order = 0  # a NamedTuple
